@@ -74,26 +74,94 @@ def _sample(area: Area, dest: Cell, obstacles: set[Cell], rng: random.Random) ->
             return c
 
 
+# Cells are keyed by one int, (x * _M + y) * _M + z, so that probing a cell
+# at an offset is one addition of the offset's key. Keys stay distinct while
+# every coordinate, the probed ones included, lies within +-_M / 2.
+_M = 1 << 20
+# nearest() probes shells while their cells total at most n / _PROBE_SHARE
+# for n indexed cells, and otherwise scans them all with numpy. One probe
+# costs about what the scan spends on 30 cells, so a query that finds
+# nothing in its budget costs at most about two scans. RRT*'s refinement
+# queries mostly hit within two cells; plain RRT's mostly lie farther out.
+_PROBE_SHARE = 32
+_SHELLS: list[list[int]] = [[0]]
+_BALLS: dict[int, list[int]] = {}
+
+
+def _key(cell: Cell) -> int:
+    return (cell[0] * _M + cell[1]) * _M + cell[2]
+
+
+def _shell(d: int) -> list[int]:
+    """Keys of the offsets at Manhattan distance exactly d, built on first use."""
+    while len(_SHELLS) <= d:
+        k = len(_SHELLS)
+        _SHELLS.append([
+            _key((dx, dy, sz * (k - abs(dx) - abs(dy))))
+            for dx in range(-k, k + 1)
+            for dy in range(abs(dx) - k, k - abs(dx) + 1)
+            for sz in ((1, -1) if abs(dx) + abs(dy) < k else (1,))
+        ])
+    return _SHELLS[d]
+
+
+def _ball(radius: int) -> list[int]:
+    """Keys of the offsets within Manhattan radius, built on first use."""
+    if radius not in _BALLS:
+        _BALLS[radius] = [o for d in range(radius + 1) for o in _shell(d)]
+    return _BALLS[radius]
+
+
 class _NearestIndex:
-    """Manhattan nearest-neighbor over a growing set of cells."""
+    """Manhattan nearest-neighbor over a growing set of distinct cells.
+
+    A cell-key -> index dict answers queries by probing Manhattan shells
+    around the query cell; one coordinate array per axis backs the linear
+    scan that nearest() falls back to. Ties go to the lowest index.
+    """
 
     def __init__(self, capacity: int):
-        self._coords = np.empty((capacity, 3), dtype=np.int64)
+        self._axes = [np.empty(capacity, dtype=np.int64) for _ in range(3)]
         self._n = 0
+        self._index: dict[int, int] = {}
 
     def add(self, cell: Cell) -> None:
-        if self._n == len(self._coords):
-            self._coords = np.concatenate([self._coords, np.empty_like(self._coords)])
-        self._coords[self._n] = cell
-        self._n += 1
+        n = self._n
+        if n == len(self._axes[0]):
+            self._axes = [np.concatenate([a, np.empty_like(a)]) for a in self._axes]
+        xs, ys, zs = self._axes
+        xs[n], ys[n], zs[n] = cell
+        self._index.setdefault(_key(cell), n)
+        self._n = n + 1
 
     def nearest(self, cell: Cell) -> int:
-        d = np.abs(self._coords[: self._n] - np.asarray(cell)).sum(axis=1)
-        return int(d.argmin())
+        """Lowest index among the closest cells."""
+        get = self._index.get
+        key = _key(cell)
+        budget = self._n // _PROBE_SHARE
+        probed = 0
+        d = 0
+        while True:
+            shell = _shell(d)
+            probed += len(shell)
+            if probed > budget:
+                n = self._n
+                xs, ys, zs = self._axes
+                x, y, z = cell
+                dist = abs(xs[:n] - x) + abs(ys[:n] - y) + abs(zs[:n] - z)
+                return int(dist.argmin())
+            hits = [i for i in map(get, [key + o for o in shell]) if i is not None]
+            if hits:
+                return min(hits)
+            d += 1
 
-    def within(self, cell: Cell, radius: int) -> np.ndarray:
-        d = np.abs(self._coords[: self._n] - np.asarray(cell)).sum(axis=1)
-        return np.nonzero(d <= radius)[0]
+    def within(self, cell: Cell, radius: int) -> list[int]:
+        """Indices of the cells within Manhattan radius, ascending."""
+        get = self._index.get
+        key = _key(cell)
+        out = [i for i in map(get, [key + o for o in _ball(radius)]) if i is not None]
+        out.sort()
+        return out
 
 
 def _step_toward(frm: Cell, to: Cell, rng: random.Random) -> Cell:
@@ -202,9 +270,7 @@ def rrt_star_plan(
         if new in obstacles or new in tree.index or new not in area:
             continue
 
-        neighborhood = [
-            int(j) for j in nn.within(new, REWIRE_RADIUS) if int(j) != near
-        ]
+        neighborhood = [j for j in nn.within(new, REWIRE_RADIUS) if j != near]
         best_parent, best_cost, best_edge = near, tree.cost[near] + 1, [new]
         for j in sorted(neighborhood, key=lambda j: tree.cost[j]):
             d = manhattan(tree.cells[j], new)

@@ -4,6 +4,11 @@ Each tick runs a fixed phase pipeline: obstacle motion, event emission, CEP
 ingestion, per-drone decisions in a seeded-random order (greedy step or
 backtrack, prediction, avoidance, locking), move commit, and an independent
 ground-truth collision scan. Everything is deterministic given the seed.
+
+Obstacle detection and the ground-truth scan look cells up in per-tick
+dicts rather than comparing every drone with every obstacle or drone:
+detection tests only the drones bucketed near each obstacle, and the scan
+costs O(drones + obstacles) per tick plus sorting the records it finds.
 """
 
 from __future__ import annotations
@@ -17,13 +22,11 @@ from .avoidance import (
     AvoidanceAction,
     BacktrackConfig,
     DecisionContext,
-    EnterBacktrack,
     Hover,
     Redirect,
     avoid,
     backtrack_exit_check,
     backtrack_step,
-    cell_is_safe,
 )
 from .cep import DroneLocEvent, MObsEvent, SObsEvent, WindowStore
 from .coordination import LockTable
@@ -39,7 +42,6 @@ from .world import (
     Area,
     Cell,
     SafetyParams,
-    chebyshev,
     manhattan,
     neighbors,
     new_area,
@@ -51,7 +53,7 @@ class ConfigError(ValueError):
 
 
 class EngineInvariantViolation(RuntimeError):
-    """Two drones committed the same cell; must never happen."""
+    """Two drones hold or committed the same cell; must never happen."""
 
 
 DEFAULT_SAFETY = SafetyParams(max_speed=5.0, comm_latency=0.2, processing_time=0.5)
@@ -71,6 +73,14 @@ def clearance_margin(cells: set[Cell]) -> set[Cell]:
                 for dz in (-1, 0, 1):
                     out.add((x + dx, y + dy, z + dz))
     return out
+
+
+def _is_int(v: object) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v: object) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
 @dataclass
@@ -99,9 +109,22 @@ class SimConfig:
         return 50 * sum(self.dims)
 
     def validate(self) -> None:
+        if not _is_int(self.detection_radius) or self.detection_radius < 0:
+            raise ConfigError(
+                f"detection_radius must be a non-negative int, got {self.detection_radius!r}"
+            )
+        if self.max_ticks is not None and (not _is_int(self.max_ticks) or self.max_ticks < 1):
+            raise ConfigError(f"max_ticks must be an int of at least 1, got {self.max_ticks!r}")
+        if not _is_number(self.tick_len_ms) or self.tick_len_ms <= 0:
+            raise ConfigError(f"tick_len_ms must be positive, got {self.tick_len_ms!r}")
         area = self.area()
         starts = [s for s, _ in self.drones]
         dests = [d for _, d in self.drones]
+        cells = starts + dests + list(self.static_obstacles)
+        cells += [c for c, _, _ in self.moving_obstacles]
+        for c in cells:
+            if not (isinstance(c, tuple) and len(c) == 3 and all(map(_is_int, c))):
+                raise ConfigError(f"cell {c!r} is not three ints")
         if len(set(starts)) != len(starts):
             raise ConfigError("drone start cells must be unique")
         if len(set(dests)) != len(dests):
@@ -155,29 +178,40 @@ def detect_collisions_ground_truth(
 
     Deliberately shares no code with the prediction stack so the collision
     count measures the navigation layer rather than its own assumptions.
+    Every check goes through a cell-keyed map, so a tick costs
+    O(drones + obstacles) plus the sorting of the records found. Records
+    come out as co-locations by cell, obstacle hits by drone id then
+    `str(obstacle id)`, and swaps by `(a, b)` with `a < b`.
     """
-    records = []
     by_cell: dict[Cell, list[int]] = {}
-    for drone_id in sorted(after):
-        by_cell.setdefault(after[drone_id], []).append(drone_id)
-    for cell, ids in sorted(by_cell.items()):
-        if len(ids) >= 2:
-            records.append(CollisionRecord(tick, "colocation", tuple(ids), cell))
-    for drone_id in sorted(after):
-        for obs_id, cell in sorted(obstacle_cells.items(), key=lambda kv: str(kv[0])):
-            if after[drone_id] == cell:
-                records.append(
-                    CollisionRecord(tick, "obstacle", (drone_id, obs_id), cell)
-                )
-    ids = sorted(after)
-    for i, a in enumerate(ids):
-        for b in ids[i + 1:]:
-            if (
-                before[a] != before[b]
-                and before[a] == after[b]
-                and before[b] == after[a]
-            ):
-                records.append(CollisionRecord(tick, "swap", (a, b), after[a]))
+    for drone_id, cell in after.items():
+        by_cell.setdefault(cell, []).append(drone_id)
+    records = [
+        CollisionRecord(tick, "colocation", tuple(sorted(by_cell[cell])), cell)
+        for cell in sorted(c for c, ids in by_cell.items() if len(ids) >= 2)
+    ]
+    hits = [
+        (drone_id, obs_id, cell)
+        for obs_id, cell in obstacle_cells.items()
+        for drone_id in by_cell.get(cell, ())
+    ]
+    hits.sort(key=lambda hit: (hit[0], str(hit[1])))
+    records += [
+        CollisionRecord(tick, "obstacle", (drone_id, obs_id), cell)
+        for drone_id, obs_id, cell in hits
+    ]
+    # Only drones that moved can swap: a's old cell is b's new one and back.
+    moved = [i for i, cell in after.items() if before[i] != cell]
+    left: dict[Cell, list[int]] = {}
+    for i in moved:
+        left.setdefault(before[i], []).append(i)
+    swaps = sorted(
+        (a, b)
+        for b in moved
+        for a in left.get(after[b], ())
+        if a < b and after[a] == before[b]
+    )
+    records += [CollisionRecord(tick, "swap", pair, after[pair[0]]) for pair in swaps]
     return records
 
 
@@ -221,7 +255,8 @@ class Simulation:
         ]
         self.locks = LockTable()
         for d in self.drones:
-            assert self.locks.try_acquire(d.id, d.current)
+            if not self.locks.try_acquire(d.id, d.current):
+                raise EngineInvariantViolation(f"start cell {d.current} already locked")
         self.store = WindowStore()
         self.known_static: dict[int, Cell] = {}
         self._sidestep_cooldown: dict[int, int] = {}
@@ -252,6 +287,7 @@ class Simulation:
             )
 
         # Phases 2-3: event emission and CEP ingestion.
+        drone_blocks = self._drone_blocks(drone_cells)
         matches = []
         for d in self.drones:
             matches += self.store.ingest(
@@ -261,13 +297,13 @@ class Simulation:
         for so in self.statics:
             if so.id in self.known_static:
                 continue
-            if self._detected(so.cell, drone_cells):
+            if self._detected(so.cell, drone_blocks):
                 self.known_static[so.id] = so.cell
                 matches += self.store.ingest(SObsEvent(so.id, so.cell), now_ms)
         for mo in self.movings:
             if not mo.alive or self.tick < mo.spawn_tick:
                 continue
-            if self._detected(mo.cell, drone_cells):
+            if self._detected(mo.cell, drone_blocks):
                 known_moving[mo.id] = mo.cell
                 matches += self.store.ingest(
                     MObsEvent(mo.id, mo.cell, now_ms), now_ms
@@ -363,9 +399,30 @@ class Simulation:
                 )
         self.tick += 1
 
-    def _detected(self, cell: Cell, drone_cells: set[Cell]) -> bool:
+    def _drone_blocks(self, drone_cells: set[Cell]) -> dict[Cell, list[Cell]]:
+        """Drone cells bucketed into cubes of side 2 * detection_radius + 1."""
+        side = 2 * self.cfg.detection_radius + 1
+        blocks: dict[Cell, list[Cell]] = {}
+        for c in drone_cells:
+            blocks.setdefault((c[0] // side, c[1] // side, c[2] // side), []).append(c)
+        return blocks
+
+    def _detected(self, cell: Cell, drone_blocks: dict[Cell, list[Cell]]) -> bool:
+        """Is a drone within Chebyshev detection_radius of the cell?
+
+        The cube of that radius around the cell spans at most two blocks per
+        axis, so only the drones in those (at most 8) blocks are tested.
+        """
         r = self.cfg.detection_radius
-        return any(chebyshev(cell, dc) <= r for dc in drone_cells)
+        side = 2 * r + 1
+        x, y, z = cell
+        for bx in {(x - r) // side, (x + r) // side}:
+            for by in {(y - r) // side, (y + r) // side}:
+                for bz in {(z - r) // side, (z + r) // side}:
+                    for dx, dy, dz in drone_blocks.get((bx, by, bz), ()):
+                        if abs(dx - x) <= r and abs(dy - y) <= r and abs(dz - z) <= r:
+                            return True
+        return False
 
     def _in_hazard_margin(
         self, cell: Cell, drone: Drone,

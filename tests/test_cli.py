@@ -56,6 +56,22 @@ def test_run_invalid_scenario_is_config_error(tmp_path, capsys):
     assert main(["run", "--scenario", str(p)]) == EXIT_CONFIG_ERROR
 
 
+@pytest.mark.parametrize("change", [
+    {"detection_radius": 2.5},
+    {"detection_radius": -1},
+    {"max_ticks": 0},
+    {"tick_len_ms": 0},
+    {"static_obstacles": [[3, 3.5, 1]]},
+])
+def test_run_rejects_bad_settings_in_one_line(scenario, change, capsys):
+    doc = json.loads(scenario.read_text())
+    doc.update(change)
+    scenario.write_text(json.dumps(doc))
+    assert main(["run", "--scenario", str(scenario)]) == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_run_timeout_exit_code(tmp_path):
     p = tmp_path / "slow.json"
     p.write_text(json.dumps({

@@ -1,6 +1,10 @@
 """Mission engine: config validation, tick pipeline, collision scanning."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -55,6 +59,35 @@ class TestConfigValidation:
     def test_bad_obstacle_cadence(self):
         with pytest.raises(ConfigError):
             simple_cfg(moving_obstacles=[((4, 4, 4), 0, 0)]).validate()
+
+    @pytest.mark.parametrize("radius", [2.5, -1, "2", True])
+    def test_bad_detection_radius(self, radius):
+        with pytest.raises(ConfigError, match="detection_radius"):
+            simple_cfg(detection_radius=radius).validate()
+
+    @pytest.mark.parametrize("kw", [
+        dict(drones=[((0.5, 0, 0), (7, 7, 7))]),
+        dict(drones=[((0, 0, 0), (7, 7.0, 7))]),
+        dict(static_obstacles=[(4, 4, 4.0)]),
+        dict(moving_obstacles=[((4, "4", 4), 5, 0)]),
+        dict(static_obstacles=[(4, 4)]),
+    ])
+    def test_non_int_cells(self, kw):
+        with pytest.raises(ConfigError, match="three ints"):
+            simple_cfg(**kw).validate()
+
+    @pytest.mark.parametrize("max_ticks", [0, -3, 2.5])
+    def test_bad_max_ticks(self, max_ticks):
+        with pytest.raises(ConfigError, match="max_ticks"):
+            simple_cfg(max_ticks=max_ticks).validate()
+
+    @pytest.mark.parametrize("tick_len_ms", [0, -50, "50"])
+    def test_bad_tick_len(self, tick_len_ms):
+        with pytest.raises(ConfigError, match="tick_len_ms"):
+            simple_cfg(tick_len_ms=tick_len_ms).validate()
+
+    def test_edge_values_accepted(self):
+        simple_cfg(detection_radius=0, max_ticks=1, tick_len_ms=0.5).validate()
 
     def test_default_tick_budget(self):
         assert simple_cfg().effective_max_ticks() == 50 * 24
@@ -234,3 +267,24 @@ def test_drone_starting_on_dest_is_arrived():
     assert res.arrived[0]
     assert res.ticks == 0
     assert res.routes[0] == [(3, 3, 3)]
+
+
+_ROUTES_SCRIPT = """
+from swarmgrid.engine import run_mission
+from swarmgrid.harness import EXPERIMENTS, build_experiment
+print(repr(run_mission(build_experiment(EXPERIMENTS[1], 3)).routes))
+"""
+
+
+def test_routes_do_not_change_under_python_O():
+    """Start-cell locks are taken by code, not by an assert that -O strips."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outs = [
+        subprocess.run(
+            [sys.executable, *flags, "-c", _ROUTES_SCRIPT],
+            capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": src},
+        ).stdout
+        for flags in ([], ["-O"])
+    ]
+    assert outs[0].startswith("{0: [")
+    assert outs[0] == outs[1]

@@ -1,0 +1,100 @@
+"""Cell-indexed scan and obstacle detection against the pairwise checks they replaced."""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from swarmgrid.engine import (
+    CollisionRecord,
+    SimConfig,
+    Simulation,
+    detect_collisions_ground_truth,
+)
+from swarmgrid.world import chebyshev
+
+OBSTACLE_IDS = ("s2", "s10", "m1", "s1", "m10")
+
+
+def pairwise_scan(before, after, obstacle_cells, tick):
+    """The original O(drones^2) scan, kept verbatim as the oracle."""
+    records = []
+    by_cell = {}
+    for drone_id in sorted(after):
+        by_cell.setdefault(after[drone_id], []).append(drone_id)
+    for cell, ids in sorted(by_cell.items()):
+        if len(ids) >= 2:
+            records.append(CollisionRecord(tick, "colocation", tuple(ids), cell))
+    for drone_id in sorted(after):
+        for obs_id, cell in sorted(obstacle_cells.items(), key=lambda kv: str(kv[0])):
+            if after[drone_id] == cell:
+                records.append(
+                    CollisionRecord(tick, "obstacle", (drone_id, obs_id), cell)
+                )
+    ids = sorted(after)
+    for i, a in enumerate(ids):
+        for b in ids[i + 1:]:
+            if (
+                before[a] != before[b]
+                and before[a] == after[b]
+                and before[b] == after[a]
+            ):
+                records.append(CollisionRecord(tick, "swap", (a, b), after[a]))
+    return records
+
+
+coord = st.integers(0, 2)
+cells = st.tuples(coord, coord, coord)
+
+
+@st.composite
+def ticks(draw):
+    """A tick on a 3x3x3 grid with forced co-locations, swaps and pile-ups."""
+    ids = draw(st.lists(st.integers(0, 30), unique=True, max_size=9))
+    before = {i: draw(cells) for i in ids}
+    pairs = st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids)), max_size=3)
+    for a, b in draw(pairs) if ids else ():
+        before[a] = before[b]  # already co-located before the tick
+    after = {i: draw(st.one_of(st.just(before[i]), cells)) for i in ids}
+    for a, b in draw(pairs) if ids else ():
+        after[a], after[b] = before[b], before[a]  # swap
+    for a, b in draw(pairs) if ids else ():
+        after[a] = after[b]  # co-locate
+    occupied = st.sampled_from(sorted(after.values())) if after else cells
+    obstacles = {
+        obs_id: draw(st.one_of(occupied, cells))
+        for obs_id in draw(st.lists(st.sampled_from(OBSTACLE_IDS), unique=True))
+    }
+    return before, after, obstacles, draw(st.integers(0, 500))
+
+
+@settings(max_examples=400, deadline=None)
+@given(ticks())
+def test_scan_matches_pairwise_oracle(tick_input):
+    assert detect_collisions_ground_truth(*tick_input) == pairwise_scan(*tick_input)
+
+
+def test_record_order_on_a_busy_tick():
+    before = {4: (0, 0, 0), 1: (1, 0, 0), 7: (2, 2, 2), 3: (2, 2, 2), 9: (0, 1, 0)}
+    after = {4: (1, 0, 0), 1: (0, 0, 0), 7: (2, 2, 1), 3: (2, 2, 1), 9: (0, 1, 0)}
+    obstacles = {"s2": (0, 1, 0), "m1": (2, 2, 1), "s10": (0, 1, 0)}
+    recs = detect_collisions_ground_truth(before, after, obstacles, 6)
+    assert recs == pairwise_scan(before, after, obstacles, 6)
+    assert [(r.kind, r.ids) for r in recs] == [
+        ("colocation", (3, 7)),
+        ("obstacle", (3, "m1")),
+        ("obstacle", (7, "m1")),
+        ("obstacle", (9, "s10")),  # "s10" sorts before "s2"
+        ("obstacle", (9, "s2")),
+        ("swap", (1, 4)),
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    radius=st.integers(0, 3),
+    drone_cells=st.sets(st.tuples(*[st.integers(0, 9)] * 3), max_size=30),
+    obstacle=st.tuples(*[st.integers(0, 9)] * 3),
+)
+def test_detection_matches_every_drone_check(radius, drone_cells, obstacle):
+    sim = Simulation(SimConfig(dims=(10, 10, 10), drones=[], detection_radius=radius))
+    expected = any(chebyshev(obstacle, dc) <= radius for dc in drone_cells)
+    assert sim._detected(obstacle, sim._drone_blocks(drone_cells)) == expected
