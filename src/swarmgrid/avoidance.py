@@ -8,6 +8,7 @@ has hovered or stalled for too long.
 from __future__ import annotations
 
 import random
+from collections.abc import Container
 from dataclasses import dataclass
 
 from .coordination import LockTable
@@ -51,13 +52,14 @@ class BacktrackConfig:
 class DecisionContext:
     """Everything a single drone's avoidance decision may look at.
 
-    blocked_cells: known obstacle cells plus other drones' current cells.
+    blocked_cells: known obstacle cells plus other drones' current cells;
+    only tested for membership.
     reserved_cells: next cells already committed by drones earlier in this
     tick's arbitration order.
     """
 
     area: Area
-    blocked_cells: set[Cell]
+    blocked_cells: Container[Cell]
     reserved_cells: set[Cell]
     locks: LockTable
 

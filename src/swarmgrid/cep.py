@@ -2,8 +2,14 @@
 
 Typed location/detection events are ingested into sliding time windows and
 joined on arrival by three fixed proximity predicates (drone-drone,
-drone-static, drone-moving). Matches are returned to the caller and fanned
-out to registered sinks.
+drone-static, drone-moving). Matches are returned to the caller and, when a
+trace callback or sinks are registered, fanned out to them.
+
+Each window indexes its events by one int per cell, so a probe of a
+neighbouring cell is one addition and one dict lookup. An arriving drone
+walks the 61 cells its predicates can reach once, probing the drone and
+moving-obstacle windows at each and the static window at the 19 of them
+within radius 1.
 """
 
 from __future__ import annotations
@@ -11,7 +17,7 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .world import Cell
 
@@ -47,8 +53,7 @@ class MatchKind(enum.Enum):
     DRONE_MOVING = "drone-moving"
 
 
-@dataclass(frozen=True)
-class ProximityMatch:
+class ProximityMatch(NamedTuple):
     """One join row; the subject is always the drone."""
 
     kind: MatchKind
@@ -94,33 +99,70 @@ def _offsets(r: int) -> tuple[Cell, ...]:
 _OFFSETS_R2 = _offsets(2)
 _OFFSETS_R1 = _offsets(1)
 
+# A cell's key is (x * _M + y) * _M + z, so the key of a cell plus an offset
+# is the cell's key plus the offset's key. Keys stay distinct while every
+# coordinate, probed neighbours included, lies in [-_M / 2, _M / 2).
+_M = 1 << 20
+_COORD_LIMIT = _M // 2 - 3
+
+
+def _cell_key(cell: Cell) -> int:
+    x, y, z = cell
+    if not (
+        -_COORD_LIMIT <= x <= _COORD_LIMIT
+        and -_COORD_LIMIT <= y <= _COORD_LIMIT
+        and -_COORD_LIMIT <= z <= _COORD_LIMIT
+    ):
+        raise ValueError(
+            f"cell {cell!r} has a coordinate outside [-{_COORD_LIMIT}, {_COORD_LIMIT}]"
+        )
+    return (x * _M + y) * _M + z
+
+
+# The drone join's probe pass: each radius-2 offset key, and whether the
+# offset is also a radius-1 one. The radius-1 offsets come in the same
+# relative order as in _OFFSETS_R1.
+_DRONE_PROBES = tuple(
+    (_cell_key(off), off in _OFFSETS_R1) for off in _OFFSETS_R2
+)
+_KEYS_R1 = tuple(map(_cell_key, _OFFSETS_R1))
+_KEYS_R2 = tuple(map(_cell_key, _OFFSETS_R2))
+
+# Join rows are built as tuple.__new__(ProximityMatch, fields), which skips
+# the argument handling of the named tuple's own constructor.
+_row = tuple.__new__
+
 
 class _Stream:
-    """One event buffer with time-based eviction and a cell index."""
+    """One event buffer with time-based eviction and a cell-key index.
+
+    Each index bucket holds the `(id, cell)` of its events in arrival order.
+    """
 
     def __init__(self, retention_ms: int):
         self.retention_ms = retention_ms
-        self._events: deque = deque()  # (arrival_ms, event), arrival-ordered
-        self._by_cell: dict[Cell, deque] = {}
+        self._events: deque = deque()  # (arrival_ms, key), arrival-ordered
+        self.by_key: dict[int, deque] = {}
 
     def evict(self, now_ms: int) -> None:
+        """Drop events older than the retention; exactly the retention stays."""
         ev = self._events
-        while ev and now_ms - ev[0][0] > self.retention_ms:
-            _, old = ev.popleft()
-            bucket = self._by_cell[old.cell]
+        horizon = now_ms - self.retention_ms
+        by_key = self.by_key
+        while ev and ev[0][0] < horizon:
+            key = ev.popleft()[1]
+            bucket = by_key[key]
             bucket.popleft()
             if not bucket:
-                del self._by_cell[old.cell]
+                del by_key[key]
 
-    def append(self, event, arrival_ms: int) -> None:
-        self._events.append((arrival_ms, event))
-        self._by_cell.setdefault(event.cell, deque()).append((arrival_ms, event))
-
-    def at_cell(self, cell: Cell):
-        return self._by_cell.get(cell, ())
-
-    def __len__(self) -> int:
-        return len(self._events)
+    def append(self, key: int, entity_id: int, cell: Cell, arrival_ms: int) -> None:
+        self._events.append((arrival_ms, key))
+        bucket = self.by_key.get(key)
+        if bucket is None:
+            self.by_key[key] = deque(((entity_id, cell),))
+        else:
+            bucket.append((entity_id, cell))
 
 
 Sink = Callable[[ProximityMatch], None]
@@ -131,7 +173,9 @@ class WindowStore:
 
     Each `ingest` returns only the matches in which the arriving event
     participates, mirroring on-arrival join-row emission; the same live pair
-    is not re-reported on unrelated arrivals.
+    is not re-reported on unrelated arrivals. Event cells must be int
+    triples whose coordinates lie within +-(2**19 - 3); `ingest` raises
+    `ValueError` for any other.
     """
 
     def __init__(self, trace: Optional[Callable[[str], None]] = None):
@@ -155,25 +199,29 @@ class WindowStore:
         t = getattr(event, "t", now_ms)
         if t > now_ms:
             raise ValueError("event time is ahead of ingestion time")
-        for stream in (self._drones, self._statics, self._movings):
-            stream.evict(now_ms)
+        if not isinstance(event, (DroneLocEvent, SObsEvent, MObsEvent)):
+            raise TypeError(f"unknown event type: {type(event).__name__}")
+        key = _cell_key(event.cell)
+        self._drones.evict(now_ms)
+        self._statics.evict(now_ms)
+        self._movings.evict(now_ms)
 
         if isinstance(event, DroneLocEvent):
-            matches = self._join_drone(event)
-            self._drones.append(event, now_ms)
+            matches = self._join_drone(event.drone_id, event.cell, key)
+            self._drones.append(key, event.drone_id, event.cell, now_ms)
         elif isinstance(event, SObsEvent):
             matches = self._join_obstacle(
-                event, _OFFSETS_R1, MatchKind.DRONE_STATIC
+                event.obstacle_id, event.cell, key, _KEYS_R1, MatchKind.DRONE_STATIC
             )
-            self._statics.append(event, now_ms)
-        elif isinstance(event, MObsEvent):
-            matches = self._join_obstacle(
-                event, _OFFSETS_R2, MatchKind.DRONE_MOVING
-            )
-            self._movings.append(event, now_ms)
+            self._statics.append(key, event.obstacle_id, event.cell, now_ms)
         else:
-            raise TypeError(f"unknown event type: {type(event).__name__}")
+            matches = self._join_obstacle(
+                event.obstacle_id, event.cell, key, _KEYS_R2, MatchKind.DRONE_MOVING
+            )
+            self._movings.append(key, event.obstacle_id, event.cell, now_ms)
 
+        if self._trace is None and not self._sinks:
+            return matches
         for m in matches:
             if self._trace is not None:
                 self._trace(
@@ -185,53 +233,51 @@ class WindowStore:
                     callback(m)
         return matches
 
-    def _join_drone(self, event: DroneLocEvent) -> list[ProximityMatch]:
-        x, y, z = event.cell
-        matches = []
-        for dx, dy, dz in _OFFSETS_R2:
-            cell = (x + dx, y + dy, z + dz)
-            for _, other in self._drones.at_cell(cell):
-                if other.drone_id != event.drone_id:
-                    matches.append(
-                        ProximityMatch(
-                            MatchKind.DRONE_DRONE,
-                            event.drone_id, other.drone_id,
-                            event.cell, other.cell,
-                        )
-                    )
-        for dx, dy, dz in _OFFSETS_R1:
-            cell = (x + dx, y + dy, z + dz)
-            for _, other in self._statics.at_cell(cell):
-                matches.append(
-                    ProximityMatch(
-                        MatchKind.DRONE_STATIC,
-                        event.drone_id, other.obstacle_id,
-                        event.cell, other.cell,
-                    )
-                )
-        for dx, dy, dz in _OFFSETS_R2:
-            cell = (x + dx, y + dy, z + dz)
-            for _, other in self._movings.at_cell(cell):
-                matches.append(
-                    ProximityMatch(
-                        MatchKind.DRONE_MOVING,
-                        event.drone_id, other.obstacle_id,
-                        event.cell, other.cell,
-                    )
-                )
+    def _join_drone(self, drone_id: int, cell: Cell, key: int) -> list[ProximityMatch]:
+        """Rows in the order drone-drone, drone-static, drone-moving, each by
+        offset and then by arrival."""
+        drones = self._drones.by_key
+        statics = self._statics.by_key
+        movings = self._movings.by_key
+        row, match = _row, ProximityMatch
+        drone_drone = MatchKind.DRONE_DRONE
+        drone_static = MatchKind.DRONE_STATIC
+        drone_moving = MatchKind.DRONE_MOVING
+        dd: list[ProximityMatch] = []
+        ds: list[ProximityMatch] = []
+        dm: list[ProximityMatch] = []
+        for off, within_r1 in _DRONE_PROBES:
+            k = key + off
+            bucket = drones.get(k)
+            if bucket:
+                for other_id, other_cell in bucket:
+                    if other_id != drone_id:
+                        dd.append(row(match, (
+                            drone_drone, drone_id, other_id, cell, other_cell)))
+            if within_r1:
+                bucket = statics.get(k)
+                if bucket:
+                    for other_id, other_cell in bucket:
+                        ds.append(row(match, (
+                            drone_static, drone_id, other_id, cell, other_cell)))
+            bucket = movings.get(k)
+            if bucket:
+                for other_id, other_cell in bucket:
+                    dm.append(row(match, (
+                        drone_moving, drone_id, other_id, cell, other_cell)))
+        return dd + ds + dm
+
+    def _join_obstacle(
+        self, obstacle_id: int, cell: Cell, key: int, offsets, kind: MatchKind,
+    ) -> list[ProximityMatch]:
+        drones = self._drones.by_key
+        row, match = _row, ProximityMatch
+        matches: list[ProximityMatch] = []
+        for off in offsets:
+            bucket = drones.get(key + off)
+            if bucket:
+                for drone_id, drone_cell in bucket:
+                    matches.append(row(match, (
+                        kind, drone_id, obstacle_id, drone_cell, cell)))
         return matches
 
-    def _join_obstacle(self, event, offsets, kind: MatchKind) -> list[ProximityMatch]:
-        x, y, z = event.cell
-        matches = []
-        for dx, dy, dz in offsets:
-            cell = (x + dx, y + dy, z + dz)
-            for _, drone_ev in self._drones.at_cell(cell):
-                matches.append(
-                    ProximityMatch(
-                        kind,
-                        drone_ev.drone_id, event.obstacle_id,
-                        drone_ev.cell, event.cell,
-                    )
-                )
-        return matches

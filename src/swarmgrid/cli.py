@@ -69,19 +69,25 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 def _cmd_replay(args: argparse.Namespace) -> int:
     try:
         lines = Path(args.trace).read_text().splitlines()
-    except FileNotFoundError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     dims = None
     ticks: dict[int, dict[int, tuple[int, int, int]]] = {}
-    for line in lines:
-        if line.startswith("# area"):
-            dims = tuple(int(v) for v in line.split()[2:5])
-            continue
-        if line.startswith("#") or not line.strip():
-            continue
-        tick, drone, _mode, x, y, z, _action, _npred = line.split("\t")
-        ticks.setdefault(int(tick), {})[int(drone)] = (int(x), int(y), int(z))
+    for lineno, line in enumerate(lines, 1):
+        try:
+            if line.startswith("# area"):
+                dims = tuple(int(v) for v in line.split()[2:])
+                if len(dims) != 3:
+                    raise ValueError("an area header holds three ints")
+                continue
+            if line.startswith("#") or not line.strip():
+                continue
+            tick, drone, _mode, x, y, z, _action, _npred = line.split("\t")
+            ticks.setdefault(int(tick), {})[int(drone)] = (int(x), int(y), int(z))
+        except ValueError:
+            print(f"error: {args.trace}: line {lineno} is malformed: {line!r}", file=sys.stderr)
+            return EXIT_CONFIG_ERROR
     if dims is None:
         print("error: trace has no area header", file=sys.stderr)
         return EXIT_CONFIG_ERROR

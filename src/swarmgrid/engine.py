@@ -4,6 +4,7 @@ Each tick runs a fixed phase pipeline: obstacle motion, event emission, CEP
 ingestion, per-drone decisions in a seeded-random order (greedy step or
 backtrack, prediction, avoidance, locking), move commit, and an independent
 ground-truth collision scan. Everything is deterministic given the seed.
+No decision reads the CEP's matches; they are discarded.
 
 Obstacle detection and the ground-truth scan look cells up in per-tick
 dicts rather than comparing every drone with every obstacle or drone:
@@ -75,6 +76,23 @@ def clearance_margin(cells: set[Cell]) -> set[Cell]:
     return out
 
 
+class _BlockedCells:
+    """Known obstacle cells plus every drone cell but the deciding drone's.
+
+    Answers membership without building that union for each drone.
+    """
+
+    __slots__ = ("obstacle_cells", "drone_cells", "own")
+
+    def __init__(self, obstacle_cells: set[Cell], drone_cells: set[Cell], own: Cell):
+        self.obstacle_cells = obstacle_cells
+        self.drone_cells = drone_cells
+        self.own = own
+
+    def __contains__(self, c: object) -> bool:
+        return c in self.obstacle_cells or (c != self.own and c in self.drone_cells)
+
+
 def _is_int(v: object) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
@@ -109,6 +127,14 @@ class SimConfig:
         return 50 * sum(self.dims)
 
     def validate(self) -> None:
+        dims = self.dims
+        if not (isinstance(dims, (tuple, list)) and len(dims) == 3 and all(map(_is_int, dims))):
+            raise ConfigError(f"dims must be three ints, got {dims!r}")
+        if self.algorithm != "proposed":
+            raise ConfigError(
+                f"algorithm must be 'proposed', got {self.algorithm!r}; "
+                "the RRT baselines run through `swarmgrid experiment`"
+            )
         if not _is_int(self.detection_radius) or self.detection_radius < 0:
             raise ConfigError(
                 f"detection_radius must be a non-negative int, got {self.detection_radius!r}"
@@ -143,8 +169,11 @@ class SimConfig:
                 raise ConfigError(f"moving obstacle {c} outside the area")
             if c in protected:
                 raise ConfigError(f"obstacle on a start or destination: {c}")
-            if cadence < 1 or spawn < 0:
-                raise ConfigError("bad moving-obstacle cadence or spawn tick")
+            if not (_is_int(cadence) and cadence >= 1 and _is_int(spawn) and spawn >= 0):
+                raise ConfigError(
+                    "moving-obstacle cadence must be an int of at least 1 and "
+                    f"spawn_tick a non-negative int, got {cadence!r} and {spawn!r}"
+                )
 
 
 @dataclass(frozen=True)
@@ -286,35 +315,31 @@ class Simulation:
                 avoid_drones=cfg.obstacles_avoid_drones,
             )
 
-        # Phases 2-3: event emission and CEP ingestion.
+        # Phases 2-3: event emission and CEP ingestion. No decision reads
+        # the matches, so they are not kept.
         drone_blocks = self._drone_blocks(drone_cells)
-        matches = []
         for d in self.drones:
-            matches += self.store.ingest(
-                DroneLocEvent(d.id, d.current, now_ms), now_ms
-            )
+            self.store.ingest(DroneLocEvent(d.id, d.current, now_ms), now_ms)
         known_moving: dict[int, Cell] = {}
         for so in self.statics:
             if so.id in self.known_static:
                 continue
             if self._detected(so.cell, drone_blocks):
                 self.known_static[so.id] = so.cell
-                matches += self.store.ingest(SObsEvent(so.id, so.cell), now_ms)
+                self.store.ingest(SObsEvent(so.id, so.cell), now_ms)
         for mo in self.movings:
             if not mo.alive or self.tick < mo.spawn_tick:
                 continue
             if self._detected(mo.cell, drone_blocks):
                 known_moving[mo.id] = mo.cell
-                matches += self.store.ingest(
-                    MObsEvent(mo.id, mo.cell, now_ms), now_ms
-                )
+                self.store.ingest(MObsEvent(mo.id, mo.cell, now_ms), now_ms)
 
         # Phase 4: decisions in a fresh seeded-random order.
         order = list(self.drones)
         self.rng.shuffle(order)
-        static_cells = set(self.known_static.values())
-        moving_cells = set(known_moving.values())
-        obstacle_margin = clearance_margin(static_cells | moving_cells)
+        obstacle_cells = set(self.known_static.values())
+        obstacle_cells.update(known_moving.values())
+        obstacle_margin = clearance_margin(obstacle_cells)
         committed: dict[int, Cell] = {}
         reserved: set[Cell] = set()
         actions: dict[int, tuple[str, int]] = {}
@@ -327,11 +352,9 @@ class Simulation:
             if d.arrived:
                 actions[d.id] = ("parked", 0)
                 continue
-            others_current = drone_cells - {d.current}
-            blocked = static_cells | moving_cells | others_current
             ctx = DecisionContext(
                 area=self.area,
-                blocked_cells=blocked,
+                blocked_cells=_BlockedCells(obstacle_cells, drone_cells, d.current),
                 reserved_cells=reserved,
                 locks=self.locks,
             )
@@ -339,7 +362,7 @@ class Simulation:
                 intent, action, npred = self._backtrack_decision(d, ctx)
             else:
                 intent, action, npred = self._normal_decision(
-                    d, ctx, blocked, obstacle_margin, drone_cells
+                    d, ctx, obstacle_margin, drone_cells
                 )
             if intent != d.current and not self.locks.try_acquire(d.id, intent):
                 intent = d.current
@@ -441,7 +464,7 @@ class Simulation:
         return False
 
     def _normal_decision(
-        self, d: Drone, ctx: DecisionContext, blocked: set[Cell],
+        self, d: Drone, ctx: DecisionContext,
         obstacle_margin: set[Cell], drone_cells: set[Cell],
     ) -> tuple[Cell, str, int]:
         """Greedy step with hazard clearance.
@@ -456,6 +479,7 @@ class Simulation:
         def in_margin(n: Cell) -> bool:
             return self._in_hazard_margin(n, d, obstacle_margin, drone_cells)
 
+        blocked = ctx.blocked_cells
         dist_now = manhattan(d.current, d.dest)
         ns = neighbors(self.area, d.current)
         reducing = [

@@ -62,6 +62,10 @@ def test_run_invalid_scenario_is_config_error(tmp_path, capsys):
     {"max_ticks": 0},
     {"tick_len_ms": 0},
     {"static_obstacles": [[3, 3.5, 1]]},
+    {"dims": [6.5, 6, 4]},
+    {"moving_obstacles": [{"cell": [2, 2, 2], "cadence": 2.5}]},
+    {"moving_obstacles": [{"cell": [2, 2, 2], "spawn_tick": 1.5}]},
+    {"algorithm": "rrt"},
 ])
 def test_run_rejects_bad_settings_in_one_line(scenario, change, capsys):
     doc = json.loads(scenario.read_text())
@@ -108,3 +112,22 @@ def test_replay_prints_grids(scenario, tmp_path, capsys):
 
 def test_replay_missing_trace(tmp_path, capsys):
     assert main(["replay", "--trace", str(tmp_path / "x.trace")]) == EXIT_CONFIG_ERROR
+
+
+@pytest.mark.parametrize("bad, lineno", [
+    ("garbage\tline", 4),
+    ("0\t0\tnormal\t1\t2", 4),
+    ("0\t0\tnormal\tx\t0\t0\tadvance\t0", 4),
+    ("# area 6 six 4", 2),
+], ids=["two-fields", "short-row", "non-int-x", "bad-area-header"])
+def test_replay_malformed_trace_names_the_line(scenario, tmp_path, capsys, bad, lineno):
+    trace = tmp_path / "r.trace"
+    main(["run", "--scenario", str(scenario), "--trace", str(trace)])
+    lines = trace.read_text().splitlines()
+    lines.insert(lineno - 1, bad)
+    trace.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["replay", "--trace", str(trace)]) == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"line {lineno} " in err

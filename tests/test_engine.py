@@ -86,6 +86,21 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="tick_len_ms"):
             simple_cfg(tick_len_ms=tick_len_ms).validate()
 
+    @pytest.mark.parametrize("dims", [(6.5, 6, 6), (6, True, 6), (6, 6), "666"])
+    def test_non_int_dims(self, dims):
+        with pytest.raises(ConfigError, match="dims"):
+            simple_cfg(dims=dims, drones=[((0, 0, 0), (5, 5, 5))]).validate()
+
+    @pytest.mark.parametrize("cadence, spawn", [(2.5, 0), (True, 0), (5, 1.5), (5, False)])
+    def test_non_int_cadence_or_spawn_tick(self, cadence, spawn):
+        with pytest.raises(ConfigError, match="cadence"):
+            simple_cfg(moving_obstacles=[((4, 4, 4), cadence, spawn)]).validate()
+
+    @pytest.mark.parametrize("algorithm", ["rrt", "rrt-star", "Proposed", None])
+    def test_only_the_navigator_flies_a_config(self, algorithm):
+        with pytest.raises(ConfigError, match="algorithm"):
+            simple_cfg(algorithm=algorithm).validate()
+
     def test_edge_values_accepted(self):
         simple_cfg(detection_radius=0, max_ticks=1, tick_len_ms=0.5).validate()
 

@@ -1,8 +1,14 @@
-"""Golden digest: routes, collisions, ticks and traces stay byte-identical.
+"""Golden digests: missions and the CEP match stream stay byte-identical.
 
-The constant was computed before the ground-truth scan, obstacle detection
-and planner neighbour queries were indexed by cell. Any change to what the
-navigator or the baselines do changes the digest.
+`GOLDEN_SHA256` covers routes, collisions, ticks and traces. It was computed
+before the ground-truth scan, obstacle detection and planner neighbour
+queries were indexed by cell. Any change to what the navigator or the
+baselines do changes it.
+
+`MATCH_STREAM_SHA256` covers every `WindowStore.ingest` result the engine
+produces on fixed missions, in order, with its ingestion time. It was
+computed before the on-arrival join moved to int cell keys and one probe
+pass, so any change to which rows the CEP emits, or in what order, changes it.
 """
 
 import dataclasses
@@ -10,10 +16,15 @@ import hashlib
 import random
 
 from swarmgrid.baselines import execute_open_loop, rrt_plan, rrt_star_plan
+from swarmgrid.cep import WindowStore
 from swarmgrid.engine import run_mission
-from swarmgrid.harness import EXPERIMENTS, build_experiment
+from swarmgrid.harness import EXPERIMENTS, ExperimentSpec, build_experiment
 
 GOLDEN_SHA256 = "8266e06d44896c0b71a95333d96547e055c7b0e0a087cfb159e42897366cbd11"
+MATCH_STREAM_SHA256 = "fbf196fcea8fea4028d2a4b47590ed32ebea787bdb81cf06efd6781868652a22"
+
+# 30 drones in 6^3: every drone sees many stale positions of its neighbours.
+CONGESTED = ExperimentSpec(0, (6, 6, 6), 30, 5, 5)
 
 
 def _mission_parts(cfg) -> list[str]:
@@ -46,3 +57,34 @@ def golden_digest() -> str:
 
 def test_golden_digest_matches():
     assert golden_digest() == GOLDEN_SHA256
+
+
+def _stream_missions():
+    for seed in (0, 1, 2):
+        yield build_experiment(EXPERIMENTS[1], seed)
+    yield build_experiment(EXPERIMENTS[3], 0)
+    for seed in (0, 1):
+        yield dataclasses.replace(build_experiment(CONGESTED, seed), max_ticks=300)
+
+
+def match_stream_digest(monkeypatch) -> str:
+    h = hashlib.sha256()
+    ingest = WindowStore.ingest
+
+    def recording(self, event, now_ms):
+        matches = ingest(self, event, now_ms)
+        rows = [
+            (m.kind.value, m.subject_id, m.other_id, m.subject_cell, m.other_cell)
+            for m in matches
+        ]
+        h.update(repr((now_ms, rows)).encode())
+        return matches
+
+    monkeypatch.setattr(WindowStore, "ingest", recording)
+    for cfg in _stream_missions():
+        run_mission(cfg)
+    return h.hexdigest()
+
+
+def test_match_stream_digest_matches(monkeypatch):
+    assert match_stream_digest(monkeypatch) == MATCH_STREAM_SHA256
