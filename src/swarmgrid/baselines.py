@@ -8,6 +8,7 @@ what makes them collide where the online navigator does not.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from dataclasses import dataclass, field
 
@@ -15,7 +16,7 @@ import numpy as np
 
 from .engine import CollisionRecord, SimConfig, SimResult, detect_collisions_ground_truth
 from .entities import MovingObstacle, step_moving_obstacle
-from .world import Area, Cell, manhattan
+from .world import Area, Cell
 
 GOAL_BIAS = 0.05
 REWIRE_RADIUS = 3
@@ -74,102 +75,148 @@ def _sample(area: Area, dest: Cell, obstacles: set[Cell], rng: random.Random) ->
             return c
 
 
-# Cells are keyed by one int, (x * _M + y) * _M + z, so that probing a cell
-# at an offset is one addition of the offset's key. Keys stay distinct while
-# every coordinate, the probed ones included, lies within +-_M / 2.
-_M = 1 << 20
+# The index keys a cell (x, y, z) as (x * radix + y) * radix + z, with the
+# radix derived from the area: its largest dimension plus _REACH. Probing a
+# cell at an offset is then one addition of the offset's key. Two cells whose
+# y and z each differ by less than the radix never share a key, and every
+# key a probe makes lies in (-radix**3, radix**3). So keys stay distinct
+# while the indexed cells lie in the area and probes reach at most _REACH
+# beyond it, and they stay one-digit ints (below 2**30) while the radix is
+# at most 2**10. Queries outside the area, or probes farther out, go to the
+# numpy scan instead.
+_REACH = 16
 # nearest() probes shells while their cells total at most n / _PROBE_SHARE
-# for n indexed cells, and otherwise scans them all with numpy. One probe
-# costs about what the scan spends on 30 cells, so a query that finds
-# nothing in its budget costs at most about two scans. RRT*'s refinement
-# queries mostly hit within two cells; plain RRT's mostly lie farther out.
+# for n indexed cells, plus _SCAN_PROBES once the cells fill 1 / _SCAN_PROBES
+# of the area, and otherwise scans them all with numpy. A scan costs about
+# _SCAN_PROBES probes plus one per 30 cells, so a query that finds nothing in
+# its budget costs at most about two scans. In a sparser tree the first hit
+# lies more than _SCAN_PROBES probes out on average, so the scan goes first.
+# RRT*'s queries mostly hit within two cells; plain RRT's mostly lie farther.
 _PROBE_SHARE = 32
-_SHELLS: list[list[int]] = [[0]]
-_BALLS: dict[int, list[int]] = {}
+_SCAN_PROBES = 48
+# Per radix: the offset keys at each Manhattan distance 0.._REACH, and for
+# each radius the key and distance of every offset within it.
+_SHELLS: dict[int, list[list[int]]] = {}
+_BALLS: dict[tuple[int, int], list[tuple[int, int]]] = {}
+# Sorting (index, distance) pairs by the index alone compares ints, not tuples.
+_first = operator.itemgetter(0)
 
 
-def _key(cell: Cell) -> int:
-    return (cell[0] * _M + cell[1]) * _M + cell[2]
+def _shells(radix: int) -> list[list[int]]:
+    """Offset keys by Manhattan distance, out to _REACH, built once per radix."""
+    if radix not in _SHELLS:
+        _SHELLS[radix] = [
+            [
+                (dx * radix + dy) * radix + sz * (d - abs(dx) - abs(dy))
+                for dx in range(-d, d + 1)
+                for dy in range(abs(dx) - d, d - abs(dx) + 1)
+                for sz in ((1, -1) if abs(dx) + abs(dy) < d else (1,))
+            ]
+            for d in range(_REACH + 1)
+        ]
+    return _SHELLS[radix]
 
 
-def _shell(d: int) -> list[int]:
-    """Keys of the offsets at Manhattan distance exactly d, built on first use."""
-    while len(_SHELLS) <= d:
-        k = len(_SHELLS)
-        _SHELLS.append([
-            _key((dx, dy, sz * (k - abs(dx) - abs(dy))))
-            for dx in range(-k, k + 1)
-            for dy in range(abs(dx) - k, k - abs(dx) + 1)
-            for sz in ((1, -1) if abs(dx) + abs(dy) < k else (1,))
-        ])
-    return _SHELLS[d]
-
-
-def _ball(radius: int) -> list[int]:
-    """Keys of the offsets within Manhattan radius, built on first use."""
-    if radius not in _BALLS:
-        _BALLS[radius] = [o for d in range(radius + 1) for o in _shell(d)]
-    return _BALLS[radius]
+def _ball(radix: int, radius: int) -> list[tuple[int, int]]:
+    """(key, distance) of the offsets within Manhattan radius."""
+    if (radix, radius) not in _BALLS:
+        shells = _shells(radix)[: radius + 1]
+        _BALLS[radix, radius] = [(o, d) for d, shell in enumerate(shells) for o in shell]
+    return _BALLS[radix, radius]
 
 
 class _NearestIndex:
-    """Manhattan nearest-neighbor over a growing set of distinct cells.
+    """Manhattan nearest-neighbor over a growing set of distinct area cells.
 
     A cell-key -> index dict answers queries by probing Manhattan shells
     around the query cell; one coordinate array per axis backs the linear
-    scan that nearest() falls back to. Ties go to the lowest index.
+    scan for queries the probes cannot answer. Ties go to the lowest index.
     """
 
-    def __init__(self, capacity: int):
+    def __init__(self, dims: tuple[int, int, int], capacity: int = 1024):
+        self._dims = dims
+        self._volume = dims[0] * dims[1] * dims[2]
+        self._radix = max(dims) + _REACH
+        self._outer_shells = _shells(self._radix)[1:]
         self._axes = [np.empty(capacity, dtype=np.int64) for _ in range(3)]
         self._n = 0
         self._index: dict[int, int] = {}
 
     def add(self, cell: Cell) -> None:
+        x, y, z = cell
+        dx, dy, dz = self._dims
+        if not (0 <= x < dx and 0 <= y < dy and 0 <= z < dz):
+            raise ValueError(f"cell {cell!r} lies outside the area {self._dims!r}")
         n = self._n
         if n == len(self._axes[0]):
             self._axes = [np.concatenate([a, np.empty_like(a)]) for a in self._axes]
         xs, ys, zs = self._axes
-        xs[n], ys[n], zs[n] = cell
-        self._index.setdefault(_key(cell), n)
+        xs[n] = x
+        ys[n] = y
+        zs[n] = z
+        r = self._radix
+        self._index.setdefault((x * r + y) * r + z, n)
         self._n = n + 1
+
+    def _distances(self, cell: Cell) -> np.ndarray:
+        n = self._n
+        xs, ys, zs = self._axes
+        x, y, z = cell
+        return abs(xs[:n] - x) + abs(ys[:n] - y) + abs(zs[:n] - z)
 
     def nearest(self, cell: Cell) -> int:
         """Lowest index among the closest cells."""
-        get = self._index.get
-        key = _key(cell)
-        budget = self._n // _PROBE_SHARE
-        probed = 0
-        d = 0
-        while True:
-            shell = _shell(d)
-            probed += len(shell)
-            if probed > budget:
-                n = self._n
-                xs, ys, zs = self._axes
-                x, y, z = cell
-                dist = abs(xs[:n] - x) + abs(ys[:n] - y) + abs(zs[:n] - z)
-                return int(dist.argmin())
-            hits = [i for i in map(get, [key + o for o in shell]) if i is not None]
-            if hits:
-                return min(hits)
-            d += 1
+        x, y, z = cell
+        dx, dy, dz = self._dims
+        if 0 <= x < dx and 0 <= y < dy and 0 <= z < dz:
+            r = self._radix
+            key = (x * r + y) * r + z
+            get = self._index.get
+            i = get(key)
+            if i is not None:
+                return i
+            n = self._n
+            budget = n // _PROBE_SHARE
+            if n * _SCAN_PROBES >= self._volume:
+                budget += _SCAN_PROBES
+            probed = 1
+            for shell in self._outer_shells:
+                probed += len(shell)
+                if probed > budget:
+                    break
+                hits = [i for o in shell if (i := get(key + o)) is not None]
+                if hits:
+                    return min(hits)
+        return int(self._distances(cell).argmin())
 
-    def within(self, cell: Cell, radius: int) -> list[int]:
-        """Indices of the cells within Manhattan radius, ascending."""
-        get = self._index.get
-        key = _key(cell)
-        out = [i for i in map(get, [key + o for o in _ball(radius)]) if i is not None]
-        out.sort()
-        return out
+    def within(self, cell: Cell, radius: int) -> list[tuple[int, int]]:
+        """(index, distance) of the cells within Manhattan radius, by index."""
+        x, y, z = cell
+        dx, dy, dz = self._dims
+        if 0 <= x < dx and 0 <= y < dy and 0 <= z < dz and radius <= _REACH:
+            r = self._radix
+            key = (x * r + y) * r + z
+            get = self._index.get
+            out = [(i, d) for o, d in _ball(r, radius) if (i := get(key + o)) is not None]
+            out.sort(key=_first)
+            return out
+        dist = self._distances(cell)
+        found = np.flatnonzero(dist <= radius)
+        return list(zip(found.tolist(), dist[found].tolist()))
 
 
 def _step_toward(frm: Cell, to: Cell, rng: random.Random) -> Cell:
-    dims = [k for k in range(3) if frm[k] != to[k]]
-    k = rng.choice(dims)
-    out = list(frm)
-    out[k] += 1 if to[k] > frm[k] else -1
-    return tuple(out)  # type: ignore[return-value]
+    """One axis step from frm toward to, on an axis drawn among those that differ."""
+    x, y, z = frm
+    tx, ty, tz = to
+    steps = []
+    if x != tx:
+        steps.append((x + 1 if tx > x else x - 1, y, z))
+    if y != ty:
+        steps.append((x, y + 1 if ty > y else y - 1, z))
+    if z != tz:
+        steps.append((x, y, z + 1 if tz > z else z - 1))
+    return rng.choice(steps)
 
 
 def _straight_edge(frm: Cell, to: Cell, obstacles: set[Cell]) -> list[Cell] | None:
@@ -206,18 +253,22 @@ def rrt_plan(
     obstacles = set(static_obstacles)
     if start == dest or start in obstacles or dest in obstacles:
         raise ValueError("start and dest must be distinct free cells")
+    if start not in area or dest not in area:
+        raise ValueError("start and dest must lie in the area")
     tree = PlannerTree()
-    nn = _NearestIndex(1024)
+    nn = _NearestIndex((area.dim_x, area.dim_y, area.dim_z))
     tree.add(start, -1, 0, [start])
     nn.add(start)
+    index = tree.index
     for _ in range(max_iters):
         sample = _sample(area, dest, obstacles, rng)
-        near = nn.nearest(sample)
-        near_cell = tree.cells[near]
-        if near_cell == sample:
+        # A sample on the tree is its own nearest cell: no step to take.
+        if sample in index:
             continue
-        new = _step_toward(near_cell, sample, rng)
-        if new in obstacles or new in tree.index or new not in area:
+        near = nn.nearest(sample)
+        # One step from a tree cell toward an area cell stays in the area.
+        new = _step_toward(tree.cells[near], sample, rng)
+        if new in obstacles or new in index:
             continue
         i = tree.add(new, near, tree.cost[near] + 1, [new])
         nn.add(new)
@@ -252,40 +303,46 @@ def rrt_star_plan(
     obstacles = set(static_obstacles)
     if start == dest or start in obstacles or dest in obstacles:
         raise ValueError("start and dest must be distinct free cells")
+    if start not in area or dest not in area:
+        raise ValueError("start and dest must lie in the area")
     tree = PlannerTree()
-    nn = _NearestIndex(1024)
+    nn = _NearestIndex((area.dim_x, area.dim_y, area.dim_z))
     tree.add(start, -1, 0, [start])
     nn.add(start)
+    cells, cost, index = tree.cells, tree.cost, tree.index
     goal_index = -1
     budget = max_iters
     it = 0
     while it < budget:
         it += 1
         sample = _sample(area, dest, obstacles, rng)
-        near = nn.nearest(sample)
-        near_cell = tree.cells[near]
-        if near_cell == sample:
+        if sample in index:
             continue
-        new = _step_toward(near_cell, sample, rng)
-        if new in obstacles or new in tree.index or new not in area:
+        near = nn.nearest(sample)
+        new = _step_toward(cells[near], sample, rng)
+        if new in obstacles or new in index:
             continue
 
-        neighborhood = [j for j in nn.within(new, REWIRE_RADIUS) if j != near]
-        best_parent, best_cost, best_edge = near, tree.cost[near] + 1, [new]
-        for j in sorted(neighborhood, key=lambda j: tree.cost[j]):
-            d = manhattan(tree.cells[j], new)
-            if tree.cost[j] + d >= best_cost:
-                continue
-            edge = _straight_edge(tree.cells[j], new, obstacles)
+        # Choose-parent: the neighbour with the least cost through it and an
+        # obstacle-free edge, ties to the lower own cost and then the lower
+        # index. near is one step away, so it never beats its own cost + 1.
+        neighborhood = nn.within(new, REWIRE_RADIUS)
+        best_parent, best_cost, best_edge = near, cost[near] + 1, [new]
+        better = [
+            (c + d, c, j) for j, d in neighborhood if (c := cost[j]) + d < best_cost
+        ]
+        better.sort()
+        for through, _, j in better:
+            edge = _straight_edge(cells[j], new, obstacles)
             if edge is not None:
-                best_parent, best_cost, best_edge = j, tree.cost[j] + d, edge
+                best_parent, best_cost, best_edge = j, through, edge
+                break
         i = tree.add(new, best_parent, best_cost, best_edge)
         nn.add(new)
 
-        for j in neighborhood:
-            d = manhattan(new, tree.cells[j])
-            if tree.cost[i] + d < tree.cost[j]:
-                edge = _straight_edge(new, tree.cells[j], obstacles)
+        for j, d in neighborhood:
+            if best_cost + d < cost[j] and j != near:
+                edge = _straight_edge(new, cells[j], obstacles)
                 if edge is None:
                     continue
                 old_parent = tree.parent[j]
@@ -294,7 +351,7 @@ def rrt_star_plan(
                 tree.parent[j] = i
                 tree.children[i].add(j)
                 tree.edge[j] = edge
-                tree.cost[j] = tree.cost[i] + d
+                cost[j] = best_cost + d
                 _propagate_cost(tree, j)
 
         if new == dest and goal_index < 0:

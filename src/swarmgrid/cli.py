@@ -12,6 +12,7 @@ from .harness import (
     EXPERIMENTS,
     compute_metrics,
     load_scenario,
+    rows_to_csv,
     run_batch,
 )
 
@@ -24,13 +25,17 @@ def _cmd_run(args: argparse.Namespace) -> int:
     try:
         cfg = load_scenario(Path(args.scenario))
         cfg.validate()
-    except (ConfigError, ValueError, KeyError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     trace_file = None
     trace_fn = None
     if args.trace:
-        trace_file = open(args.trace, "w")
+        try:
+            trace_file = open(args.trace, "w")
+        except OSError as exc:
+            print(f"error: cannot write the trace: {exc}", file=sys.stderr)
+            return EXIT_CONFIG_ERROR
         trace_fn = lambda line: print(line, file=trace_file)
     try:
         result = run_mission(cfg, trace=trace_fn)
@@ -45,14 +50,26 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
     spec = EXPERIMENTS[args.id]
-    aggregate, rows = run_batch(
-        spec,
-        args.algorithm,
-        n_runs=args.runs,
-        base_seed=args.seed,
-        out_csv=Path(args.out) if args.out else None,
-        deterministic_timing=args.no_timing,
-    )
+    if args.runs < 1:
+        print(f"error: --runs must be at least 1, got {args.runs}", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
+    # Open the CSV before the batch, so an unwritable path fails before any run.
+    out_file = None
+    if args.out:
+        try:
+            out_file = open(args.out, "w")
+        except OSError as exc:
+            print(f"error: cannot write the CSV: {exc}", file=sys.stderr)
+            return EXIT_CONFIG_ERROR
+    try:
+        aggregate, rows = run_batch(
+            spec, args.algorithm, n_runs=args.runs, base_seed=args.seed
+        )
+        if out_file:
+            out_file.write(rows_to_csv(rows, deterministic_timing=args.no_timing))
+    finally:
+        if out_file:
+            out_file.close()
     if aggregate is None:
         print("error: every run timed out or failed to plan", file=sys.stderr)
         return EXIT_TIMEOUT

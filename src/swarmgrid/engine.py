@@ -10,6 +10,9 @@ Obstacle detection and the ground-truth scan look cells up in per-tick
 dicts rather than comparing every drone with every obstacle or drone:
 detection tests only the drones bucketed near each obstacle, and the scan
 costs O(drones + obstacles) per tick plus sorting the records it finds.
+The clearance margin of the known static obstacles is kept across ticks and
+grows only when one is first detected; only the moving obstacles' margin is
+built each tick.
 """
 
 from __future__ import annotations
@@ -77,20 +80,44 @@ def clearance_margin(cells: set[Cell]) -> set[Cell]:
 
 
 class _BlockedCells:
-    """Known obstacle cells plus every drone cell but the deciding drone's.
+    """Known static and moving obstacle cells plus every drone cell but the
+    deciding drone's.
 
     Answers membership without building that union for each drone.
     """
 
-    __slots__ = ("obstacle_cells", "drone_cells", "own")
+    __slots__ = ("static_cells", "moving_cells", "drone_cells", "own")
 
-    def __init__(self, obstacle_cells: set[Cell], drone_cells: set[Cell], own: Cell):
-        self.obstacle_cells = obstacle_cells
+    def __init__(
+        self, static_cells: set[Cell], moving_cells: set[Cell],
+        drone_cells: set[Cell], own: Cell,
+    ):
+        self.static_cells = static_cells
+        self.moving_cells = moving_cells
         self.drone_cells = drone_cells
         self.own = own
 
     def __contains__(self, c: object) -> bool:
-        return c in self.obstacle_cells or (c != self.own and c in self.drone_cells)
+        return (
+            c in self.static_cells or c in self.moving_cells
+            or (c != self.own and c in self.drone_cells)
+        )
+
+
+class _MarginCells:
+    """The clearance margin of the known static and moving obstacles.
+
+    Answers membership without building the union of the two margins.
+    """
+
+    __slots__ = ("static_margin", "moving_margin")
+
+    def __init__(self, static_margin: set[Cell], moving_margin: set[Cell]):
+        self.static_margin = static_margin
+        self.moving_margin = moving_margin
+
+    def __contains__(self, c: object) -> bool:
+        return c in self.static_margin or c in self.moving_margin
 
 
 def _is_int(v: object) -> bool:
@@ -288,6 +315,10 @@ class Simulation:
                 raise EngineInvariantViolation(f"start cell {d.current} already locked")
         self.store = WindowStore()
         self.known_static: dict[int, Cell] = {}
+        # Static obstacles never move and stay known once detected, so their
+        # cells and clearance margin only grow.
+        self._static_cells: set[Cell] = set()
+        self._static_margin: set[Cell] = set()
         self._sidestep_cooldown: dict[int, int] = {}
         self.collisions: list[CollisionRecord] = []
         self.tick = 0
@@ -321,11 +352,13 @@ class Simulation:
         for d in self.drones:
             self.store.ingest(DroneLocEvent(d.id, d.current, now_ms), now_ms)
         known_moving: dict[int, Cell] = {}
+        new_static: set[Cell] = set()
         for so in self.statics:
             if so.id in self.known_static:
                 continue
             if self._detected(so.cell, drone_blocks):
                 self.known_static[so.id] = so.cell
+                new_static.add(so.cell)
                 self.store.ingest(SObsEvent(so.id, so.cell), now_ms)
         for mo in self.movings:
             if not mo.alive or self.tick < mo.spawn_tick:
@@ -337,9 +370,11 @@ class Simulation:
         # Phase 4: decisions in a fresh seeded-random order.
         order = list(self.drones)
         self.rng.shuffle(order)
-        obstacle_cells = set(self.known_static.values())
-        obstacle_cells.update(known_moving.values())
-        obstacle_margin = clearance_margin(obstacle_cells)
+        if new_static:
+            self._static_cells |= new_static
+            self._static_margin |= clearance_margin(new_static)
+        moving_cells = set(known_moving.values())
+        obstacle_margin = _MarginCells(self._static_margin, clearance_margin(moving_cells))
         committed: dict[int, Cell] = {}
         reserved: set[Cell] = set()
         actions: dict[int, tuple[str, int]] = {}
@@ -354,7 +389,9 @@ class Simulation:
                 continue
             ctx = DecisionContext(
                 area=self.area,
-                blocked_cells=_BlockedCells(obstacle_cells, drone_cells, d.current),
+                blocked_cells=_BlockedCells(
+                    self._static_cells, moving_cells, drone_cells, d.current
+                ),
                 reserved_cells=reserved,
                 locks=self.locks,
             )
@@ -449,7 +486,7 @@ class Simulation:
 
     def _in_hazard_margin(
         self, cell: Cell, drone: Drone,
-        obstacle_margin: set[Cell], drone_cells: set[Cell],
+        obstacle_margin: _MarginCells, drone_cells: set[Cell],
     ) -> bool:
         """Is the cell within Chebyshev 1 of a known hazard or another drone?"""
         if cell in obstacle_margin:
@@ -465,7 +502,7 @@ class Simulation:
 
     def _normal_decision(
         self, d: Drone, ctx: DecisionContext,
-        obstacle_margin: set[Cell], drone_cells: set[Cell],
+        obstacle_margin: _MarginCells, drone_cells: set[Cell],
     ) -> tuple[Cell, str, int]:
         """Greedy step with hazard clearance.
 

@@ -18,7 +18,7 @@ from typing import Optional
 
 from .avoidance import BacktrackConfig
 from .baselines import PlanFailure, execute_open_loop, rrt_plan, rrt_star_plan
-from .engine import SimConfig, SimResult, run_mission
+from .engine import ConfigError, SimConfig, SimResult, run_mission
 from .world import Cell, SafetyParams
 
 ALGORITHMS = ("proposed", "rrt", "rrt-star")
@@ -165,8 +165,6 @@ def run_batch(
     algorithm: str,
     n_runs: int = 10,
     base_seed: int = 0,
-    out_csv: Optional[Path] = None,
-    deterministic_timing: bool = False,
 ) -> tuple[Optional[Metrics], list[RunRow]]:
     """Run one experiment n_runs times; returns mean metrics and per-run rows.
 
@@ -201,8 +199,6 @@ def run_batch(
             nc=sum(m.nc for m in ok),
             t_ms=sum(m.t_ms for m in ok) / len(ok),
         )
-    if out_csv is not None:
-        Path(out_csv).write_text(rows_to_csv(rows, deterministic_timing))
     return aggregate, rows
 
 
@@ -218,8 +214,21 @@ def rows_to_csv(rows: list[RunRow], deterministic_timing: bool = False) -> str:
 # -- scenario files ---------------------------------------------------------
 
 def load_scenario(path: Path) -> SimConfig:
-    """Read a scenario JSON document (schema in the README) into a SimConfig."""
+    """Read a scenario JSON document (schema in the README) into a SimConfig.
+
+    A document of the wrong shape, such as a missing key or a number where
+    a list belongs, raises ConfigError.
+    """
     data = json.loads(Path(path).read_text())
+    try:
+        return _scenario_config(data)
+    except KeyError as exc:
+        raise ConfigError(f"scenario has no {exc} entry") from exc
+    except (TypeError, AttributeError) as exc:
+        raise ConfigError(f"scenario document is malformed: {exc}") from exc
+
+
+def _scenario_config(data: dict) -> SimConfig:
     safety = data.get("safety", {})
     backtrack = data.get("backtrack", {})
     return SimConfig(

@@ -1,9 +1,11 @@
 """Sampling planners and open-loop route execution."""
 
 import random
+from collections import Counter
 
 import pytest
 
+from swarmgrid import baselines
 from swarmgrid.baselines import (
     PlanFailure,
     PlannerTree,
@@ -86,6 +88,10 @@ def test_planner_rejects_degenerate_input(planner):
         planner((1, 1, 1), (1, 1, 1), [], AREA, random.Random(0))
     with pytest.raises(ValueError):
         planner((0, 0, 0), (1, 1, 1), [(1, 1, 1)], AREA, random.Random(0))
+    with pytest.raises(ValueError, match="in the area"):
+        planner((0, 0, 0), (8, 1, 1), [], AREA, random.Random(0))
+    with pytest.raises(ValueError, match="in the area"):
+        planner((0, -1, 0), (1, 1, 1), [], AREA, random.Random(0))
 
 
 def test_plan_failure_on_unreachable_dest():
@@ -147,3 +153,29 @@ def test_open_loop_clean_run_has_no_collisions():
     res = execute_open_loop(routes, cfg)
     assert res.collisions == []
     assert res.ticks == 3
+
+
+def test_planner_layers_are_looked_up_by_name_when_called(monkeypatch):
+    # Wrapping a layer by name, as a tracer does, sees every call of it.
+    counts = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    layers = [
+        (baselines, "_sample"), (baselines, "_straight_edge"),
+        (baselines, "_propagate_cost"), (baselines.PlannerTree, "add"),
+        (baselines._NearestIndex, "nearest"), (baselines._NearestIndex, "within"),
+    ]
+    for owner, name in layers:
+        monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
+    obstacles = [(3, y, z) for y in range(8) for z in range(8) if y < 5]
+    rrt_star_plan((0, 0, 0), (7, 7, 7), obstacles, AREA, random.Random(2))
+    assert all(counts[name] for _, name in layers), counts
+    # Every node but the root asked for its rewiring neighbourhood, and
+    # samples already on the tree skipped the nearest-node query.
+    assert counts["within"] == counts["add"] - 1
+    assert counts["nearest"] < counts["_sample"]

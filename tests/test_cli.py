@@ -131,3 +131,63 @@ def test_replay_malformed_trace_names_the_line(scenario, tmp_path, capsys, bad, 
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert f"line {lineno} " in err
+
+
+def _no_missions(monkeypatch):
+    """Make any mission or batch run fail the test: bad input must stop first."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a mission ran before the input was checked")
+    monkeypatch.setattr("swarmgrid.cli.run_mission", refuse)
+    monkeypatch.setattr("swarmgrid.cli.run_batch", refuse)
+
+
+@pytest.mark.parametrize("runs", ["0", "-3"])
+def test_experiment_rejects_a_run_count_below_one(runs, monkeypatch, capsys):
+    _no_missions(monkeypatch)
+    assert main(["experiment", "--id", "1", "--runs", runs]) == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "--runs" in err
+
+
+@pytest.mark.parametrize("where", ["missing-dir/exp.csv", "."])
+def test_experiment_rejects_an_unwritable_csv_before_running(where, tmp_path, monkeypatch, capsys):
+    _no_missions(monkeypatch)
+    out = tmp_path / where
+    code = main(["experiment", "--id", "1", "--runs", "1", "--out", str(out)])
+    assert code == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("where", ["missing-dir/out.trace", "."])
+def test_run_rejects_an_unwritable_trace_before_running(where, scenario, tmp_path, monkeypatch, capsys):
+    _no_missions(monkeypatch)
+    trace = tmp_path / where
+    code = main(["run", "--scenario", str(scenario), "--trace", str(trace)])
+    assert code == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text", [
+    '{"drones": []}',
+    '{"dims": 4, "drones": []}',
+    '{"dims": [4, 4, 4], "drones": [5]}',
+    '{"dims": [4, 4, 4], "drones": [{"start": [0, 0, 0]}]}',
+    '[1, 2]',
+    '{"dims": [4, 4, 4], "drones": [], "safety": {"max_speed": "fast"}}',
+    'not json',
+], ids=["no-dims", "int-dims", "int-drone", "no-dest", "list-document", "str-speed", "not-json"])
+def test_run_rejects_a_malformed_scenario_in_one_line(text, tmp_path, capsys):
+    p = tmp_path / "bad.json"
+    p.write_text(text)
+    assert main(["run", "--scenario", str(p)]) == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_run_rejects_a_directory_as_scenario(tmp_path, capsys):
+    assert main(["run", "--scenario", str(tmp_path)]) == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -9,6 +9,13 @@ baselines do changes it.
 produces on fixed missions, in order, with its ingestion time. It was
 computed before the on-arrival join moved to int cell keys and one probe
 pass, so any change to which rows the CEP emits, or in what order, changes it.
+
+`PLANNER_SHA256` covers the `rrt_plan` and `rrt_star_plan` routes and their
+open-loop collisions and ticks on exp1 and exp3 seeds 0-2 and on the first 8
+drones of exp2 seed 0. It was computed before the planners' neighbour queries
+returned distances and before in-tree samples skipped `nearest()`, so any
+change to a route, or to how many draws the planners take from the RNG,
+changes it.
 """
 
 import dataclasses
@@ -22,6 +29,7 @@ from swarmgrid.harness import EXPERIMENTS, ExperimentSpec, build_experiment
 
 GOLDEN_SHA256 = "8266e06d44896c0b71a95333d96547e055c7b0e0a087cfb159e42897366cbd11"
 MATCH_STREAM_SHA256 = "fbf196fcea8fea4028d2a4b47590ed32ebea787bdb81cf06efd6781868652a22"
+PLANNER_SHA256 = "54d8f98e549c4348bef3a8fbd14474f5f0364d3f14d3530d610b56e8251f44b1"
 
 # 30 drones in 6^3: every drone sees many stale positions of its neighbours.
 CONGESTED = ExperimentSpec(0, (6, 6, 6), 30, 5, 5)
@@ -41,7 +49,11 @@ def golden_digest() -> str:
             for variant in (cfg, dataclasses.replace(cfg, obstacles_avoid_drones=False)):
                 for part in _mission_parts(variant):
                     h.update(part.encode())
-    cfg = build_experiment(EXPERIMENTS[1], 0)
+    _hash_planners(h, build_experiment(EXPERIMENTS[1], 0))
+    return h.hexdigest()
+
+
+def _hash_planners(h, cfg) -> None:
     area = cfg.area()
     for planner in (rrt_plan, rrt_star_plan):
         rng = random.Random(cfg.seed)
@@ -52,11 +64,24 @@ def golden_digest() -> str:
         flown = execute_open_loop(routes, cfg)
         for part in (repr(routes), repr(flown.collisions), repr(flown.ticks)):
             h.update(part.encode())
-    return h.hexdigest()
 
 
 def test_golden_digest_matches():
     assert golden_digest() == GOLDEN_SHA256
+
+
+def planner_digest() -> str:
+    h = hashlib.sha256()
+    for exp in (1, 3):
+        for seed in (0, 1, 2):
+            _hash_planners(h, build_experiment(EXPERIMENTS[exp], seed))
+    cfg = build_experiment(EXPERIMENTS[2], 0)
+    _hash_planners(h, dataclasses.replace(cfg, drones=cfg.drones[:8]))
+    return h.hexdigest()
+
+
+def test_planner_digest_matches():
+    assert planner_digest() == PLANNER_SHA256
 
 
 def _stream_missions():
