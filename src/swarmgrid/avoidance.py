@@ -44,8 +44,8 @@ class BacktrackConfig:
     def __post_init__(self) -> None:
         for v in (self.required_steps, self.max_attempts,
                   self.hover_threshold, self.stall_threshold):
-            if v < 1:
-                raise ValueError("backtrack parameters must be positive")
+            if not (isinstance(v, int) and not isinstance(v, bool) and v >= 1):
+                raise ValueError(f"backtrack parameters must be positive ints, got {v!r}")
 
 
 @dataclass

@@ -10,7 +10,6 @@ from __future__ import annotations
 import itertools
 import operator
 import random
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,50 +26,40 @@ class PlanFailure(RuntimeError):
     """Planner exhausted its iteration budget without reaching the goal."""
 
 
-@dataclass
-class PlannerTree:
-    """Search tree over grid cells; root is the start cell."""
-
-    cells: list[Cell] = field(default_factory=list)
-    parent: list[int] = field(default_factory=list)
-    cost: list[int] = field(default_factory=list)
-    # Axis-step expansion of the edge from parent[i] to i (excludes parent cell).
-    edge: list[list[Cell]] = field(default_factory=list)
-    index: dict[Cell, int] = field(default_factory=dict)
-    children: list[set[int]] = field(default_factory=list)
-
-    def add(self, cell: Cell, parent: int, cost: int, edge: list[Cell]) -> int:
-        i = len(self.cells)
-        self.cells.append(cell)
-        self.parent.append(parent)
-        self.cost.append(cost)
-        self.edge.append(edge)
-        self.children.append(set())
-        self.index[cell] = i
-        if parent >= 0:
-            self.children[parent].add(i)
-        return i
-
-    def path_to(self, i: int) -> list[Cell]:
-        chunks: list[list[Cell]] = []
-        while i >= 0:
-            chunks.append(self.edge[i])
-            i = self.parent[i]
-        route: list[Cell] = []
-        for chunk in reversed(chunks):
-            route.extend(chunk)
-        return route
+def _sample_bounds(area: Area) -> tuple[int, int, int, int, int, int]:
+    """Each area dimension followed by its bit length, as _sample reads them."""
+    dx, dy, dz = area.dims
+    return (dx, dx.bit_length(), dy, dy.bit_length(), dz, dz.bit_length())
 
 
-def _sample(area: Area, dest: Cell, obstacles: set[Cell], rng: random.Random) -> Cell:
+def _sample(
+    bounds: tuple[int, int, int, int, int, int],
+    dest: Cell,
+    obstacles: set[Cell],
+    rng: random.Random,
+) -> Cell:
+    """dest with probability GOAL_BIAS, else a uniformly drawn free area cell.
+
+    Each coordinate takes getrandbits(bit length of its dimension) until the
+    value lies below the dimension. That is how CPython's
+    random.Random.randrange(dim) draws, so the cells and the generator's
+    state match randrange's exactly, without its argument checks and calls.
+    """
     if rng.random() < GOAL_BIAS:
         return dest
+    bits = rng.getrandbits
+    dx, kx, dy, ky, dz, kz = bounds
     while True:
-        c = (
-            rng.randrange(area.dim_x),
-            rng.randrange(area.dim_y),
-            rng.randrange(area.dim_z),
-        )
+        x = bits(kx)
+        while x >= dx:
+            x = bits(kx)
+        y = bits(ky)
+        while y >= dy:
+            y = bits(ky)
+        z = bits(kz)
+        while z >= dz:
+            z = bits(kz)
+        c = (x, y, z)
         if c not in obstacles:
             return c
 
@@ -138,11 +127,15 @@ class _NearestIndex:
         self._volume = dims[0] * dims[1] * dims[2]
         self._radix = max(dims) + _REACH
         self._outer_shells = _shells(self._radix)[1:]
+        # The ball of the radius within() was last asked for.
+        self._ball_radius = -1
+        self._ball: list[tuple[int, int]] = []
         self._axes = [np.empty(capacity, dtype=np.int64) for _ in range(3)]
         self._n = 0
         self._index: dict[int, int] = {}
 
-    def add(self, cell: Cell) -> None:
+    def add(self, cell: Cell) -> int:
+        """Index cell as the next index, and return that index."""
         x, y, z = cell
         dx, dy, dz = self._dims
         if not (0 <= x < dx and 0 <= y < dy and 0 <= z < dz):
@@ -157,6 +150,7 @@ class _NearestIndex:
         r = self._radix
         self._index.setdefault((x * r + y) * r + z, n)
         self._n = n + 1
+        return n
 
     def _distances(self, cell: Cell) -> np.ndarray:
         n = self._n
@@ -197,7 +191,10 @@ class _NearestIndex:
             r = self._radix
             key = (x * r + y) * r + z
             get = self._index.get
-            out = [(i, d) for o, d in _ball(r, radius) if (i := get(key + o)) is not None]
+            if radius != self._ball_radius:
+                self._ball_radius = radius
+                self._ball = _ball(r, radius)
+            out = [(i, d) for o, d in self._ball if (i := get(key + o)) is not None]
             out.sort(key=_first)
             return out
         dist = self._distances(cell)
@@ -205,18 +202,71 @@ class _NearestIndex:
         return list(zip(found.tolist(), dist[found].tolist()))
 
 
+class PlannerTree(_NearestIndex):
+    """Search tree over distinct area cells, indexed for nearest-node queries.
+
+    The root is the first cell added. One add() per node records its tree
+    links and indexes its cell for nearest() and within().
+    """
+
+    def __init__(self, dims: tuple[int, int, int]):
+        super().__init__(dims)
+        self.cells: list[Cell] = []
+        self.parent: list[int] = []
+        self.cost: list[int] = []
+        # Axis-step expansion of the edge from parent[i] to i (excludes parent cell).
+        self.edge: list[list[Cell]] = []
+        self.index: dict[Cell, int] = {}
+        self.children: list[set[int]] = []
+
+    def add(self, cell: Cell, parent: int, cost: int, edge: list[Cell]) -> int:
+        i = _NearestIndex.add(self, cell)
+        self.cells.append(cell)
+        self.parent.append(parent)
+        self.cost.append(cost)
+        self.edge.append(edge)
+        self.children.append(set())
+        self.index[cell] = i
+        if parent >= 0:
+            self.children[parent].add(i)
+        return i
+
+    def path_to(self, i: int) -> list[Cell]:
+        chunks: list[list[Cell]] = []
+        while i >= 0:
+            chunks.append(self.edge[i])
+            i = self.parent[i]
+        route: list[Cell] = []
+        for chunk in reversed(chunks):
+            route.extend(chunk)
+        return route
+
+
 def _step_toward(frm: Cell, to: Cell, rng: random.Random) -> Cell:
-    """One axis step from frm toward to, on an axis drawn among those that differ."""
+    """One axis step from frm toward to, on an axis drawn among those that differ.
+
+    The axis is drawn as CPython's rng.choice draws from the list of the
+    steps on the differing axes in x, y, z order: getrandbits(bit length of
+    their count) until the value lies below the count. With one differing
+    axis that still takes draws, until a 0 bit.
+    """
     x, y, z = frm
     tx, ty, tz = to
-    steps = []
-    if x != tx:
-        steps.append((x + 1 if tx > x else x - 1, y, z))
-    if y != ty:
-        steps.append((x, y + 1 if ty > y else y - 1, z))
-    if z != tz:
-        steps.append((x, y, z + 1 if tz > z else z - 1))
-    return rng.choice(steps)
+    on_x = x != tx
+    on_y = y != ty
+    n = on_x + on_y + (z != tz)
+    k = n.bit_length()
+    bits = rng.getrandbits
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    if on_x:
+        if not r:
+            return (x + 1 if tx > x else x - 1, y, z)
+        r -= 1
+    if on_y and not r:
+        return (x, y + 1 if ty > y else y - 1, z)
+    return (x, y, z + 1 if tz > z else z - 1)
 
 
 def _straight_edge(frm: Cell, to: Cell, obstacles: set[Cell]) -> list[Cell] | None:
@@ -255,23 +305,21 @@ def rrt_plan(
         raise ValueError("start and dest must be distinct free cells")
     if start not in area or dest not in area:
         raise ValueError("start and dest must lie in the area")
-    tree = PlannerTree()
-    nn = _NearestIndex((area.dim_x, area.dim_y, area.dim_z))
+    tree = PlannerTree(area.dims)
     tree.add(start, -1, 0, [start])
-    nn.add(start)
+    bounds = _sample_bounds(area)
     index = tree.index
     for _ in range(max_iters):
-        sample = _sample(area, dest, obstacles, rng)
+        sample = _sample(bounds, dest, obstacles, rng)
         # A sample on the tree is its own nearest cell: no step to take.
         if sample in index:
             continue
-        near = nn.nearest(sample)
+        near = tree.nearest(sample)
         # One step from a tree cell toward an area cell stays in the area.
         new = _step_toward(tree.cells[near], sample, rng)
         if new in obstacles or new in index:
             continue
         i = tree.add(new, near, tree.cost[near] + 1, [new])
-        nn.add(new)
         if new == dest:
             return tree.path_to(i)
     raise PlanFailure(f"no route to {dest} within {max_iters} iterations")
@@ -305,20 +353,19 @@ def rrt_star_plan(
         raise ValueError("start and dest must be distinct free cells")
     if start not in area or dest not in area:
         raise ValueError("start and dest must lie in the area")
-    tree = PlannerTree()
-    nn = _NearestIndex((area.dim_x, area.dim_y, area.dim_z))
+    tree = PlannerTree(area.dims)
     tree.add(start, -1, 0, [start])
-    nn.add(start)
+    bounds = _sample_bounds(area)
     cells, cost, index = tree.cells, tree.cost, tree.index
     goal_index = -1
     budget = max_iters
     it = 0
     while it < budget:
         it += 1
-        sample = _sample(area, dest, obstacles, rng)
+        sample = _sample(bounds, dest, obstacles, rng)
         if sample in index:
             continue
-        near = nn.nearest(sample)
+        near = tree.nearest(sample)
         new = _step_toward(cells[near], sample, rng)
         if new in obstacles or new in index:
             continue
@@ -326,7 +373,7 @@ def rrt_star_plan(
         # Choose-parent: the neighbour with the least cost through it and an
         # obstacle-free edge, ties to the lower own cost and then the lower
         # index. near is one step away, so it never beats its own cost + 1.
-        neighborhood = nn.within(new, REWIRE_RADIUS)
+        neighborhood = tree.within(new, REWIRE_RADIUS)
         best_parent, best_cost, best_edge = near, cost[near] + 1, [new]
         better = [
             (c + d, c, j) for j, d in neighborhood if (c := cost[j]) + d < best_cost
@@ -338,7 +385,6 @@ def rrt_star_plan(
                 best_parent, best_cost, best_edge = j, through, edge
                 break
         i = tree.add(new, best_parent, best_cost, best_edge)
-        nn.add(new)
 
         for j, d in neighborhood:
             if best_cost + d < cost[j] and j != near:

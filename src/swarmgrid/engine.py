@@ -170,6 +170,15 @@ class SimConfig:
             raise ConfigError(f"max_ticks must be an int of at least 1, got {self.max_ticks!r}")
         if not _is_number(self.tick_len_ms) or self.tick_len_ms <= 0:
             raise ConfigError(f"tick_len_ms must be positive, got {self.tick_len_ms!r}")
+        for name, v in (("spacing", self.spacing), ("sensing_range", self.sensing_range)):
+            if not _is_number(v):
+                raise ConfigError(f"{name} must be a number, got {v!r}")
+        if not _is_int(self.seed):
+            raise ConfigError(f"seed must be an int, got {self.seed!r}")
+        if not isinstance(self.obstacles_avoid_drones, bool):
+            raise ConfigError(
+                f"obstacles_avoid_drones must be true or false, got {self.obstacles_avoid_drones!r}"
+            )
         area = self.area()
         starts = [s for s, _ in self.drones]
         dests = [d for _, d in self.drones]
@@ -269,28 +278,6 @@ def detect_collisions_ground_truth(
     )
     records += [CollisionRecord(tick, "swap", pair, after[pair[0]]) for pair in swaps]
     return records
-
-
-def plan_step(
-    drone: Drone,
-    area: Area,
-    occupied: set[Cell],
-    rng: random.Random,
-) -> Cell:
-    """Stochastic greedy step: a random free neighbor closer to the goal.
-
-    `occupied` holds known obstacle cells and other drones' current cells.
-    Returns the current cell (a hover intent) when no such neighbor exists,
-    which hands the decision to the avoidance cascade.
-    """
-    dist_now = manhattan(drone.current, drone.dest)
-    options = [
-        n for n in neighbors(area, drone.current)
-        if manhattan(n, drone.dest) < dist_now and n not in occupied
-    ]
-    if not options:
-        return drone.current
-    return rng.choice(options)
 
 
 class Simulation:

@@ -73,21 +73,6 @@ class MovingObstacle:
             raise ValueError("cadence must be a positive tick count")
 
 
-@dataclass
-class Swarm:
-    drones: list[Drone]
-
-    def __post_init__(self) -> None:
-        ids = [d.id for d in self.drones]
-        if len(set(ids)) != len(ids):
-            raise ValueError("drone ids must be unique")
-
-    def assert_distinct_cells(self) -> None:
-        cells = [d.current for d in self.drones]
-        if len(set(cells)) != len(cells):
-            raise AssertionError("two drones share a cell")
-
-
 def record_move(d: Drone, nxt: Cell) -> Drone:
     """Append the next cell to the drone's route and update hover bookkeeping."""
     if nxt == d.current:

@@ -7,8 +7,12 @@ import pytest
 
 from swarmgrid import baselines
 from swarmgrid.baselines import (
+    GOAL_BIAS,
     PlanFailure,
     PlannerTree,
+    _sample,
+    _sample_bounds,
+    _step_toward,
     _straight_edge,
     execute_open_loop,
     rrt_plan,
@@ -55,7 +59,7 @@ def test_straight_edge_fully_blocked():
 
 
 def test_planner_tree_path_concatenation():
-    t = PlannerTree()
+    t = PlannerTree((8, 8, 8))
     r = t.add((0, 0, 0), -1, 0, [(0, 0, 0)])
     a = t.add((1, 0, 0), r, 1, [(1, 0, 0)])
     b = t.add((3, 0, 0), a, 3, [(2, 0, 0), (3, 0, 0)])
@@ -179,3 +183,98 @@ def test_planner_layers_are_looked_up_by_name_when_called(monkeypatch):
     # samples already on the tree skipped the nearest-node query.
     assert counts["within"] == counts["add"] - 1
     assert counts["nearest"] < counts["_sample"]
+
+
+# The planners' draws before they took getrandbits directly, kept verbatim:
+# the new draws must give the same cells and leave the generator in the same
+# state, or routes and every later draw would change.
+def _old_sample(area, dest, obstacles, rng):
+    if rng.random() < GOAL_BIAS:
+        return dest
+    while True:
+        c = (
+            rng.randrange(area.dim_x),
+            rng.randrange(area.dim_y),
+            rng.randrange(area.dim_z),
+        )
+        if c not in obstacles:
+            return c
+
+
+def _old_step_toward(frm, to, rng):
+    x, y, z = frm
+    tx, ty, tz = to
+    steps = []
+    if x != tx:
+        steps.append((x + 1 if tx > x else x - 1, y, z))
+    if y != ty:
+        steps.append((x, y + 1 if ty > y else y - 1, z))
+    if z != tz:
+        steps.append((x, y, z + 1 if tz > z else z - 1))
+    return rng.choice(steps)
+
+
+# Small dims and each side of every power of two up to 1024, where the bit
+# length, and so the rejection rate, changes.
+DRAW_DIMS = sorted(
+    {2, 3, 5} | {v for k in range(1, 11) for v in (2**k - 1, 2**k, 2**k + 1) if 2 <= v <= 1024}
+)
+
+
+def _same_samples(area, dest, obstacles, seed, draws):
+    old, new = random.Random(seed), random.Random(seed)
+    bounds = _sample_bounds(area)
+    got = []
+    for _ in range(draws):
+        cell = _sample(bounds, dest, obstacles, new)
+        assert cell == _old_sample(area, dest, obstacles, old)
+        assert new.getstate() == old.getstate()
+        got.append(cell)
+    return got
+
+
+@pytest.mark.parametrize("k", range(len(DRAW_DIMS)))
+def test_sample_draws_as_randrange_did(k):
+    # Each dim on each axis, next to others of different bit lengths.
+    n = len(DRAW_DIMS)
+    dims = (DRAW_DIMS[k], DRAW_DIMS[(k + 1) % n], DRAW_DIMS[(k + 5) % n])
+    area = Area(*dims, 10.0, 30.0, 9.0)
+    rng = random.Random(k)
+    obstacles = {tuple(rng.randrange(d) for d in dims) for _ in range(20)}
+    dest = tuple(d - 1 for d in dims)
+    got = _same_samples(area, dest, obstacles, k, 400)
+    assert all(c == dest or (c in area and c not in obstacles) for c in got)
+
+
+@pytest.mark.parametrize("dims, free", [((5, 5, 5), 2), ((2, 3, 5), 1), ((17, 2, 9), 4)])
+def test_sample_draws_as_randrange_did_among_dense_obstacles(dims, free):
+    # All but a few cells are obstacles, so most draws are rejected.
+    cells = [(x, y, z) for x in range(dims[0]) for y in range(dims[1]) for z in range(dims[2])]
+    random.Random(len(cells)).shuffle(cells)
+    obstacles = set(cells[free:])
+    area = Area(*dims, 10.0, 30.0, 9.0)
+    got = _same_samples(area, cells[0], obstacles, 3, 300)
+    assert set(got) == set(cells[:free])
+
+
+def test_sample_goal_bias_hits_draw_as_before():
+    area = Area(8, 8, 8, 10.0, 30.0, 9.0)
+    dest = (7, 0, 3)
+    got = _same_samples(area, dest, {(1, 1, 1)}, 21, 2000)
+    # About GOAL_BIAS of the draws are the goal, and the draws after each
+    # goal hit still match.
+    assert 50 < got.count(dest) < 150
+
+
+def test_step_toward_draws_as_choice_did():
+    frm = (4, 4, 4)
+    targets = [(x, y, z) for x in (2, 4, 7) for y in (0, 4, 5) for z in (3, 4, 9)]
+    targets.remove(frm)
+    old, new = random.Random(8), random.Random(8)
+    for _ in range(40):
+        for to in targets:
+            # One differing axis still draws until a 0 bit, as choice did.
+            step = _step_toward(frm, to, new)
+            assert step == _old_step_toward(frm, to, old)
+            assert new.getstate() == old.getstate()
+            assert manhattan(step, to) == manhattan(frm, to) - 1

@@ -66,6 +66,11 @@ def test_run_invalid_scenario_is_config_error(tmp_path, capsys):
     {"moving_obstacles": [{"cell": [2, 2, 2], "cadence": 2.5}]},
     {"moving_obstacles": [{"cell": [2, 2, 2], "spawn_tick": 1.5}]},
     {"algorithm": "rrt"},
+    {"spacing": "10"},
+    {"sensing_range": None},
+    {"seed": "abc"},
+    {"obstacles_avoid_drones": "no"},
+    {"backtrack": {"required_steps": 2.5}},
 ])
 def test_run_rejects_bad_settings_in_one_line(scenario, change, capsys):
     doc = json.loads(scenario.read_text())

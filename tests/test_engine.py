@@ -1,7 +1,6 @@
 """Mission engine: config validation, tick pipeline, collision scanning."""
 
 import os
-import random
 import subprocess
 import sys
 from pathlib import Path
@@ -14,13 +13,9 @@ from swarmgrid.engine import (
     Simulation,
     clearance_margin,
     detect_collisions_ground_truth,
-    plan_step,
     run_mission,
 )
-from swarmgrid.entities import Drone
-from swarmgrid.world import Area, manhattan
-
-AREA = Area(8, 8, 8, 10.0, 30.0, 9.0)
+from swarmgrid.world import manhattan
 
 
 def simple_cfg(**kw):
@@ -147,25 +142,6 @@ class TestGroundTruthScan:
         before = {1: (0, 0, 0), 2: (1, 0, 0)}
         after = dict(before)
         assert detect_collisions_ground_truth(before, after, {}, 0) == []
-
-
-class TestPlanStep:
-    def test_always_reduces_distance(self):
-        d = Drone(id=0, start=(4, 4, 4), dest=(0, 0, 0))
-        for seed in range(25):
-            nxt = plan_step(d, AREA, set(), random.Random(seed))
-            assert manhattan(nxt, d.dest) == manhattan(d.current, d.dest) - 1
-
-    def test_respects_occupied_cells(self):
-        d = Drone(id=0, start=(4, 0, 0), dest=(0, 0, 0))
-        occupied = {(3, 0, 0)}
-        for seed in range(25):
-            assert plan_step(d, AREA, occupied, random.Random(seed)) == (4, 0, 0)
-
-    def test_boxed_in_returns_current(self):
-        d = Drone(id=0, start=(0, 0, 0), dest=(7, 0, 0))
-        occupied = {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
-        assert plan_step(d, AREA, occupied, random.Random(0)) == (0, 0, 0)
 
 
 def test_single_drone_reaches_dest_in_empty_area():

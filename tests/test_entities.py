@@ -9,7 +9,6 @@ from swarmgrid.entities import (
     IllegalMove,
     Mode,
     MovingObstacle,
-    Swarm,
     record_move,
     step_moving_obstacle,
 )
@@ -120,17 +119,3 @@ def test_oblivious_obstacle_may_enter_drone_cells():
         )
         hits += o.cell == (4, 3, 3)
     assert hits > 0
-
-
-def test_swarm_rejects_duplicate_ids():
-    with pytest.raises(ValueError):
-        Swarm([make_drone(id=1), make_drone(id=1, start=(5, 5, 5), dest=(0, 5, 5))])
-
-
-def test_swarm_distinct_cells_check():
-    s = Swarm([
-        make_drone(id=0, start=(0, 0, 0)),
-        make_drone(id=1, start=(0, 0, 0), dest=(5, 5, 5)),
-    ])
-    with pytest.raises(AssertionError):
-        s.assert_distinct_cells()
