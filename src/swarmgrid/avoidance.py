@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 from collections.abc import Container
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .coordination import LockTable
 from .entities import Drone, Mode
@@ -42,10 +42,10 @@ class BacktrackConfig:
     stall_threshold: int = 15  # ticks without distance progress
 
     def __post_init__(self) -> None:
-        for v in (self.required_steps, self.max_attempts,
-                  self.hover_threshold, self.stall_threshold):
+        for f in fields(self):
+            v = getattr(self, f.name)
             if not (isinstance(v, int) and not isinstance(v, bool) and v >= 1):
-                raise ValueError(f"backtrack parameters must be positive ints, got {v!r}")
+                raise ValueError(f"backtrack {f.name} must be a positive int, got {v!r}")
 
 
 @dataclass
@@ -54,18 +54,19 @@ class DecisionContext:
 
     blocked_cells: known obstacle cells plus other drones' current cells;
     only tested for membership.
-    reserved_cells: next cells already committed by drones earlier in this
-    tick's arbitration order.
+    locks: every drone's current cell plus the next cells locked by drones
+    earlier in this tick's decision order.
     """
 
     area: Area
     blocked_cells: Container[Cell]
-    reserved_cells: set[Cell]
     locks: LockTable
 
 
 def cell_is_safe(ctx: DecisionContext, drone_id: int, cell: Cell) -> bool:
-    if cell in ctx.blocked_cells or cell in ctx.reserved_cells:
+    """The one conflict predicate: no known obstacle or other drone is in the
+    cell, and no other drone holds its lock."""
+    if cell in ctx.blocked_cells:
         return False
     holder = ctx.locks.holder(cell)
     return holder is None or holder == drone_id

@@ -1,7 +1,7 @@
 """Grid-adapted RRT and RRT* planners with open-loop execution.
 
 Both planners know the static obstacles and nothing else; the resulting
-routes are flown open loop (no locking, prediction, or avoidance), which is
+routes are flown open loop (no locking, conflict checks or avoidance), which is
 what makes them collide where the online navigator does not.
 """
 

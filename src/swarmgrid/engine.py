@@ -2,9 +2,13 @@
 
 Each tick runs a fixed phase pipeline: obstacle motion, event emission, CEP
 ingestion, per-drone decisions in a seeded-random order (greedy step or
-backtrack, prediction, avoidance, locking), move commit, and an independent
-ground-truth collision scan. Everything is deterministic given the seed.
-No decision reads the CEP's matches; they are discarded.
+backtrack, conflict check, avoidance, locking), move commit, and an
+independent ground-truth collision scan. Everything is deterministic given
+the seed. No decision reads the CEP's matches; they are discarded.
+
+One predicate, `avoidance.cell_is_safe`, defines a conflict: a known obstacle
+or another drone in the cell, or another drone holding its lock (which covers
+the cells claimed earlier in the tick). So a lock is never denied.
 
 Obstacle detection and the ground-truth scan look cells up in per-tick
 dicts rather than comparing every drone with every obstacle or drone:
@@ -23,7 +27,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .avoidance import (
-    AvoidanceAction,
     BacktrackConfig,
     DecisionContext,
     Hover,
@@ -31,6 +34,7 @@ from .avoidance import (
     avoid,
     backtrack_exit_check,
     backtrack_step,
+    cell_is_safe,
 )
 from .cep import DroneLocEvent, MObsEvent, SObsEvent, WindowStore
 from .coordination import LockTable
@@ -46,6 +50,7 @@ from .world import (
     Area,
     Cell,
     SafetyParams,
+    is_finite_number,
     manhattan,
     neighbors,
     new_area,
@@ -57,7 +62,7 @@ class ConfigError(ValueError):
 
 
 class EngineInvariantViolation(RuntimeError):
-    """Two drones hold or committed the same cell; must never happen."""
+    """Two drones committed the same cell, or a safe cell's lock was denied."""
 
 
 DEFAULT_SAFETY = SafetyParams(max_speed=5.0, comm_latency=0.2, processing_time=0.5)
@@ -66,6 +71,9 @@ DEFAULT_SAFETY = SafetyParams(max_speed=5.0, comm_latency=0.2, processing_time=0
 # may sidestep again. A sidestep adds one cell of distance, so at least two
 # forced greedy steps are needed for guaranteed net progress per cycle.
 SIDESTEP_COOLDOWN = 2
+
+# The trace's `npred` column: 1 when the avoidance cascade redirects or hovers.
+_NPRED = {"redirect": 1, "hover": 1}
 
 
 def clearance_margin(cells: set[Cell]) -> set[Cell]:
@@ -124,10 +132,6 @@ def _is_int(v: object) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _is_number(v: object) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
 @dataclass
 class SimConfig:
     dims: Cell
@@ -168,11 +172,11 @@ class SimConfig:
             )
         if self.max_ticks is not None and (not _is_int(self.max_ticks) or self.max_ticks < 1):
             raise ConfigError(f"max_ticks must be an int of at least 1, got {self.max_ticks!r}")
-        if not _is_number(self.tick_len_ms) or self.tick_len_ms <= 0:
-            raise ConfigError(f"tick_len_ms must be positive, got {self.tick_len_ms!r}")
+        if not is_finite_number(self.tick_len_ms) or self.tick_len_ms <= 0:
+            raise ConfigError(f"tick_len_ms must be finite and positive, got {self.tick_len_ms!r}")
         for name, v in (("spacing", self.spacing), ("sensing_range", self.sensing_range)):
-            if not _is_number(v):
-                raise ConfigError(f"{name} must be a number, got {v!r}")
+            if not is_finite_number(v):
+                raise ConfigError(f"{name} must be a finite number, got {v!r}")
         if not _is_int(self.seed):
             raise ConfigError(f"seed must be an int, got {self.seed!r}")
         if not isinstance(self.obstacles_avoid_drones, bool):
@@ -182,11 +186,14 @@ class SimConfig:
         area = self.area()
         starts = [s for s, _ in self.drones]
         dests = [d for _, d in self.drones]
-        cells = starts + dests + list(self.static_obstacles)
-        cells += [c for c, _, _ in self.moving_obstacles]
-        for c in cells:
-            if not (isinstance(c, tuple) and len(c) == 3 and all(map(_is_int, c))):
-                raise ConfigError(f"cell {c!r} is not three ints")
+        for name, cells in (
+            ("drones", starts + dests),
+            ("static_obstacles", self.static_obstacles),
+            ("moving_obstacles", [c for c, _, _ in self.moving_obstacles]),
+        ):
+            for c in cells:
+                if not (isinstance(c, tuple) and len(c) == 3 and all(map(_is_int, c))):
+                    raise ConfigError(f"{name}: cell {c!r} is not three ints")
         if len(set(starts)) != len(starts):
             raise ConfigError("drone start cells must be unique")
         if len(set(dests)) != len(dests):
@@ -241,8 +248,9 @@ def detect_collisions_ground_truth(
 ) -> list[CollisionRecord]:
     """Independent collision scan: co-location, obstacle overlap, edge swap.
 
-    Deliberately shares no code with the prediction stack so the collision
-    count measures the navigation layer rather than its own assumptions.
+    Deliberately shares no code with the decision layer's conflict model
+    (`cell_is_safe` and the lock table), so the collision count measures
+    the navigation layer rather than its own assumptions.
     Every check goes through a cell-keyed map, so a tick costs
     O(drones + obstacles) plus the sorting of the records found. Records
     come out as co-locations by cell, obstacle hits by drone id then
@@ -363,8 +371,7 @@ class Simulation:
         moving_cells = set(known_moving.values())
         obstacle_margin = _MarginCells(self._static_margin, clearance_margin(moving_cells))
         committed: dict[int, Cell] = {}
-        reserved: set[Cell] = set()
-        actions: dict[int, tuple[str, int]] = {}
+        actions: dict[int, str] = {}
 
         for d in self.drones:
             if d.arrived:
@@ -372,29 +379,27 @@ class Simulation:
 
         for d in order:
             if d.arrived:
-                actions[d.id] = ("parked", 0)
+                actions[d.id] = "parked"
                 continue
             ctx = DecisionContext(
                 area=self.area,
                 blocked_cells=_BlockedCells(
                     self._static_cells, moving_cells, drone_cells, d.current
                 ),
-                reserved_cells=reserved,
                 locks=self.locks,
             )
             if d.mode is Mode.BACKTRACK:
-                intent, action, npred = self._backtrack_decision(d, ctx)
+                intent, action = self._backtrack_decision(d, ctx)
             else:
-                intent, action, npred = self._normal_decision(
+                intent, action = self._normal_decision(
                     d, ctx, obstacle_margin, drone_cells
                 )
             if intent != d.current and not self.locks.try_acquire(d.id, intent):
-                intent = d.current
-                action = "lock-denied"
+                raise EngineInvariantViolation(
+                    f"drone {d.id} was denied the lock of {intent} after finding it safe"
+                )
             committed[d.id] = intent
-            if intent != d.current:
-                reserved.add(intent)
-            actions[d.id] = (action, npred)
+            actions[d.id] = action
 
         # Phase 5: commit moves, release old locks, update routes.
         target_counts: dict[Cell, int] = {}
@@ -438,11 +443,11 @@ class Simulation:
 
         if self.trace is not None:
             for d in self.drones:
-                action, npred = actions[d.id]
+                action = actions[d.id]
                 x, y, z = d.current
                 self.trace(
                     f"{self.tick}\t{d.id}\t{d.mode.value}\t{x}\t{y}\t{z}"
-                    f"\t{action}\t{npred}"
+                    f"\t{action}\t{_NPRED.get(action, 0)}"
                 )
         self.tick += 1
 
@@ -490,25 +495,24 @@ class Simulation:
     def _normal_decision(
         self, d: Drone, ctx: DecisionContext,
         obstacle_margin: _MarginCells, drone_cells: set[Cell],
-    ) -> tuple[Cell, str, int]:
+    ) -> tuple[Cell, str]:
         """Greedy step with hazard clearance.
 
         Prefers a goal-reducing neighbor outside the clearance margin of
         known obstacles and other drones. When every reducing neighbor sits
-        in the margin, the drone sidesteps to a clear non-reducing cell
-        (unless on cooldown or nearly home), which trades route length for
-        separation. Otherwise it takes a reducing cell anyway and lets the
-        prediction and avoidance layers handle any conflict.
+        in the margin, the drone sidesteps to a safe, clear non-reducing
+        cell (unless on cooldown or nearly home), which trades route length
+        for separation. Otherwise it takes a reducing cell anyway; an intent
+        that fails `cell_is_safe` goes to the avoidance cascade.
         """
         def in_margin(n: Cell) -> bool:
             return self._in_hazard_margin(n, d, obstacle_margin, drone_cells)
 
-        blocked = ctx.blocked_cells
         dist_now = manhattan(d.current, d.dest)
         ns = neighbors(self.area, d.current)
         reducing = [
             n for n in ns
-            if manhattan(n, d.dest) < dist_now and n not in blocked
+            if manhattan(n, d.dest) < dist_now and n not in ctx.blocked_cells
         ]
         clear = [n for n in reducing if n == d.dest or not in_margin(n)]
         cool = self._sidestep_cooldown.get(d.id, 0)
@@ -519,8 +523,7 @@ class Simulation:
         elif reducing:
             sidesteps = [
                 n for n in ns
-                if n not in blocked and not in_margin(n)
-                and not self._count_conflicts(d, n, ctx)
+                if cell_is_safe(ctx, d.id, n) and not in_margin(n)
             ]
             if sidesteps and dist_now > 2 and not cool:
                 intent = self.rng.choice(sidesteps)
@@ -529,38 +532,25 @@ class Simulation:
                 intent = self.rng.choice(reducing)
         else:
             intent = d.current
-        npred = self._count_conflicts(d, intent, ctx)
-        if intent == d.current or npred > 0:
+        if intent == d.current or not cell_is_safe(ctx, d.id, intent):
             return self._apply_avoidance(d, ctx)
-        return intent, "advance", npred
+        return intent, "advance"
 
-    def _apply_avoidance(self, d: Drone, ctx: DecisionContext) -> tuple[Cell, str, int]:
-        act: AvoidanceAction = avoid(d, ctx, self.rng, self.cfg.backtrack)
+    def _apply_avoidance(self, d: Drone, ctx: DecisionContext) -> tuple[Cell, str]:
+        act = avoid(d, ctx, self.rng, self.cfg.backtrack)
         if isinstance(act, Redirect):
-            return act.next, "redirect", 1
+            return act.next, "redirect"
         if isinstance(act, Hover):
-            return d.current, "hover", 1
+            return d.current, "hover"
         d.mode = Mode.BACKTRACK
         return self._backtrack_decision(d, ctx)
 
-    def _backtrack_decision(self, d: Drone, ctx: DecisionContext) -> tuple[Cell, str, int]:
+    def _backtrack_decision(self, d: Drone, ctx: DecisionContext) -> tuple[Cell, str]:
         cell = backtrack_step(d, ctx, self.rng)
         backtrack_exit_check(d, self.cfg.backtrack)
         if cell is None:
-            return d.current, "bt-hover", 0
-        return cell, "backtrack", 0
-
-    def _count_conflicts(self, d: Drone, intent: Cell, ctx: DecisionContext) -> int:
-        """Algorithm-1 rule hits for this intent against committed state."""
-        n = 0
-        if intent in ctx.reserved_cells:
-            n += 1  # rule 1: shared desired next cell
-        if intent in ctx.blocked_cells:
-            n += 1  # rule 1/2/3: another drone's or obstacle's current cell
-        holder = ctx.locks.holder(intent)
-        if holder is not None and holder != d.id:
-            n += 1
-        return n
+            return d.current, "bt-hover"
+        return cell, "backtrack"
 
     # -- mission loop ------------------------------------------------------
 

@@ -12,13 +12,13 @@ import io
 import json
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Optional
 
 from .avoidance import BacktrackConfig
 from .baselines import PlanFailure, execute_open_loop, rrt_plan, rrt_star_plan
-from .engine import ConfigError, SimConfig, SimResult, run_mission
+from .engine import DEFAULT_SAFETY, ConfigError, SimConfig, SimResult, run_mission
 from .world import Cell, SafetyParams
 
 ALGORITHMS = ("proposed", "rrt", "rrt-star")
@@ -216,45 +216,56 @@ def rows_to_csv(rows: list[RunRow], deterministic_timing: bool = False) -> str:
 def load_scenario(path: Path) -> SimConfig:
     """Read a scenario JSON document (schema in the README) into a SimConfig.
 
-    A document of the wrong shape, such as a missing key or a number where
-    a list belongs, raises ConfigError.
+    A document of the wrong shape, such as a missing or unknown key or a
+    number where a list belongs, raises ConfigError.
     """
     data = json.loads(Path(path).read_text())
     try:
         return _scenario_config(data)
     except KeyError as exc:
         raise ConfigError(f"scenario has no {exc} entry") from exc
-    except (TypeError, AttributeError) as exc:
+    except TypeError as exc:
         raise ConfigError(f"scenario document is malformed: {exc}") from exc
 
 
-def _scenario_config(data: dict) -> SimConfig:
-    safety = data.get("safety", {})
-    backtrack = data.get("backtrack", {})
+def _object(v: object, where: str, keys: set[str]) -> dict:
+    """v as a JSON object whose keys all belong to `keys`."""
+    if not isinstance(v, dict):
+        raise ConfigError(f"{where} must be an object, got {v!r}")
+    unknown = sorted(set(v) - keys)
+    if unknown:
+        raise ConfigError(f"{where} has unknown key {unknown[0]!r}")
+    return v
+
+
+def _field_names(cls) -> set[str]:
+    """A config dataclass's fields, which its JSON object's keys mirror."""
+    return {f.name for f in fields(cls)}
+
+
+def _scenario_config(data: object) -> SimConfig:
+    data = _object(data, "scenario", _field_names(SimConfig))
+    drones = [_object(d, f"drones[{i}]", {"start", "dest"}) for i, d in enumerate(data["drones"])]
+    movings = [
+        _object(m, f"moving_obstacles[{i}]", {"cell", "cadence", "spawn_tick"})
+        for i, m in enumerate(data.get("moving_obstacles", []))
+    ]
+    safety = _object(data.get("safety", {}), "safety", _field_names(SafetyParams))
+    backtrack = _object(data.get("backtrack", {}), "backtrack", _field_names(BacktrackConfig))
     return SimConfig(
         dims=tuple(data["dims"]),
-        drones=[(tuple(d["start"]), tuple(d["dest"])) for d in data["drones"]],
+        drones=[(tuple(d["start"]), tuple(d["dest"])) for d in drones],
         static_obstacles=[tuple(c) for c in data.get("static_obstacles", [])],
         moving_obstacles=[
-            (tuple(m["cell"]), m.get("cadence", 5), m.get("spawn_tick", 0))
-            for m in data.get("moving_obstacles", [])
+            (tuple(m["cell"]), m.get("cadence", 5), m.get("spawn_tick", 0)) for m in movings
         ],
         seed=data.get("seed", 0),
         spacing=data.get("spacing", 10.0),
         sensing_range=data.get("sensing_range", 30.0),
-        safety=SafetyParams(
-            max_speed=safety.get("max_speed", 5.0),
-            comm_latency=safety.get("comm_latency", 0.2),
-            processing_time=safety.get("processing_time", 0.5),
-        ),
+        safety=replace(DEFAULT_SAFETY, **safety),
         tick_len_ms=data.get("tick_len_ms", 50),
         max_ticks=data.get("max_ticks"),
-        backtrack=BacktrackConfig(
-            required_steps=backtrack.get("required_steps", 3),
-            max_attempts=backtrack.get("max_attempts", 10),
-            hover_threshold=backtrack.get("hover_threshold", 5),
-            stall_threshold=backtrack.get("stall_threshold", 15),
-        ),
+        backtrack=BacktrackConfig(**backtrack),
         obstacles_avoid_drones=data.get("obstacles_avoid_drones", True),
         detection_radius=data.get("detection_radius", 2),
         algorithm=data.get("algorithm", "proposed"),

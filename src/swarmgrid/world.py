@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 Cell = tuple[int, int, int]
 
@@ -22,6 +23,11 @@ class OutOfBounds(ValueError):
     """A cell lies outside the area."""
 
 
+def is_finite_number(v: object) -> bool:
+    """An int or float other than a bool, NaN or an infinity."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
 @dataclass(frozen=True)
 class SafetyParams:
     """Vehicle parameters that determine the minimum safe grid spacing.
@@ -34,8 +40,12 @@ class SafetyParams:
     processing_time: float
 
     def __post_init__(self) -> None:
-        if self.max_speed < 0 or self.comm_latency < 0 or self.processing_time < 0:
-            raise ValueError("safety parameters must be non-negative")
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if not is_finite_number(v) or v < 0:
+                raise ValueError(
+                    f"safety {f.name} must be a finite non-negative number, got {v!r}"
+                )
 
 
 def safe_distance(p: SafetyParams) -> float:

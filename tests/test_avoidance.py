@@ -23,11 +23,10 @@ AREA = Area(8, 8, 8, 10.0, 30.0, 9.0)
 CFG = BacktrackConfig()
 
 
-def ctx(blocked=(), reserved=(), locks=None):
+def ctx(blocked=(), locks=None):
     return DecisionContext(
         area=AREA,
         blocked_cells=set(blocked),
-        reserved_cells=set(reserved),
         locks=locks or LockTable(),
     )
 
@@ -49,9 +48,8 @@ def test_backtrack_config_rejects_nonpositive():
 def test_cell_is_safe():
     locks = LockTable()
     locks.try_acquire(9, (1, 0, 0))
-    c = ctx(blocked=[(2, 0, 0)], reserved=[(3, 0, 0)], locks=locks)
+    c = ctx(blocked=[(2, 0, 0)], locks=locks)
     assert not cell_is_safe(c, 0, (2, 0, 0))
-    assert not cell_is_safe(c, 0, (3, 0, 0))
     assert not cell_is_safe(c, 0, (1, 0, 0))  # someone else's lock
     assert cell_is_safe(c, 9, (1, 0, 0))      # own lock is fine
     assert cell_is_safe(c, 0, (0, 0, 0))

@@ -71,6 +71,18 @@ def test_run_invalid_scenario_is_config_error(tmp_path, capsys):
     {"seed": "abc"},
     {"obstacles_avoid_drones": "no"},
     {"backtrack": {"required_steps": 2.5}},
+    {"tick_len_ms": float("nan")},
+    {"tick_len_ms": float("inf")},
+    {"spacing": float("inf"), "sensing_range": float("inf")},
+    {"safety": {"max_speed": True}},
+    {"safety": {"max_speed": "5"}},
+    {"safety": {"comm_latency": float("nan")}},
+    {"safety": [1, 2]},
+    {"colour": "red"},
+    {"drones": [{"start": [0, 0, 0], "dest": [5, 5, 3], "speed": 2}]},
+    {"moving_obstacles": [{"cell": [2, 2, 2], "speed": 2}]},
+    {"safety": {"top_speed": 5.0}},
+    {"backtrack": {"patience": 3}},
 ])
 def test_run_rejects_bad_settings_in_one_line(scenario, change, capsys):
     doc = json.loads(scenario.read_text())
@@ -79,6 +91,16 @@ def test_run_rejects_bad_settings_in_one_line(scenario, change, capsys):
     assert main(["run", "--scenario", str(scenario)]) == EXIT_CONFIG_ERROR
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert any(key in err for key in _leaf_keys(change)), err
+
+
+def _leaf_keys(value) -> list[str]:
+    """The keys of a settings change whose values hold no further object."""
+    if isinstance(value, list):
+        return [k for item in value for k in _leaf_keys(item)]
+    if isinstance(value, dict):
+        return [k for key, item in value.items() for k in (_leaf_keys(item) or [key])]
+    return []
 
 
 def test_run_timeout_exit_code(tmp_path):

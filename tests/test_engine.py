@@ -7,8 +7,10 @@ from pathlib import Path
 
 import pytest
 
+from swarmgrid.coordination import LockTable
 from swarmgrid.engine import (
     ConfigError,
+    EngineInvariantViolation,
     SimConfig,
     Simulation,
     clearance_margin,
@@ -279,3 +281,13 @@ def test_routes_do_not_change_under_python_O():
     ]
     assert outs[0].startswith("{0: [")
     assert outs[0] == outs[1]
+
+
+def test_a_denied_lock_is_an_invariant_violation(monkeypatch):
+    """Every intent passes cell_is_safe before its lock is taken, so a denial
+    means the conflict model and the lock table disagree."""
+    sim = Simulation(simple_cfg())
+    sim.run_tick()
+    monkeypatch.setattr(LockTable, "try_acquire", lambda self, drone_id, cell: False)
+    with pytest.raises(EngineInvariantViolation, match="denied"):
+        sim.run_tick()
