@@ -1,10 +1,11 @@
 """Tick-synchronous simulation engine.
 
-Each tick runs a fixed phase pipeline: obstacle motion, event emission, CEP
-ingestion, per-drone decisions in a seeded-random order (greedy step or
-backtrack, conflict check, avoidance, locking), move commit, and an
-independent ground-truth collision scan. Everything is deterministic given
-the seed. No decision reads the CEP's matches; they are discarded.
+Each tick runs a fixed phase pipeline: obstacle motion, obstacle detection,
+per-drone decisions in a seeded-random order (greedy step or backtrack,
+conflict check, avoidance, locking), move commit, and an independent
+ground-truth collision scan. Everything is deterministic given the seed.
+The tick does not feed the CEP (`swarmgrid.cep`): no decision needs its
+matches.
 
 One predicate, `avoidance.cell_is_safe`, defines a conflict: a known obstacle
 or another drone in the cell, or another drone holding its lock (which covers
@@ -36,7 +37,6 @@ from .avoidance import (
     backtrack_step,
     cell_is_safe,
 )
-from .cep import DroneLocEvent, MObsEvent, SObsEvent, WindowStore
 from .coordination import LockTable
 from .entities import (
     Drone,
@@ -308,7 +308,6 @@ class Simulation:
         for d in self.drones:
             if not self.locks.try_acquire(d.id, d.current):
                 raise EngineInvariantViolation(f"start cell {d.current} already locked")
-        self.store = WindowStore()
         self.known_static: dict[int, Cell] = {}
         # Static obstacles never move and stay known once detected, so their
         # cells and clearance margin only grow.
@@ -330,7 +329,6 @@ class Simulation:
 
     def run_tick(self) -> None:
         cfg = self.cfg
-        now_ms = self.tick * cfg.tick_len_ms
         before = {d.id: d.current for d in self.drones}
         drone_cells = set(before.values())
 
@@ -341,11 +339,9 @@ class Simulation:
                 avoid_drones=cfg.obstacles_avoid_drones,
             )
 
-        # Phases 2-3: event emission and CEP ingestion. No decision reads
-        # the matches, so they are not kept.
+        # Phase 2: obstacle detection. A static obstacle stays known once
+        # seen; a moving one is known only while a drone is near it.
         drone_blocks = self._drone_blocks(drone_cells)
-        for d in self.drones:
-            self.store.ingest(DroneLocEvent(d.id, d.current, now_ms), now_ms)
         known_moving: dict[int, Cell] = {}
         new_static: set[Cell] = set()
         for so in self.statics:
@@ -354,15 +350,13 @@ class Simulation:
             if self._detected(so.cell, drone_blocks):
                 self.known_static[so.id] = so.cell
                 new_static.add(so.cell)
-                self.store.ingest(SObsEvent(so.id, so.cell), now_ms)
         for mo in self.movings:
             if not mo.alive or self.tick < mo.spawn_tick:
                 continue
             if self._detected(mo.cell, drone_blocks):
                 known_moving[mo.id] = mo.cell
-                self.store.ingest(MObsEvent(mo.id, mo.cell, now_ms), now_ms)
 
-        # Phase 4: decisions in a fresh seeded-random order.
+        # Phase 3: decisions in a fresh seeded-random order.
         order = list(self.drones)
         self.rng.shuffle(order)
         if new_static:
@@ -401,7 +395,7 @@ class Simulation:
             committed[d.id] = intent
             actions[d.id] = action
 
-        # Phase 5: commit moves, release old locks, update routes.
+        # Phase 4: commit moves, release old locks, update routes.
         target_counts: dict[Cell, int] = {}
         for drone_id, cell in committed.items():
             target_counts[cell] = target_counts.get(cell, 0) + 1
@@ -429,7 +423,7 @@ class Simulation:
             else:
                 d.stall_ticks += 1
 
-        # Phase 6: ground-truth collision scan, independent of CEP.
+        # Phase 5: ground-truth collision scan, independent of the decisions.
         after = {d.id: d.current for d in self.drones}
         obstacle_cells: dict = {
             f"s{so.id}": so.cell for so in self.statics

@@ -217,15 +217,13 @@ def load_scenario(path: Path) -> SimConfig:
     """Read a scenario JSON document (schema in the README) into a SimConfig.
 
     A document of the wrong shape, such as a missing or unknown key or a
-    number where a list belongs, raises ConfigError.
+    number where a list belongs, raises ConfigError naming the field.
     """
     data = json.loads(Path(path).read_text())
     try:
         return _scenario_config(data)
     except KeyError as exc:
         raise ConfigError(f"scenario has no {exc} entry") from exc
-    except TypeError as exc:
-        raise ConfigError(f"scenario document is malformed: {exc}") from exc
 
 
 def _object(v: object, where: str, keys: set[str]) -> dict:
@@ -243,21 +241,47 @@ def _field_names(cls) -> set[str]:
     return {f.name for f in fields(cls)}
 
 
+def _array(v: object, where: str) -> list:
+    """v as a JSON array."""
+    if not isinstance(v, list):
+        raise ConfigError(f"{where} must be a list, got {v!r}")
+    return v
+
+
+def _cell(v: object, where: str) -> tuple:
+    """v as a cell tuple; SimConfig.validate checks it holds three ints."""
+    return tuple(_array(v, where))
+
+
 def _scenario_config(data: object) -> SimConfig:
     data = _object(data, "scenario", _field_names(SimConfig))
-    drones = [_object(d, f"drones[{i}]", {"start", "dest"}) for i, d in enumerate(data["drones"])]
+    drones = [
+        _object(d, f"drones[{i}]", {"start", "dest"})
+        for i, d in enumerate(_array(data["drones"], "drones"))
+    ]
     movings = [
         _object(m, f"moving_obstacles[{i}]", {"cell", "cadence", "spawn_tick"})
-        for i, m in enumerate(data.get("moving_obstacles", []))
+        for i, m in enumerate(_array(data.get("moving_obstacles", []), "moving_obstacles"))
     ]
     safety = _object(data.get("safety", {}), "safety", _field_names(SafetyParams))
     backtrack = _object(data.get("backtrack", {}), "backtrack", _field_names(BacktrackConfig))
     return SimConfig(
-        dims=tuple(data["dims"]),
-        drones=[(tuple(d["start"]), tuple(d["dest"])) for d in drones],
-        static_obstacles=[tuple(c) for c in data.get("static_obstacles", [])],
+        dims=_cell(data["dims"], "dims"),
+        drones=[
+            (_cell(d["start"], f"drones[{i}].start"), _cell(d["dest"], f"drones[{i}].dest"))
+            for i, d in enumerate(drones)
+        ],
+        static_obstacles=[
+            _cell(c, f"static_obstacles[{i}]")
+            for i, c in enumerate(_array(data.get("static_obstacles", []), "static_obstacles"))
+        ],
         moving_obstacles=[
-            (tuple(m["cell"]), m.get("cadence", 5), m.get("spawn_tick", 0)) for m in movings
+            (
+                _cell(m["cell"], f"moving_obstacles[{i}].cell"),
+                m.get("cadence", 5),
+                m.get("spawn_tick", 0),
+            )
+            for i, m in enumerate(movings)
         ],
         seed=data.get("seed", 0),
         spacing=data.get("spacing", 10.0),

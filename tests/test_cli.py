@@ -83,6 +83,11 @@ def test_run_invalid_scenario_is_config_error(tmp_path, capsys):
     {"moving_obstacles": [{"cell": [2, 2, 2], "speed": 2}]},
     {"safety": {"top_speed": 5.0}},
     {"backtrack": {"patience": 3}},
+    {"dims": 4, "drones": []},
+    {"drones": [{"start": 5, "dest": [5, 5, 3]}]},
+    {"static_obstacles": 3},
+    {"drones": 7},
+    {"moving_obstacles": [{"cell": 2}]},
 ])
 def test_run_rejects_bad_settings_in_one_line(scenario, change, capsys):
     doc = json.loads(scenario.read_text())

@@ -1,5 +1,6 @@
 """Mission engine: config validation, tick pipeline, collision scanning."""
 
+import json
 import os
 import subprocess
 import sys
@@ -7,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from swarmgrid.cep import WindowStore
+from swarmgrid.cli import EXIT_OK, main
 from swarmgrid.coordination import LockTable
 from swarmgrid.engine import (
     ConfigError,
@@ -17,6 +20,7 @@ from swarmgrid.engine import (
     detect_collisions_ground_truth,
     run_mission,
 )
+from swarmgrid.harness import EXPERIMENTS, ExperimentSpec, build_experiment
 from swarmgrid.world import manhattan
 
 
@@ -291,3 +295,28 @@ def test_a_denied_lock_is_an_invariant_violation(monkeypatch):
     monkeypatch.setattr(LockTable, "try_acquire", lambda self, drone_id, cell: False)
     with pytest.raises(EngineInvariantViolation, match="denied"):
         sim.run_tick()
+
+
+def test_the_tick_does_not_feed_the_cep(monkeypatch, tmp_path):
+    """No decision reads CEP matches, so a mission never ingests an event."""
+    def ingest(self, event, now_ms):
+        raise AssertionError(f"the tick ingested {event!r}")
+
+    monkeypatch.setattr(WindowStore, "ingest", ingest)
+    congested = build_experiment(ExperimentSpec(0, (6, 6, 6), 30, 5, 5), 0)
+    for cfg in (build_experiment(EXPERIMENTS[1], 0), congested):
+        assert not run_mission(cfg).timed_out
+    scenario = tmp_path / "congested.json"
+    scenario.write_text(json.dumps({
+        "dims": congested.dims,
+        "seed": congested.seed,
+        "drones": [{"start": s, "dest": d} for s, d in congested.drones],
+        "static_obstacles": congested.static_obstacles,
+        "moving_obstacles": [
+            {"cell": c, "cadence": cad, "spawn_tick": sp}
+            for c, cad, sp in congested.moving_obstacles
+        ],
+    }))
+    trace = tmp_path / "congested.trace"
+    assert main(["run", "--scenario", str(scenario), "--trace", str(trace)]) == EXIT_OK
+    assert trace.read_text().startswith("# swarmgrid-trace v1")

@@ -5,10 +5,14 @@ before the ground-truth scan, obstacle detection and planner neighbour
 queries were indexed by cell. Any change to what the navigator or the
 baselines do changes it.
 
-`MATCH_STREAM_SHA256` covers every `WindowStore.ingest` result the engine
-produces on fixed missions, in order, with its ingestion time. It was
-computed before the on-arrival join moved to int cell keys and one probe
-pass, so any change to which rows the CEP emits, or in what order, changes it.
+`MATCH_STREAM_SHA256` covers every `WindowStore.ingest` result on the event
+stream of fixed missions, in order, with its ingestion time. The tick does
+not feed the CEP, so the test rebuilds that stream from the simulation: per
+tick, every drone's cell before the tick, then each static obstacle first
+detected, then each detected moving obstacle. It was computed before the
+on-arrival join moved to int cell keys and one probe pass, so any change to
+which rows the CEP emits, or in what order, or to the drone cells and
+detections the missions produce, changes it.
 
 `PLANNER_SHA256` covers the `rrt_plan` and `rrt_star_plan` routes and their
 open-loop collisions and ticks on exp1 and exp3 seeds 0-2 and on the first 8
@@ -23,8 +27,8 @@ import hashlib
 import random
 
 from swarmgrid.baselines import execute_open_loop, rrt_plan, rrt_star_plan
-from swarmgrid.cep import WindowStore
-from swarmgrid.engine import run_mission
+from swarmgrid.cep import DroneLocEvent, MObsEvent, SObsEvent, WindowStore
+from swarmgrid.engine import Simulation, run_mission
 from swarmgrid.harness import EXPERIMENTS, ExperimentSpec, build_experiment
 
 GOLDEN_SHA256 = "8266e06d44896c0b71a95333d96547e055c7b0e0a087cfb159e42897366cbd11"
@@ -92,24 +96,39 @@ def _stream_missions():
         yield dataclasses.replace(build_experiment(CONGESTED, seed), max_ticks=300)
 
 
-def match_stream_digest(monkeypatch) -> str:
+def _mission_events(cfg):
+    """Each tick's CEP events with their ingestion time, in engine order."""
+    sim = Simulation(cfg)
+    max_ticks = cfg.effective_max_ticks()
+    while not sim.all_arrived() and sim.tick < max_ticks:
+        tick = sim.tick
+        now_ms = tick * cfg.tick_len_ms
+        cells = [d.current for d in sim.drones]
+        known_static = set(sim.known_static)
+        sim.run_tick()
+        for d, cell in zip(sim.drones, cells):
+            yield DroneLocEvent(d.id, cell, now_ms), now_ms
+        for so in sim.statics:
+            if so.id in sim.known_static and so.id not in known_static:
+                yield SObsEvent(so.id, so.cell), now_ms
+        drone_blocks = sim._drone_blocks(set(cells))
+        for mo in sim.movings:
+            if mo.alive and tick >= mo.spawn_tick and sim._detected(mo.cell, drone_blocks):
+                yield MObsEvent(mo.id, mo.cell, now_ms), now_ms
+
+
+def match_stream_digest() -> str:
     h = hashlib.sha256()
-    ingest = WindowStore.ingest
-
-    def recording(self, event, now_ms):
-        matches = ingest(self, event, now_ms)
-        rows = [
-            (m.kind.value, m.subject_id, m.other_id, m.subject_cell, m.other_cell)
-            for m in matches
-        ]
-        h.update(repr((now_ms, rows)).encode())
-        return matches
-
-    monkeypatch.setattr(WindowStore, "ingest", recording)
     for cfg in _stream_missions():
-        run_mission(cfg)
+        store = WindowStore()
+        for event, now_ms in _mission_events(cfg):
+            rows = [
+                (m.kind.value, m.subject_id, m.other_id, m.subject_cell, m.other_cell)
+                for m in store.ingest(event, now_ms)
+            ]
+            h.update(repr((now_ms, rows)).encode())
     return h.hexdigest()
 
 
-def test_match_stream_digest_matches(monkeypatch):
-    assert match_stream_digest(monkeypatch) == MATCH_STREAM_SHA256
+def test_match_stream_digest_matches():
+    assert match_stream_digest() == MATCH_STREAM_SHA256
