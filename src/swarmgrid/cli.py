@@ -36,7 +36,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         except OSError as exc:
             print(f"error: cannot write the trace: {exc}", file=sys.stderr)
             return EXIT_CONFIG_ERROR
-        trace_fn = lambda line: print(line, file=trace_file)
+        write = trace_file.write
+        trace_fn = lambda line: write(line + "\n")
     try:
         result = run_mission(cfg, trace=trace_fn)
     finally:

@@ -11,19 +11,23 @@ One predicate, `avoidance.cell_is_safe`, defines a conflict: a known obstacle
 or another drone in the cell, or another drone holding its lock (which covers
 the cells claimed earlier in the tick). So a lock is never denied.
 
-Obstacle detection and the ground-truth scan look cells up in per-tick
-dicts rather than comparing every drone with every obstacle or drone:
-detection tests only the drones bucketed near each obstacle, and the scan
-costs O(drones + obstacles) per tick plus sorting the records it finds.
-The clearance margin of the known static obstacles is kept across ticks and
-grows only when one is first detected; only the moving obstacles' margin is
-built each tick.
+Obstacle detection, the hazard test and the ground-truth scan look cells up
+in per-tick dicts rather than comparing every drone with every obstacle or
+drone: detection tests only the drones bucketed near each obstacle, a
+deciding drone collects the other drones within two cells of it once and
+tests its candidate cells against that short list, and the scan costs
+O(drones + obstacles) per tick plus sorting the records it finds. The
+clearance margin of the known obstacles is one cell -> count map kept across
+ticks: a static obstacle adds its cells once, when first detected, and a
+known moving obstacle moves its cells only when it steps, dies, or enters or
+leaves detection.
 """
 
 from __future__ import annotations
 
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -51,7 +55,6 @@ from .world import (
     Cell,
     SafetyParams,
     is_finite_number,
-    manhattan,
     neighbors,
     new_area,
 )
@@ -89,7 +92,7 @@ def clearance_margin(cells: set[Cell]) -> set[Cell]:
 
 class _BlockedCells:
     """Known static and moving obstacle cells plus every drone cell but the
-    deciding drone's.
+    deciding drone's (`own`, set before each drone decides).
 
     Answers membership without building that union for each drone.
     """
@@ -97,13 +100,12 @@ class _BlockedCells:
     __slots__ = ("static_cells", "moving_cells", "drone_cells", "own")
 
     def __init__(
-        self, static_cells: set[Cell], moving_cells: set[Cell],
-        drone_cells: set[Cell], own: Cell,
+        self, static_cells: set[Cell], moving_cells: set[Cell], drone_cells: set[Cell],
     ):
         self.static_cells = static_cells
         self.moving_cells = moving_cells
         self.drone_cells = drone_cells
-        self.own = own
+        self.own: Optional[Cell] = None
 
     def __contains__(self, c: object) -> bool:
         return (
@@ -112,20 +114,87 @@ class _BlockedCells:
         )
 
 
-class _MarginCells:
-    """The clearance margin of the known static and moving obstacles.
+# Offsets of the 27 cells within Chebyshev distance 1 of a cell.
+_CUBE = tuple((dx, dy, dz) for dx in (-1, 0, 1) for dy in (-1, 0, 1) for dz in (-1, 0, 1))
 
-    Answers membership without building the union of the two margins.
+
+def _shift_margin(margin: dict[Cell, int], cell: Cell, delta: int) -> None:
+    """Add delta to the count of each cell of `cell`'s clearance margin,
+    dropping cells whose count reaches zero."""
+    x, y, z = cell
+    for dx, dy, dz in _CUBE:
+        c = (x + dx, y + dy, z + dz)
+        n = margin.get(c, 0) + delta
+        if n:
+            margin[c] = n
+        else:
+            del margin[c]
+
+
+def _buckets(cells: set[Cell], side: int) -> dict[Cell, list[Cell]]:
+    """Cells bucketed into cubes of the given side."""
+    blocks: dict[Cell, list[Cell]] = {}
+    for c in cells:
+        blocks.setdefault((c[0] // side, c[1] // side, c[2] // side), []).append(c)
+    return blocks
+
+
+# Side of the buckets the hazard test reads: the cube of Chebyshev radius 2
+# around a cell then spans at most two buckets per axis.
+_NEAR_SIDE = 5
+
+
+def _drones_near(cell: Cell, blocks: dict[Cell, list[Cell]]) -> list[Cell]:
+    """The drone cells other than `cell` within Chebyshev 2 of it.
+
+    `blocks` buckets the drone cells with side _NEAR_SIDE. Every drone
+    within Chebyshev 1 of a neighbour of `cell` is on this list.
     """
+    x, y, z = cell
+    bys = {(y - 2) // _NEAR_SIDE, (y + 2) // _NEAR_SIDE}
+    bzs = {(z - 2) // _NEAR_SIDE, (z + 2) // _NEAR_SIDE}
+    out = []
+    for bx in {(x - 2) // _NEAR_SIDE, (x + 2) // _NEAR_SIDE}:
+        for by in bys:
+            for bz in bzs:
+                for q in blocks.get((bx, by, bz), ()):
+                    qx, qy, qz = q
+                    if (
+                        -2 <= qx - x <= 2 and -2 <= qy - y <= 2 and -2 <= qz - z <= 2
+                        and q != cell
+                    ):
+                        out.append(q)
+    return out
 
-    __slots__ = ("static_margin", "moving_margin")
 
-    def __init__(self, static_margin: set[Cell], moving_margin: set[Cell]):
-        self.static_margin = static_margin
-        self.moving_margin = moving_margin
+def _in_hazard_margin(cell: Cell, margin: dict[Cell, int], near: list[Cell]) -> bool:
+    """Is the cell within Chebyshev 1 of a known obstacle or of a drone on
+    `near`?"""
+    if cell in margin:
+        return True
+    x, y, z = cell
+    for qx, qy, qz in near:
+        if -1 <= qx - x <= 1 and -1 <= qy - y <= 1 and -1 <= qz - z <= 1:
+            return True
+    return False
 
-    def __contains__(self, c: object) -> bool:
-        return c in self.static_margin or c in self.moving_margin
+
+def _shuffle(rng: random.Random, xs: list) -> None:
+    """Shuffle xs in place exactly as CPython's rng.shuffle(xs) does.
+
+    For i from len(xs) - 1 down to 1 it draws j below i + 1 with
+    getrandbits((i + 1).bit_length()) until the value is below i + 1, and
+    swaps xs[i] and xs[j]. So the order and the generator's state match
+    rng.shuffle's, without a method call per element.
+    """
+    bits = rng.getrandbits
+    for i in range(len(xs) - 1, 0, -1):
+        n = i + 1
+        k = n.bit_length()
+        j = bits(k)
+        while j >= n:
+            j = bits(k)
+        xs[i], xs[j] = xs[j], xs[i]
 
 
 def _is_int(v: object) -> bool:
@@ -259,7 +328,7 @@ def detect_collisions_ground_truth(
     by_cell: dict[Cell, list[int]] = {}
     for drone_id, cell in after.items():
         by_cell.setdefault(cell, []).append(drone_id)
-    records = [
+    records = [] if len(by_cell) == len(after) else [
         CollisionRecord(tick, "colocation", tuple(sorted(by_cell[cell])), cell)
         for cell in sorted(c for c, ids in by_cell.items() if len(ids) >= 2)
     ]
@@ -310,9 +379,15 @@ class Simulation:
                 raise EngineInvariantViolation(f"start cell {d.current} already locked")
         self.known_static: dict[int, Cell] = {}
         # Static obstacles never move and stay known once detected, so their
-        # cells and clearance margin only grow.
+        # cells only grow.
         self._static_cells: set[Cell] = set()
-        self._static_margin: set[Cell] = set()
+        # Last tick's known moving obstacles, and the clearance margin of
+        # every known obstacle as cell -> number of obstacles it is near.
+        self._known_moving: dict[int, Cell] = {}
+        self._margin: dict[Cell, int] = {}
+        # The scan's obstacle labels, built once.
+        self._static_labels = {f"s{so.id}": so.cell for so in self.statics}
+        self._moving_labels = [(f"m{mo.id}", mo) for mo in self.movings]
         self._sidestep_cooldown: dict[int, int] = {}
         self.collisions: list[CollisionRecord] = []
         self.tick = 0
@@ -329,41 +404,55 @@ class Simulation:
 
     def run_tick(self) -> None:
         cfg = self.cfg
+        tick = self.tick
         before = {d.id: d.current for d in self.drones}
         drone_cells = set(before.values())
 
         # Phase 1: obstacle motion on cadence.
         for o in self.movings:
             step_moving_obstacle(
-                o, self.tick, self.rng, self.area, drone_cells,
+                o, tick, self.rng, self.area, drone_cells,
                 avoid_drones=cfg.obstacles_avoid_drones,
             )
 
         # Phase 2: obstacle detection. A static obstacle stays known once
         # seen; a moving one is known only while a drone is near it.
         drone_blocks = self._drone_blocks(drone_cells)
+        margin = self._margin
         known_moving: dict[int, Cell] = {}
-        new_static: set[Cell] = set()
         for so in self.statics:
             if so.id in self.known_static:
                 continue
             if self._detected(so.cell, drone_blocks):
                 self.known_static[so.id] = so.cell
-                new_static.add(so.cell)
+                self._static_cells.add(so.cell)
+                _shift_margin(margin, so.cell, 1)
         for mo in self.movings:
-            if not mo.alive or self.tick < mo.spawn_tick:
+            if not mo.alive or tick < mo.spawn_tick:
                 continue
             if self._detected(mo.cell, drone_blocks):
                 known_moving[mo.id] = mo.cell
+        # Move the margin of the known moving obstacles that stepped, died,
+        # or entered or left detection since the last tick.
+        last_moving = self._known_moving
+        if known_moving != last_moving:
+            for i, cell in last_moving.items():
+                if known_moving.get(i) != cell:
+                    _shift_margin(margin, cell, -1)
+            for i, cell in known_moving.items():
+                if last_moving.get(i) != cell:
+                    _shift_margin(margin, cell, 1)
+            self._known_moving = known_moving
 
         # Phase 3: decisions in a fresh seeded-random order.
         order = list(self.drones)
-        self.rng.shuffle(order)
-        if new_static:
-            self._static_cells |= new_static
-            self._static_margin |= clearance_margin(new_static)
-        moving_cells = set(known_moving.values())
-        obstacle_margin = _MarginCells(self._static_margin, clearance_margin(moving_cells))
+        _shuffle(self.rng, order)
+        near_blocks = (
+            drone_blocks if 2 * cfg.detection_radius + 1 == _NEAR_SIDE
+            else _buckets(drone_cells, _NEAR_SIDE)
+        )
+        blocked = _BlockedCells(self._static_cells, set(known_moving.values()), drone_cells)
+        ctx = DecisionContext(area=self.area, blocked_cells=blocked, locks=self.locks)
         committed: dict[int, Cell] = {}
         actions: dict[int, str] = {}
 
@@ -373,21 +462,12 @@ class Simulation:
 
         for d in order:
             if d.arrived:
-                actions[d.id] = "parked"
                 continue
-            ctx = DecisionContext(
-                area=self.area,
-                blocked_cells=_BlockedCells(
-                    self._static_cells, moving_cells, drone_cells, d.current
-                ),
-                locks=self.locks,
-            )
+            blocked.own = d.current
             if d.mode is Mode.BACKTRACK:
                 intent, action = self._backtrack_decision(d, ctx)
             else:
-                intent, action = self._normal_decision(
-                    d, ctx, obstacle_margin, drone_cells
-                )
+                intent, action = self._normal_decision(d, ctx, near_blocks)
             if intent != d.current and not self.locks.try_acquire(d.id, intent):
                 raise EngineInvariantViolation(
                     f"drone {d.id} was denied the lock of {intent} after finding it safe"
@@ -396,12 +476,9 @@ class Simulation:
             actions[d.id] = action
 
         # Phase 4: commit moves, release old locks, update routes.
-        target_counts: dict[Cell, int] = {}
-        for drone_id, cell in committed.items():
-            target_counts[cell] = target_counts.get(cell, 0) + 1
-        for cell, n in target_counts.items():
-            if n > 1:
-                raise EngineInvariantViolation(f"{n} drones committed {cell}")
+        if len(set(committed.values())) != len(committed):
+            cell, n = Counter(committed.values()).most_common(1)[0]
+            raise EngineInvariantViolation(f"{n} drones committed {cell}")
         for d in self.drones:
             if d.arrived:
                 continue
@@ -414,9 +491,10 @@ class Simulation:
                     d.mode = Mode.NORMAL
             elif d.mode is Mode.NORMAL:
                 d.mode = Mode.HOVER
-            if d.current == d.dest and d.mode is not Mode.BACKTRACK:
+            if nxt == d.dest and d.mode is not Mode.BACKTRACK:
                 d.arrived = True
-            dist = manhattan(d.current, d.dest)
+            gx, gy, gz = d.dest
+            dist = abs(nxt[0] - gx) + abs(nxt[1] - gy) + abs(nxt[2] - gz)
             if dist < d.best_dist:
                 d.best_dist = dist
                 d.stall_ticks = 0
@@ -425,33 +503,28 @@ class Simulation:
 
         # Phase 5: ground-truth collision scan, independent of the decisions.
         after = {d.id: d.current for d in self.drones}
-        obstacle_cells: dict = {
-            f"s{so.id}": so.cell for so in self.statics
-        }
-        for mo in self.movings:
-            if mo.alive and self.tick >= mo.spawn_tick:
-                obstacle_cells[f"m{mo.id}"] = mo.cell
+        obstacle_cells = dict(self._static_labels)
+        for label, mo in self._moving_labels:
+            if mo.alive and tick >= mo.spawn_tick:
+                obstacle_cells[label] = mo.cell
         self.collisions += detect_collisions_ground_truth(
-            before, after, obstacle_cells, self.tick
+            before, after, obstacle_cells, tick
         )
 
         if self.trace is not None:
             for d in self.drones:
-                action = actions[d.id]
+                # Drones that had arrived before this tick took no decision.
+                action = actions.get(d.id, "parked")
                 x, y, z = d.current
                 self.trace(
-                    f"{self.tick}\t{d.id}\t{d.mode.value}\t{x}\t{y}\t{z}"
+                    f"{tick}\t{d.id}\t{d.mode.value}\t{x}\t{y}\t{z}"
                     f"\t{action}\t{_NPRED.get(action, 0)}"
                 )
         self.tick += 1
 
     def _drone_blocks(self, drone_cells: set[Cell]) -> dict[Cell, list[Cell]]:
         """Drone cells bucketed into cubes of side 2 * detection_radius + 1."""
-        side = 2 * self.cfg.detection_radius + 1
-        blocks: dict[Cell, list[Cell]] = {}
-        for c in drone_cells:
-            blocks.setdefault((c[0] // side, c[1] // side, c[2] // side), []).append(c)
-        return blocks
+        return _buckets(drone_cells, 2 * self.cfg.detection_radius + 1)
 
     def _detected(self, cell: Cell, drone_blocks: dict[Cell, list[Cell]]) -> bool:
         """Is a drone within Chebyshev detection_radius of the cell?
@@ -470,25 +543,8 @@ class Simulation:
                             return True
         return False
 
-    def _in_hazard_margin(
-        self, cell: Cell, drone: Drone,
-        obstacle_margin: _MarginCells, drone_cells: set[Cell],
-    ) -> bool:
-        """Is the cell within Chebyshev 1 of a known hazard or another drone?"""
-        if cell in obstacle_margin:
-            return True
-        x, y, z = cell
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                for dz in (-1, 0, 1):
-                    c = (x + dx, y + dy, z + dz)
-                    if c in drone_cells and c != drone.current:
-                        return True
-        return False
-
     def _normal_decision(
-        self, d: Drone, ctx: DecisionContext,
-        obstacle_margin: _MarginCells, drone_cells: set[Cell],
+        self, d: Drone, ctx: DecisionContext, near_blocks: dict[Cell, list[Cell]],
     ) -> tuple[Cell, str]:
         """Greedy step with hazard clearance.
 
@@ -498,35 +554,55 @@ class Simulation:
         cell (unless on cooldown or nearly home), which trades route length
         for separation. Otherwise it takes a reducing cell anyway; an intent
         that fails `cell_is_safe` goes to the avoidance cascade.
-        """
-        def in_margin(n: Cell) -> bool:
-            return self._in_hazard_margin(n, d, obstacle_margin, drone_cells)
 
-        dist_now = manhattan(d.current, d.dest)
-        ns = neighbors(self.area, d.current)
-        reducing = [
-            n for n in ns
-            if manhattan(n, d.dest) < dist_now and n not in ctx.blocked_cells
-        ]
-        clear = [n for n in reducing if n == d.dest or not in_margin(n)]
+        The reducing neighbors are the one step toward the goal on each axis
+        where the drone is off it, in x, y, z order: the order `neighbors`
+        lists them in, since on each axis at most one direction reduces.
+        """
+        cur = d.current
+        dest = d.dest
+        x, y, z = cur
+        gx, gy, gz = dest
+        blocked = ctx.blocked_cells
+        reducing = []
+        if gx != x:
+            n = (x + 1 if gx > x else x - 1, y, z)
+            if n not in blocked:
+                reducing.append(n)
+        if gy != y:
+            n = (x, y + 1 if gy > y else y - 1, z)
+            if n not in blocked:
+                reducing.append(n)
+        if gz != z:
+            n = (x, y, z + 1 if gz > z else z - 1)
+            if n not in blocked:
+                reducing.append(n)
         cool = self._sidestep_cooldown.get(d.id, 0)
         if cool:
             self._sidestep_cooldown[d.id] = cool - 1
-        if clear:
-            intent = self.rng.choice(clear)
-        elif reducing:
-            sidesteps = [
-                n for n in ns
-                if cell_is_safe(ctx, d.id, n) and not in_margin(n)
+        if reducing:
+            margin = self._margin
+            near = _drones_near(cur, near_blocks)
+            clear = [
+                n for n in reducing
+                if n == dest or not _in_hazard_margin(n, margin, near)
             ]
-            if sidesteps and dist_now > 2 and not cool:
-                intent = self.rng.choice(sidesteps)
-                self._sidestep_cooldown[d.id] = SIDESTEP_COOLDOWN
+            if clear:
+                intent = self.rng.choice(clear)
             else:
-                intent = self.rng.choice(reducing)
+                sidesteps = [
+                    n for n in neighbors(self.area, cur)
+                    if cell_is_safe(ctx, d.id, n) and not _in_hazard_margin(n, margin, near)
+                ]
+                dist_now = abs(gx - x) + abs(gy - y) + abs(gz - z)
+                if sidesteps and dist_now > 2 and not cool:
+                    intent = self.rng.choice(sidesteps)
+                    self._sidestep_cooldown[d.id] = SIDESTEP_COOLDOWN
+                else:
+                    intent = self.rng.choice(reducing)
         else:
-            intent = d.current
-        if intent == d.current or not cell_is_safe(ctx, d.id, intent):
+            intent = cur
+        if intent == cur or not cell_is_safe(ctx, d.id, intent):
             return self._apply_avoidance(d, ctx)
         return intent, "advance"
 

@@ -5,6 +5,8 @@ import json
 import pytest
 
 from swarmgrid.cli import EXIT_CONFIG_ERROR, EXIT_OK, EXIT_TIMEOUT, main
+from swarmgrid.engine import run_mission
+from swarmgrid.harness import load_scenario
 
 
 @pytest.fixture
@@ -37,6 +39,10 @@ def test_run_writes_trace(scenario, tmp_path):
     lines = trace.read_text().splitlines()
     assert lines[0] == "# swarmgrid-trace v1"
     assert any(not l.startswith("#") for l in lines)
+    # The file holds exactly the engine's trace lines, each ended by one "\n".
+    emitted: list[str] = []
+    run_mission(load_scenario(scenario), trace=emitted.append)
+    assert trace.read_bytes() == "".join(line + "\n" for line in emitted).encode()
 
 
 def test_run_missing_file_is_config_error(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -16,6 +17,7 @@ from swarmgrid.engine import (
     EngineInvariantViolation,
     SimConfig,
     Simulation,
+    _shuffle,
     clearance_margin,
     detect_collisions_ground_truth,
     run_mission,
@@ -114,6 +116,19 @@ def test_clearance_margin_size():
     assert len(clearance_margin({(5, 5, 5)})) == 27
     assert (4, 4, 4) in clearance_margin({(5, 5, 5)})
     assert clearance_margin(set()) == set()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**40 + 3])
+def test_shuffle_matches_random_shuffle(seed):
+    """The tick's inline shuffle gives rng.shuffle's order and leaves the
+    generator in the same state, for every list length the draws differ on."""
+    ours, theirs = random.Random(seed), random.Random(seed)
+    for n in range(65):
+        a, b = list(range(n)), list(range(n))
+        _shuffle(ours, a)
+        theirs.shuffle(b)
+        assert a == b
+        assert ours.getstate() == theirs.getstate()
 
 
 class TestGroundTruthScan:
@@ -294,6 +309,19 @@ def test_a_denied_lock_is_an_invariant_violation(monkeypatch):
     sim.run_tick()
     monkeypatch.setattr(LockTable, "try_acquire", lambda self, drone_id, cell: False)
     with pytest.raises(EngineInvariantViolation, match="denied"):
+        sim.run_tick()
+
+
+def test_two_drones_committing_one_cell_is_an_invariant_violation(monkeypatch):
+    """The commit phase checks that no two drones end the tick on one cell,
+    whatever the decisions and the lock table said."""
+    cfg = simple_cfg(drones=[((0, 0, 0), (5, 5, 5)), ((2, 0, 0), (0, 5, 5))])
+    sim = Simulation(cfg)
+    monkeypatch.setattr(
+        Simulation, "_normal_decision", lambda self, d, ctx, near: ((1, 0, 0), "advance")
+    )
+    monkeypatch.setattr(LockTable, "try_acquire", lambda self, drone_id, cell: True)
+    with pytest.raises(EngineInvariantViolation, match=r"2 drones committed \(1, 0, 0\)"):
         sim.run_tick()
 
 

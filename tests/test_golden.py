@@ -20,6 +20,12 @@ drones of exp2 seed 0. It was computed before the planners' neighbour queries
 returned distances and before in-tree samples skipped `nearest()`, so any
 change to a route, or to how many draws the planners take from the RNG,
 changes it.
+
+`SWARM_SHA256` covers routes, collisions, ticks and trace of one dense
+mission: 300 drones in 20^3 with 50 static and 50 moving obstacles, seed 0.
+It was computed at commit 416c0df, before the tick kept one obstacle-margin
+map across ticks, one decision context per tick and a bucketed hazard test
+for other drones, so any change to a dense swarm's decisions changes it.
 """
 
 import dataclasses
@@ -34,9 +40,12 @@ from swarmgrid.harness import EXPERIMENTS, ExperimentSpec, build_experiment
 GOLDEN_SHA256 = "8266e06d44896c0b71a95333d96547e055c7b0e0a087cfb159e42897366cbd11"
 MATCH_STREAM_SHA256 = "fbf196fcea8fea4028d2a4b47590ed32ebea787bdb81cf06efd6781868652a22"
 PLANNER_SHA256 = "54d8f98e549c4348bef3a8fbd14474f5f0364d3f14d3530d610b56e8251f44b1"
+SWARM_SHA256 = "6795e7f39c893855842cabc84c994b71c566f02eaf1dc7ac883f7b5c1e541a6f"
 
 # 30 drones in 6^3: every drone sees many stale positions of its neighbours.
 CONGESTED = ExperimentSpec(0, (6, 6, 6), 30, 5, 5)
+# 300 drones in 20^3: most decisions have other drones within two cells.
+SWARM = ExperimentSpec(0, (20, 20, 20), 300, 50, 50)
 
 
 def _mission_parts(cfg) -> list[str]:
@@ -72,6 +81,17 @@ def _hash_planners(h, cfg) -> None:
 
 def test_golden_digest_matches():
     assert golden_digest() == GOLDEN_SHA256
+
+
+def swarm_digest() -> str:
+    h = hashlib.sha256()
+    for part in _mission_parts(build_experiment(SWARM, 0)):
+        h.update(part.encode())
+    return h.hexdigest()
+
+
+def test_swarm_digest_matches():
+    assert swarm_digest() == SWARM_SHA256
 
 
 def planner_digest() -> str:
