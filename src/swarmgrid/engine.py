@@ -131,30 +131,23 @@ def _shift_margin(margin: dict[Cell, int], cell: Cell, delta: int) -> None:
             del margin[c]
 
 
-def _buckets(cells: set[Cell], side: int) -> dict[Cell, list[Cell]]:
-    """Cells bucketed into cubes of the given side."""
-    blocks: dict[Cell, list[Cell]] = {}
-    for c in cells:
-        blocks.setdefault((c[0] // side, c[1] // side, c[2] // side), []).append(c)
-    return blocks
-
-
-# Side of the buckets the hazard test reads: the cube of Chebyshev radius 2
-# around a cell then spans at most two buckets per axis.
-_NEAR_SIDE = 5
+# Side of the cubes the drone cells are bucketed into each tick. Detection
+# and the hazard test both read these buckets; the cube of Chebyshev radius 2
+# around a cell spans at most two of them per axis.
+_BLOCK_SIDE = 5
 
 
 def _drones_near(cell: Cell, blocks: dict[Cell, list[Cell]]) -> list[Cell]:
     """The drone cells other than `cell` within Chebyshev 2 of it.
 
-    `blocks` buckets the drone cells with side _NEAR_SIDE. Every drone
+    `blocks` buckets the drone cells with side _BLOCK_SIDE. Every drone
     within Chebyshev 1 of a neighbour of `cell` is on this list.
     """
     x, y, z = cell
-    bys = {(y - 2) // _NEAR_SIDE, (y + 2) // _NEAR_SIDE}
-    bzs = {(z - 2) // _NEAR_SIDE, (z + 2) // _NEAR_SIDE}
+    bys = {(y - 2) // _BLOCK_SIDE, (y + 2) // _BLOCK_SIDE}
+    bzs = {(z - 2) // _BLOCK_SIDE, (z + 2) // _BLOCK_SIDE}
     out = []
-    for bx in {(x - 2) // _NEAR_SIDE, (x + 2) // _NEAR_SIDE}:
+    for bx in {(x - 2) // _BLOCK_SIDE, (x + 2) // _BLOCK_SIDE}:
         for by in bys:
             for bz in bzs:
                 for q in blocks.get((bx, by, bz), ()):
@@ -447,10 +440,6 @@ class Simulation:
         # Phase 3: decisions in a fresh seeded-random order.
         order = list(self.drones)
         _shuffle(self.rng, order)
-        near_blocks = (
-            drone_blocks if 2 * cfg.detection_radius + 1 == _NEAR_SIDE
-            else _buckets(drone_cells, _NEAR_SIDE)
-        )
         blocked = _BlockedCells(self._static_cells, set(known_moving.values()), drone_cells)
         ctx = DecisionContext(area=self.area, blocked_cells=blocked, locks=self.locks)
         committed: dict[int, Cell] = {}
@@ -467,7 +456,7 @@ class Simulation:
             if d.mode is Mode.BACKTRACK:
                 intent, action = self._backtrack_decision(d, ctx)
             else:
-                intent, action = self._normal_decision(d, ctx, near_blocks)
+                intent, action = self._normal_decision(d, ctx, drone_blocks)
             if intent != d.current and not self.locks.try_acquire(d.id, intent):
                 raise EngineInvariantViolation(
                     f"drone {d.id} was denied the lock of {intent} after finding it safe"
@@ -523,28 +512,33 @@ class Simulation:
         self.tick += 1
 
     def _drone_blocks(self, drone_cells: set[Cell]) -> dict[Cell, list[Cell]]:
-        """Drone cells bucketed into cubes of side 2 * detection_radius + 1."""
-        return _buckets(drone_cells, 2 * self.cfg.detection_radius + 1)
+        """Drone cells bucketed into cubes of side _BLOCK_SIDE."""
+        side = _BLOCK_SIDE
+        blocks: dict[Cell, list[Cell]] = {}
+        for c in drone_cells:
+            blocks.setdefault((c[0] // side, c[1] // side, c[2] // side), []).append(c)
+        return blocks
 
     def _detected(self, cell: Cell, drone_blocks: dict[Cell, list[Cell]]) -> bool:
         """Is a drone within Chebyshev detection_radius of the cell?
 
-        The cube of that radius around the cell spans at most two blocks per
-        axis, so only the drones in those (at most 8) blocks are tested.
+        Only the drones in the blocks that the cube of that radius around the
+        cell overlaps are tested: at most 8 blocks while the radius is 2.
         """
         r = self.cfg.detection_radius
-        side = 2 * r + 1
         x, y, z = cell
-        for bx in {(x - r) // side, (x + r) // side}:
-            for by in {(y - r) // side, (y + r) // side}:
-                for bz in {(z - r) // side, (z + r) // side}:
+        bys = range((y - r) // _BLOCK_SIDE, (y + r) // _BLOCK_SIDE + 1)
+        bzs = range((z - r) // _BLOCK_SIDE, (z + r) // _BLOCK_SIDE + 1)
+        for bx in range((x - r) // _BLOCK_SIDE, (x + r) // _BLOCK_SIDE + 1):
+            for by in bys:
+                for bz in bzs:
                     for dx, dy, dz in drone_blocks.get((bx, by, bz), ()):
                         if abs(dx - x) <= r and abs(dy - y) <= r and abs(dz - z) <= r:
                             return True
         return False
 
     def _normal_decision(
-        self, d: Drone, ctx: DecisionContext, near_blocks: dict[Cell, list[Cell]],
+        self, d: Drone, ctx: DecisionContext, drone_blocks: dict[Cell, list[Cell]],
     ) -> tuple[Cell, str]:
         """Greedy step with hazard clearance.
 
@@ -582,7 +576,7 @@ class Simulation:
             self._sidestep_cooldown[d.id] = cool - 1
         if reducing:
             margin = self._margin
-            near = _drones_near(cur, near_blocks)
+            near = _drones_near(cur, drone_blocks)
             clear = [
                 n for n in reducing
                 if n == dest or not _in_hazard_margin(n, margin, near)

@@ -109,6 +109,27 @@ def build_experiment(spec: ExperimentSpec, seed: int) -> SimConfig:
     )
 
 
+def mission_parts(cfg: SimConfig) -> list[str]:
+    """Fly the navigator on `cfg` with a trace and return what a mission
+    digest hashes: the reprs of its routes, collisions, ticks and trace
+    lines, in that order."""
+    lines: list[str] = []
+    result = run_mission(cfg, trace=lines.append)
+    return [repr(result.routes), repr(result.collisions), repr(result.ticks), repr(lines)]
+
+
+def mission_digest(cfg: SimConfig) -> str:
+    """SHA-256 of one mission's `mission_parts`."""
+    # Imported here: hashlib loads OpenSSL, about 3.5 MB of RSS that a
+    # mission run without a digest should not pay.
+    import hashlib
+
+    h = hashlib.sha256()
+    for part in mission_parts(cfg):
+        h.update(part.encode())
+    return h.hexdigest()
+
+
 def _run_proposed(cfg: SimConfig) -> tuple[SimResult, float]:
     t0 = time.perf_counter()
     result = run_mission(cfg)

@@ -1,9 +1,9 @@
 """Golden digests: missions and the CEP match stream stay byte-identical.
 
-`GOLDEN_SHA256` covers routes, collisions, ticks and traces. It was computed
-before the ground-truth scan, obstacle detection and planner neighbour
-queries were indexed by cell. Any change to what the navigator or the
-baselines do changes it.
+`GOLDEN_SHA256` covers routes, collisions, ticks and traces
+(`harness.mission_parts`). It was computed before the ground-truth scan,
+obstacle detection and planner neighbour queries were indexed by cell. Any
+change to what the navigator or the baselines do changes it.
 
 `MATCH_STREAM_SHA256` covers every `WindowStore.ingest` result on the event
 stream of fixed missions, in order, with its ingestion time. The tick does
@@ -21,8 +21,9 @@ returned distances and before in-tree samples skipped `nearest()`, so any
 change to a route, or to how many draws the planners take from the RNG,
 changes it.
 
-`SWARM_SHA256` covers routes, collisions, ticks and trace of one dense
-mission: 300 drones in 20^3 with 50 static and 50 moving obstacles, seed 0.
+`SWARM_SHA256` is `harness.mission_digest` (routes, collisions, ticks and
+trace) of one dense mission: 300 drones in 20^3 with 50 static and 50
+moving obstacles, seed 0.
 It was computed at commit 416c0df, before the tick kept one obstacle-margin
 map across ticks, one decision context per tick and a bucketed hazard test
 for other drones, so any change to a dense swarm's decisions changes it.
@@ -34,8 +35,10 @@ import random
 
 from swarmgrid.baselines import execute_open_loop, rrt_plan, rrt_star_plan
 from swarmgrid.cep import DroneLocEvent, MObsEvent, SObsEvent, WindowStore
-from swarmgrid.engine import Simulation, run_mission
-from swarmgrid.harness import EXPERIMENTS, ExperimentSpec, build_experiment
+from swarmgrid.engine import Simulation
+from swarmgrid.harness import (
+    EXPERIMENTS, ExperimentSpec, build_experiment, mission_digest, mission_parts,
+)
 
 GOLDEN_SHA256 = "8266e06d44896c0b71a95333d96547e055c7b0e0a087cfb159e42897366cbd11"
 MATCH_STREAM_SHA256 = "fbf196fcea8fea4028d2a4b47590ed32ebea787bdb81cf06efd6781868652a22"
@@ -48,19 +51,13 @@ CONGESTED = ExperimentSpec(0, (6, 6, 6), 30, 5, 5)
 SWARM = ExperimentSpec(0, (20, 20, 20), 300, 50, 50)
 
 
-def _mission_parts(cfg) -> list[str]:
-    lines: list[str] = []
-    result = run_mission(cfg, trace=lines.append)
-    return [repr(result.routes), repr(result.collisions), repr(result.ticks), repr(lines)]
-
-
 def golden_digest() -> str:
     h = hashlib.sha256()
     for exp in (1, 2, 3, 4):
         for seed in (0, 1, 2):
             cfg = build_experiment(EXPERIMENTS[exp], seed)
             for variant in (cfg, dataclasses.replace(cfg, obstacles_avoid_drones=False)):
-                for part in _mission_parts(variant):
+                for part in mission_parts(variant):
                     h.update(part.encode())
     _hash_planners(h, build_experiment(EXPERIMENTS[1], 0))
     return h.hexdigest()
@@ -83,15 +80,8 @@ def test_golden_digest_matches():
     assert golden_digest() == GOLDEN_SHA256
 
 
-def swarm_digest() -> str:
-    h = hashlib.sha256()
-    for part in _mission_parts(build_experiment(SWARM, 0)):
-        h.update(part.encode())
-    return h.hexdigest()
-
-
 def test_swarm_digest_matches():
-    assert swarm_digest() == SWARM_SHA256
+    assert mission_digest(build_experiment(SWARM, 0)) == SWARM_SHA256
 
 
 def planner_digest() -> str:

@@ -145,6 +145,6 @@ def test_dense_grid_matches_the_oracle(seed, monkeypatch):
 
 @pytest.mark.parametrize("radius", [0, 1, 3])
 def test_other_detection_radii_match_the_oracle(radius, monkeypatch):
-    """The hazard test reads buckets of its own side when detection's differ."""
+    """Detection and the hazard test read one bucket side for any radius."""
     cfg = dataclasses.replace(build_experiment(EXPERIMENTS[3], 0), detection_radius=radius)
     assert fly_with_oracle(cfg, monkeypatch)["hazard_checks"] > 0
