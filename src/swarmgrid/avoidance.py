@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields
 
 from .coordination import LockTable
 from .entities import Drone, Mode
-from .world import Area, Cell, manhattan, neighbors
+from .world import Area, Cell, is_int, manhattan, neighbors
 
 
 @dataclass(frozen=True)
@@ -44,7 +44,7 @@ class BacktrackConfig:
     def __post_init__(self) -> None:
         for f in fields(self):
             v = getattr(self, f.name)
-            if not (isinstance(v, int) and not isinstance(v, bool) and v >= 1):
+            if not (is_int(v) and v >= 1):
                 raise ValueError(f"backtrack {f.name} must be a positive int, got {v!r}")
 
 

@@ -24,7 +24,6 @@ EXIT_TIMEOUT = 2
 def _cmd_run(args: argparse.Namespace) -> int:
     try:
         cfg = load_scenario(Path(args.scenario))
-        cfg.validate()
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

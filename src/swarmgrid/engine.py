@@ -55,6 +55,7 @@ from .world import (
     Cell,
     SafetyParams,
     is_finite_number,
+    is_int,
     neighbors,
     new_area,
 )
@@ -67,8 +68,6 @@ class ConfigError(ValueError):
 class EngineInvariantViolation(RuntimeError):
     """Two drones committed the same cell, or a safe cell's lock was denied."""
 
-
-DEFAULT_SAFETY = SafetyParams(max_speed=5.0, comm_latency=0.2, processing_time=0.5)
 
 # After a clearance sidestep the drone takes this many greedy steps before it
 # may sidestep again. A sidestep adds one cell of distance, so at least two
@@ -190,8 +189,18 @@ def _shuffle(rng: random.Random, xs: list) -> None:
         xs[i], xs[j] = xs[j], xs[i]
 
 
-def _is_int(v: object) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
+# SimConfig's scalar settings in the order `validate` checks them: what each
+# must be, and the test of that.
+_SCALAR_RULES: tuple[tuple[str, str, Callable[[object], bool]], ...] = (
+    ("dims", "three ints",
+     lambda v: isinstance(v, (tuple, list)) and len(v) == 3 and all(map(is_int, v))),
+    ("detection_radius", "a non-negative int", lambda v: is_int(v) and v >= 0),
+    ("max_ticks", "null or an int of at least 1", lambda v: v is None or is_int(v) and v >= 1),
+    ("spacing", "a finite number", is_finite_number),
+    ("sensing_range", "a finite number", is_finite_number),
+    ("seed", "an int", is_int),
+    ("obstacles_avoid_drones", "true or false", lambda v: isinstance(v, bool)),
+)
 
 
 @dataclass
@@ -203,13 +212,11 @@ class SimConfig:
     seed: int = 0
     spacing: float = 10.0
     sensing_range: float = 30.0
-    safety: SafetyParams = DEFAULT_SAFETY
-    tick_len_ms: int = 50
+    safety: SafetyParams = SafetyParams()
     max_ticks: Optional[int] = None
     backtrack: BacktrackConfig = BacktrackConfig()
     obstacles_avoid_drones: bool = True
     detection_radius: int = 2  # Chebyshev cells
-    algorithm: str = "proposed"
 
     def area(self) -> Area:
         return new_area(self.dims, self.spacing, self.sensing_range, self.safety)
@@ -220,65 +227,41 @@ class SimConfig:
         return 50 * sum(self.dims)
 
     def validate(self) -> None:
-        dims = self.dims
-        if not (isinstance(dims, (tuple, list)) and len(dims) == 3 and all(map(_is_int, dims))):
-            raise ConfigError(f"dims must be three ints, got {dims!r}")
-        if self.algorithm != "proposed":
-            raise ConfigError(
-                f"algorithm must be 'proposed', got {self.algorithm!r}; "
-                "the RRT baselines run through `swarmgrid experiment`"
-            )
-        if not _is_int(self.detection_radius) or self.detection_radius < 0:
-            raise ConfigError(
-                f"detection_radius must be a non-negative int, got {self.detection_radius!r}"
-            )
-        if self.max_ticks is not None and (not _is_int(self.max_ticks) or self.max_ticks < 1):
-            raise ConfigError(f"max_ticks must be an int of at least 1, got {self.max_ticks!r}")
-        if not is_finite_number(self.tick_len_ms) or self.tick_len_ms <= 0:
-            raise ConfigError(f"tick_len_ms must be finite and positive, got {self.tick_len_ms!r}")
-        for name, v in (("spacing", self.spacing), ("sensing_range", self.sensing_range)):
-            if not is_finite_number(v):
-                raise ConfigError(f"{name} must be a finite number, got {v!r}")
-        if not _is_int(self.seed):
-            raise ConfigError(f"seed must be an int, got {self.seed!r}")
-        if not isinstance(self.obstacles_avoid_drones, bool):
-            raise ConfigError(
-                f"obstacles_avoid_drones must be true or false, got {self.obstacles_avoid_drones!r}"
-            )
+        """Check the scalars, then every cell; raise ConfigError naming the first
+        bad field. SafetyParams, BacktrackConfig and Area check themselves."""
+        for name, rule, ok in _SCALAR_RULES:
+            v = getattr(self, name)
+            if not ok(v):
+                raise ConfigError(f"{name} must be {rule}, got {v!r}")
         area = self.area()
         starts = [s for s, _ in self.drones]
         dests = [d for _, d in self.drones]
-        for name, cells in (
-            ("drones", starts + dests),
-            ("static_obstacles", self.static_obstacles),
-            ("moving_obstacles", [c for c, _, _ in self.moving_obstacles]),
-        ):
-            for c in cells:
-                if not (isinstance(c, tuple) and len(c) == 3 and all(map(_is_int, c))):
-                    raise ConfigError(f"{name}: cell {c!r} is not three ints")
-        if len(set(starts)) != len(starts):
-            raise ConfigError("drone start cells must be unique")
-        if len(set(dests)) != len(dests):
-            raise ConfigError("drone destination cells must be unique")
-        for c in starts + dests:
-            if c not in area:
-                raise ConfigError(f"cell {c} outside the area")
-        protected = set(starts) | set(dests)
-        for c in self.static_obstacles:
-            if c not in area:
-                raise ConfigError(f"static obstacle {c} outside the area")
-            if c in protected:
-                raise ConfigError(f"obstacle on a start or destination: {c}")
-        for c, cadence, spawn in self.moving_obstacles:
-            if c not in area:
-                raise ConfigError(f"moving obstacle {c} outside the area")
-            if c in protected:
-                raise ConfigError(f"obstacle on a start or destination: {c}")
-            if not (_is_int(cadence) and cadence >= 1 and _is_int(spawn) and spawn >= 0):
-                raise ConfigError(
-                    "moving-obstacle cadence must be an int of at least 1 and "
-                    f"spawn_tick a non-negative int, got {cadence!r} and {spawn!r}"
-                )
+        # Each field's path, with {} for the index, is formatted only to raise.
+        cell_fields = (
+            ("drones[{}].start", starts),
+            ("drones[{}].dest", dests),
+            ("static_obstacles[{}]", self.static_obstacles),
+            ("moving_obstacles[{}].cell", [c for c, _, _ in self.moving_obstacles]),
+        )
+        for where, cells in cell_fields:
+            for i, c in enumerate(cells):
+                if not (isinstance(c, tuple) and len(c) == 3 and all(map(is_int, c))):
+                    raise ConfigError(f"{where.format(i)} {c!r} is not three ints")
+                if c not in area:
+                    raise ConfigError(f"{where.format(i)} {c} is outside the area {area.dims}")
+        for where, cells in cell_fields[:2]:
+            if len(set(cells)) < len(cells):
+                i, c = next((i, c) for i, c in enumerate(cells) if cells.index(c) < i)
+                raise ConfigError(f"{where.format(i)} {c} is {where.format(cells.index(c))} too")
+        ends = set(starts) | set(dests)
+        for where, cells in cell_fields[2:]:
+            if not ends.isdisjoint(cells):
+                i = next(i for i, c in enumerate(cells) if c in ends)
+                raise ConfigError(f"{where.format(i)} {cells[i]} is a drone's start or dest")
+        for i, (_, cadence, spawn) in enumerate(self.moving_obstacles):
+            if not (is_int(cadence) and cadence >= 1 and is_int(spawn) and spawn >= 0):
+                raise ConfigError(f"moving_obstacles[{i}] needs a cadence int of at least 1 and "
+                                  f"a non-negative spawn_tick int, got {cadence!r} and {spawn!r}")
 
 
 @dataclass(frozen=True)
@@ -355,6 +338,8 @@ class Simulation:
         cfg.validate()
         self.cfg = cfg
         self.area = cfg.area()
+        # No two cells of the area are farther apart than its longest side.
+        self._detection_radius = min(cfg.detection_radius, max(self.area.dims))
         self.rng = random.Random(cfg.seed)
         self.drones = [
             Drone(id=i, start=s, dest=d) for i, (s, d) in enumerate(cfg.drones)
@@ -525,7 +510,7 @@ class Simulation:
         Only the drones in the blocks that the cube of that radius around the
         cell overlaps are tested: at most 8 blocks while the radius is 2.
         """
-        r = self.cfg.detection_radius
+        r = self._detection_radius
         x, y, z = cell
         bys = range((y - r) // _BLOCK_SIDE, (y + r) // _BLOCK_SIDE + 1)
         bzs = range((z - r) // _BLOCK_SIDE, (z + r) // _BLOCK_SIDE + 1)

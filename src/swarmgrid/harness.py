@@ -12,13 +12,14 @@ import io
 import json
 import random
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional
 
 from .avoidance import BacktrackConfig
 from .baselines import PlanFailure, execute_open_loop, rrt_plan, rrt_star_plan
-from .engine import DEFAULT_SAFETY, ConfigError, SimConfig, SimResult, run_mission
+from .engine import ConfigError, SimConfig, SimResult, run_mission
+from .entities import MovingObstacle
 from .world import Cell, SafetyParams
 
 ALGORITHMS = ("proposed", "rrt", "rrt-star")
@@ -235,83 +236,59 @@ def rows_to_csv(rows: list[RunRow], deterministic_timing: bool = False) -> str:
 # -- scenario files ---------------------------------------------------------
 
 def load_scenario(path: Path) -> SimConfig:
-    """Read a scenario JSON document (schema in the README) into a SimConfig.
-
-    A document of the wrong shape, such as a missing or unknown key or a
-    number where a list belongs, raises ConfigError naming the field.
-    """
+    """Read a scenario JSON document (schema in the README) into a validated
+    SimConfig. This checks only the shape (objects, arrays, required and
+    unknown keys) and passes on only the keys present, so the config classes'
+    field defaults are the only copy; `SimConfig.validate` checks the values."""
     data = json.loads(Path(path).read_text())
-    try:
-        return _scenario_config(data)
-    except KeyError as exc:
-        raise ConfigError(f"scenario has no {exc} entry") from exc
+    kw = _object(data, "scenario", {f.name for f in fields(SimConfig)}, "dims", "drones")
+    kw["dims"] = _tuple(kw["dims"])
+    kw["drones"] = [
+        (_tuple(d["start"]), _tuple(d["dest"]))
+        for d in _objects(kw, "drones", {"start", "dest"}, "start", "dest")
+    ]
+    if "static_obstacles" in kw:
+        kw["static_obstacles"] = list(map(_tuple, _array(kw, "static_obstacles")))
+    if "moving_obstacles" in kw:
+        kw["moving_obstacles"] = [
+            (_tuple(m["cell"]), m.get("cadence", MovingObstacle.cadence),
+             m.get("spawn_tick", MovingObstacle.spawn_tick))
+            for m in _objects(kw, "moving_obstacles", {"cell", "cadence", "spawn_tick"}, "cell")
+        ]
+    for name, cls in (("safety", SafetyParams), ("backtrack", BacktrackConfig)):
+        if name in kw:
+            kw[name] = cls(**_object(kw[name], name, {f.name for f in fields(cls)}))
+    cfg = SimConfig(**kw)
+    cfg.validate()
+    return cfg
 
 
-def _object(v: object, where: str, keys: set[str]) -> dict:
-    """v as a JSON object whose keys all belong to `keys`."""
+def _object(v: object, where: str, keys: set[str], *required: str) -> dict:
+    """v as a JSON object holding every required key and no key outside `keys`."""
     if not isinstance(v, dict):
         raise ConfigError(f"{where} must be an object, got {v!r}")
     unknown = sorted(set(v) - keys)
     if unknown:
         raise ConfigError(f"{where} has unknown key {unknown[0]!r}")
+    missing = [k for k in required if k not in v]
+    if missing:
+        raise ConfigError(f"{where} has no {missing[0]!r} entry")
     return v
 
 
-def _field_names(cls) -> set[str]:
-    """A config dataclass's fields, which its JSON object's keys mirror."""
-    return {f.name for f in fields(cls)}
+def _objects(doc: dict, name: str, keys: set[str], *required: str) -> list[dict]:
+    """doc[name] as a JSON array of objects."""
+    return [_object(v, f"{name}[{i}]", keys, *required) for i, v in enumerate(_array(doc, name))]
 
 
-def _array(v: object, where: str) -> list:
-    """v as a JSON array."""
+def _array(doc: dict, name: str) -> list:
+    """doc[name] as a JSON array."""
+    v = doc[name]
     if not isinstance(v, list):
-        raise ConfigError(f"{where} must be a list, got {v!r}")
+        raise ConfigError(f"{name} must be a list, got {v!r}")
     return v
 
 
-def _cell(v: object, where: str) -> tuple:
-    """v as a cell tuple; SimConfig.validate checks it holds three ints."""
-    return tuple(_array(v, where))
-
-
-def _scenario_config(data: object) -> SimConfig:
-    data = _object(data, "scenario", _field_names(SimConfig))
-    drones = [
-        _object(d, f"drones[{i}]", {"start", "dest"})
-        for i, d in enumerate(_array(data["drones"], "drones"))
-    ]
-    movings = [
-        _object(m, f"moving_obstacles[{i}]", {"cell", "cadence", "spawn_tick"})
-        for i, m in enumerate(_array(data.get("moving_obstacles", []), "moving_obstacles"))
-    ]
-    safety = _object(data.get("safety", {}), "safety", _field_names(SafetyParams))
-    backtrack = _object(data.get("backtrack", {}), "backtrack", _field_names(BacktrackConfig))
-    return SimConfig(
-        dims=_cell(data["dims"], "dims"),
-        drones=[
-            (_cell(d["start"], f"drones[{i}].start"), _cell(d["dest"], f"drones[{i}].dest"))
-            for i, d in enumerate(drones)
-        ],
-        static_obstacles=[
-            _cell(c, f"static_obstacles[{i}]")
-            for i, c in enumerate(_array(data.get("static_obstacles", []), "static_obstacles"))
-        ],
-        moving_obstacles=[
-            (
-                _cell(m["cell"], f"moving_obstacles[{i}].cell"),
-                m.get("cadence", 5),
-                m.get("spawn_tick", 0),
-            )
-            for i, m in enumerate(movings)
-        ],
-        seed=data.get("seed", 0),
-        spacing=data.get("spacing", 10.0),
-        sensing_range=data.get("sensing_range", 30.0),
-        safety=replace(DEFAULT_SAFETY, **safety),
-        tick_len_ms=data.get("tick_len_ms", 50),
-        max_ticks=data.get("max_ticks"),
-        backtrack=BacktrackConfig(**backtrack),
-        obstacles_avoid_drones=data.get("obstacles_avoid_drones", True),
-        detection_radius=data.get("detection_radius", 2),
-        algorithm=data.get("algorithm", "proposed"),
-    )
+def _tuple(v: object) -> object:
+    """A JSON array as a tuple; SimConfig.validate checks what a cell holds."""
+    return tuple(v) if isinstance(v, list) else v

@@ -23,6 +23,11 @@ class OutOfBounds(ValueError):
     """A cell lies outside the area."""
 
 
+def is_int(v: object) -> bool:
+    """An int other than a bool. Plain ints, the common case, pass the first test."""
+    return type(v) is int or isinstance(v, int) and not isinstance(v, bool)
+
+
 def is_finite_number(v: object) -> bool:
     """An int or float other than a bool, NaN or an infinity."""
     return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
@@ -33,19 +38,18 @@ class SafetyParams:
     """Vehicle parameters that determine the minimum safe grid spacing.
 
     max_speed is in meters/second; comm_latency and processing_time in seconds.
+    The defaults give a 9 m safe distance.
     """
 
-    max_speed: float
-    comm_latency: float
-    processing_time: float
+    max_speed: float = 5.0
+    comm_latency: float = 0.2
+    processing_time: float = 0.5
 
     def __post_init__(self) -> None:
         for f in fields(self):
             v = getattr(self, f.name)
             if not is_finite_number(v) or v < 0:
-                raise ValueError(
-                    f"safety {f.name} must be a finite non-negative number, got {v!r}"
-                )
+                raise ValueError(f"safety {f.name} must be a finite non-negative number, got {v!r}")
 
 
 def safe_distance(p: SafetyParams) -> float:
@@ -66,10 +70,10 @@ class Area:
 
     def __post_init__(self) -> None:
         if min(self.dim_x, self.dim_y, self.dim_z) < 2:
-            raise ValueError("every area dimension must be >= 2")
+            raise ValueError(f"dims must each be at least 2, got {self.dims}")
         if not (self.safe_dist <= self.spacing <= self.sensing_range):
             raise SpacingViolation(
-                f"need safe_dist <= spacing <= sensing_range, got "
+                f"need the safe distance of the safety params <= spacing <= sensing_range, got "
                 f"{self.safe_dist} / {self.spacing} / {self.sensing_range}"
             )
 
@@ -86,14 +90,9 @@ class Area:
         return 0 <= x < self.dim_x and 0 <= y < self.dim_y and 0 <= z < self.dim_z
 
 
-def new_area(
-    dims: Cell, spacing: float, sensing_range: float, params: SafetyParams
-) -> Area:
+def new_area(dims: Cell, spacing: float, sensing_range: float, params: SafetyParams) -> Area:
     """Build an Area, validating spacing against the derived safe distance."""
-    dx, dy, dz = dims
-    if min(dx, dy, dz) < 1:
-        raise ValueError("area dimensions must be positive")
-    return Area(dx, dy, dz, spacing, sensing_range, safe_distance(params))
+    return Area(*dims, spacing, sensing_range, safe_distance(params))
 
 
 def neighbors(area: Area, c: Cell) -> list[Cell]:

@@ -1,28 +1,38 @@
 """Command-line entry points."""
 
+import contextlib
+import copy
+import dataclasses
+import functools
+import io
 import json
+import operator
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swarmgrid.cli import EXIT_CONFIG_ERROR, EXIT_OK, EXIT_TIMEOUT, main
-from swarmgrid.engine import run_mission
+from swarmgrid.engine import SimConfig, run_mission
 from swarmgrid.harness import load_scenario
+
+
+SCENARIO = {
+    "dims": [6, 6, 4],
+    "seed": 7,
+    "drones": [
+        {"start": [0, 0, 0], "dest": [5, 5, 3]},
+        {"start": [5, 0, 0], "dest": [0, 5, 3]},
+    ],
+    "static_obstacles": [[3, 3, 1]],
+    "moving_obstacles": [{"cell": [2, 2, 2], "cadence": 3}],
+}
 
 
 @pytest.fixture
 def scenario(tmp_path):
-    doc = {
-        "dims": [6, 6, 4],
-        "seed": 7,
-        "drones": [
-            {"start": [0, 0, 0], "dest": [5, 5, 3]},
-            {"start": [5, 0, 0], "dest": [0, 5, 3]},
-        ],
-        "static_obstacles": [[3, 3, 1]],
-        "moving_obstacles": [{"cell": [2, 2, 2], "cadence": 3}],
-    }
     p = tmp_path / "scenario.json"
-    p.write_text(json.dumps(doc))
+    p.write_text(json.dumps(SCENARIO))
     return p
 
 
@@ -94,6 +104,11 @@ def test_run_invalid_scenario_is_config_error(tmp_path, capsys):
     {"static_obstacles": 3},
     {"drones": 7},
     {"moving_obstacles": [{"cell": 2}]},
+    {"dims": [1, 6, 4]},
+    {"dims": [0, 6, 4]},
+    {"static_obstacles": [[0, 0, 0]]},  # on drones[0].start
+    {"tick_len_ms": 50},
+    {"algorithm": "proposed"},
 ])
 def test_run_rejects_bad_settings_in_one_line(scenario, change, capsys):
     doc = json.loads(scenario.read_text())
@@ -112,6 +127,84 @@ def _leaf_keys(value) -> list[str]:
     if isinstance(value, dict):
         return [k for key, item in value.items() for k in (_leaf_keys(item) or [key])]
     return []
+
+
+# Values a mutation puts in place of a field: wrong types, out-of-range
+# numbers, bools for ints, non-finite numbers, and containers for scalars.
+_HOSTILE = (
+    -1, 0, 1, 3, 2.5, 10**6, True, False, None, "5", [], {}, [1, 2, 3], {"x": 1},
+    float("nan"), float("inf"), float("-inf"),
+)
+# Keys a mutation adds to an object: unknown ones, keys that belong at
+# another level, and the two removed settings.
+_EXTRA_KEYS = ("colour", "cell", "start", "seed", "cadence", "tick_len_ms", "algorithm")
+# Every error line names one of these.
+_FIELDS = {f.name for f in dataclasses.fields(SimConfig)} | {"scenario"}
+
+
+def _containers(doc, path=()):
+    """The path of every object and array in doc, the root first."""
+    if isinstance(doc, (dict, list)):
+        yield path
+        for key, value in (doc.items() if isinstance(doc, dict) else enumerate(doc)):
+            yield from _containers(value, path + (key,))
+
+
+# The CLI fixture's document with every optional setting spelled out.
+_FULL_SCENARIO = dict(
+    SCENARIO,
+    spacing=10.0,
+    sensing_range=30.0,
+    safety={"max_speed": 5.0, "comm_latency": 0.2, "processing_time": 0.5},
+    max_ticks=30,
+    backtrack={"required_steps": 3, "max_attempts": 10, "hover_threshold": 5, "stall_threshold": 15},
+    obstacles_avoid_drones=True,
+    detection_radius=2,
+)
+
+
+@st.composite
+def _mutated_scenarios(draw):
+    """_FULL_SCENARIO after one to three mutations: a value replaced, a key
+    or entry deleted, or a key or entry added."""
+    doc = copy.deepcopy(_FULL_SCENARIO)
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_containers(doc))))
+        parent = functools.reduce(operator.getitem, path, doc)
+        value = copy.deepcopy(draw(st.sampled_from(_HOSTILE)))
+        keys = list(parent) if isinstance(parent, dict) else list(range(len(parent)))
+        kind = draw(st.sampled_from(("replace", "delete", "add")))
+        if kind == "add" or not keys:
+            if isinstance(parent, dict):
+                parent[draw(st.sampled_from(_EXTRA_KEYS))] = value
+            else:
+                parent.append(value)
+        elif kind == "delete":
+            del parent[draw(st.sampled_from(keys))]
+        else:
+            parent[draw(st.sampled_from(keys))] = value
+    return doc
+
+
+def test_mutated_scenarios_fail_in_one_line_or_fly(tmp_path):
+    path = tmp_path / "mutated.json"
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(_mutated_scenarios(), st.sampled_from(_HOSTILE)))
+    def run(doc):
+        path.write_text(json.dumps(doc))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["run", "--scenario", str(path)])
+        err = err.getvalue()
+        assert code in (EXIT_OK, EXIT_CONFIG_ERROR, EXIT_TIMEOUT)
+        if code == EXIT_CONFIG_ERROR:
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert any(name in err for name in _FIELDS), err
+        else:
+            assert err == ""
+
+    run()
 
 
 def test_run_timeout_exit_code(tmp_path):

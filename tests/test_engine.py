@@ -1,5 +1,6 @@
 """Mission engine: config validation, tick pipeline, collision scanning."""
 
+import dataclasses
 import json
 import os
 import random
@@ -22,7 +23,7 @@ from swarmgrid.engine import (
     detect_collisions_ground_truth,
     run_mission,
 )
-from swarmgrid.harness import EXPERIMENTS, ExperimentSpec, build_experiment
+from swarmgrid.harness import EXPERIMENTS, ExperimentSpec, build_experiment, mission_digest
 from swarmgrid.world import manhattan
 
 
@@ -84,11 +85,6 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="max_ticks"):
             simple_cfg(max_ticks=max_ticks).validate()
 
-    @pytest.mark.parametrize("tick_len_ms", [0, -50, "50"])
-    def test_bad_tick_len(self, tick_len_ms):
-        with pytest.raises(ConfigError, match="tick_len_ms"):
-            simple_cfg(tick_len_ms=tick_len_ms).validate()
-
     @pytest.mark.parametrize("dims", [(6.5, 6, 6), (6, True, 6), (6, 6), "666"])
     def test_non_int_dims(self, dims):
         with pytest.raises(ConfigError, match="dims"):
@@ -99,17 +95,21 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="cadence"):
             simple_cfg(moving_obstacles=[((4, 4, 4), cadence, spawn)]).validate()
 
-    @pytest.mark.parametrize("algorithm", ["rrt", "rrt-star", "Proposed", None])
-    def test_only_the_navigator_flies_a_config(self, algorithm):
-        with pytest.raises(ConfigError, match="algorithm"):
-            simple_cfg(algorithm=algorithm).validate()
-
     def test_edge_values_accepted(self):
-        simple_cfg(detection_radius=0, max_ticks=1, tick_len_ms=0.5).validate()
+        simple_cfg(detection_radius=0, max_ticks=1).validate()
 
     def test_default_tick_budget(self):
         assert simple_cfg().effective_max_ticks() == 50 * 24
         assert simple_cfg(max_ticks=77).effective_max_ticks() == 77
+
+
+def test_a_radius_past_the_area_flies_as_its_longest_side():
+    """No two cells of the area are farther apart than its longest side, so
+    a larger detection radius flies the same mission at the same cost."""
+    cfg = build_experiment(EXPERIMENTS[3], 0)
+    side = dataclasses.replace(cfg, detection_radius=max(cfg.dims))
+    huge = dataclasses.replace(cfg, detection_radius=10**9)
+    assert mission_digest(huge) == mission_digest(side)
 
 
 def test_clearance_margin_size():

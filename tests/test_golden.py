@@ -45,6 +45,10 @@ MATCH_STREAM_SHA256 = "fbf196fcea8fea4028d2a4b47590ed32ebea787bdb81cf06efd678186
 PLANNER_SHA256 = "54d8f98e549c4348bef3a8fbd14474f5f0364d3f14d3530d610b56e8251f44b1"
 SWARM_SHA256 = "6795e7f39c893855842cabc84c994b71c566f02eaf1dc7ac883f7b5c1e541a6f"
 
+# The tick length in ms that timestamped the CEP events when
+# MATCH_STREAM_SHA256 was taken; the event times are tick * TICK_LEN_MS.
+TICK_LEN_MS = 50
+
 # 30 drones in 6^3: every drone sees many stale positions of its neighbours.
 CONGESTED = ExperimentSpec(0, (6, 6, 6), 30, 5, 5)
 # 300 drones in 20^3: most decisions have other drones within two cells.
@@ -112,7 +116,7 @@ def _mission_events(cfg):
     max_ticks = cfg.effective_max_ticks()
     while not sim.all_arrived() and sim.tick < max_ticks:
         tick = sim.tick
-        now_ms = tick * cfg.tick_len_ms
+        now_ms = tick * TICK_LEN_MS
         cells = [d.current for d in sim.drones]
         known_static = set(sim.known_static)
         sim.run_tick()

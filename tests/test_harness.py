@@ -2,6 +2,7 @@
 
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -183,9 +184,19 @@ def test_load_scenario_defaults(tmp_path):
     cfg = load_scenario(p)
     assert cfg.seed == 0
     assert cfg.spacing == 10.0
-    assert cfg.tick_len_ms == 50
-    assert cfg.algorithm == "proposed"
     assert cfg.max_ticks is None
+
+
+def test_readme_scenario_example_flies(tmp_path):
+    """The ```json block under the README's "## Scenario JSON" loads and
+    flies, so the documented example cannot drift from the schema."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Scenario JSON\n", 1)[1]
+    example = section.split("```json\n", 1)[1].split("```", 1)[0]
+    p = tmp_path / "readme.json"
+    p.write_text(example)
+    result = run_mission(load_scenario(p))
+    assert all(result.arrived.values()) and not result.timed_out
 
 
 def test_batch_seed_derivation_is_stable():
