@@ -413,7 +413,9 @@ def execute_open_loop(routes: dict[int, list[Cell]], cfg: SimConfig) -> SimResul
 
     Moving obstacles wander per their cadence and do not dodge drones; the
     same ground-truth collision scan as the engine's records the damage.
+    Raises ConfigError for a config that fails `SimConfig.validate`.
     """
+    cfg.validate()
     rng = random.Random(cfg.seed)
     area = cfg.area()
     movings = [

@@ -2,14 +2,10 @@
 
 Typed location/detection events are ingested into sliding time windows and
 joined on arrival by three fixed proximity predicates (drone-drone,
-drone-static, drone-moving). Matches are returned to the caller and, when a
-trace callback or sinks are registered, fanned out to them.
+drone-static, drone-moving). Matches are returned to the caller.
 
-Each window indexes its events by one int per cell, so a probe of a
-neighbouring cell is one addition and one dict lookup. An arriving drone
-walks the 61 cells its predicates can reach once, probing the drone and
-moving-obstacle windows at each and the static window at the 19 of them
-within radius 1.
+Each window indexes its events by cell, so an arrival probes only the cells
+its predicates can reach: 61 within radius 2 and 19 within radius 1.
 """
 
 from __future__ import annotations
@@ -17,7 +13,7 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple
 
 from .world import Cell
 
@@ -99,73 +95,37 @@ def _offsets(r: int) -> tuple[Cell, ...]:
 _OFFSETS_R2 = _offsets(2)
 _OFFSETS_R1 = _offsets(1)
 
-# A cell's key is (x * _M + y) * _M + z, so the key of a cell plus an offset
-# is the cell's key plus the offset's key. Keys stay distinct while every
-# coordinate, probed neighbours included, lies in [-_M / 2, _M / 2).
-_M = 1 << 20
-_COORD_LIMIT = _M // 2 - 3
-
-
-def _cell_key(cell: Cell) -> int:
-    x, y, z = cell
-    if not (
-        -_COORD_LIMIT <= x <= _COORD_LIMIT
-        and -_COORD_LIMIT <= y <= _COORD_LIMIT
-        and -_COORD_LIMIT <= z <= _COORD_LIMIT
-    ):
-        raise ValueError(
-            f"cell {cell!r} has a coordinate outside [-{_COORD_LIMIT}, {_COORD_LIMIT}]"
-        )
-    return (x * _M + y) * _M + z
-
-
-# The drone join's probe pass: each radius-2 offset key, and whether the
-# offset is also a radius-1 one. The radius-1 offsets come in the same
-# relative order as in _OFFSETS_R1.
-_DRONE_PROBES = tuple(
-    (_cell_key(off), off in _OFFSETS_R1) for off in _OFFSETS_R2
-)
-_KEYS_R1 = tuple(map(_cell_key, _OFFSETS_R1))
-_KEYS_R2 = tuple(map(_cell_key, _OFFSETS_R2))
-
-# Join rows are built as tuple.__new__(ProximityMatch, fields), which skips
-# the argument handling of the named tuple's own constructor.
-_row = tuple.__new__
-
 
 class _Stream:
-    """One event buffer with time-based eviction and a cell-key index.
+    """One event buffer with time-based eviction and a cell index.
 
     Each index bucket holds the `(id, cell)` of its events in arrival order.
     """
 
     def __init__(self, retention_ms: int):
         self.retention_ms = retention_ms
-        self._events: deque = deque()  # (arrival_ms, key), arrival-ordered
-        self.by_key: dict[int, deque] = {}
+        self._events: deque = deque()  # (arrival_ms, cell), arrival-ordered
+        self._by_cell: dict[Cell, deque] = {}
 
     def evict(self, now_ms: int) -> None:
         """Drop events older than the retention; exactly the retention stays."""
         ev = self._events
-        horizon = now_ms - self.retention_ms
-        by_key = self.by_key
-        while ev and ev[0][0] < horizon:
-            key = ev.popleft()[1]
-            bucket = by_key[key]
+        while ev and now_ms - ev[0][0] > self.retention_ms:
+            cell = ev.popleft()[1]
+            bucket = self._by_cell[cell]
             bucket.popleft()
             if not bucket:
-                del by_key[key]
+                del self._by_cell[cell]
 
-    def append(self, key: int, entity_id: int, cell: Cell, arrival_ms: int) -> None:
-        self._events.append((arrival_ms, key))
-        bucket = self.by_key.get(key)
-        if bucket is None:
-            self.by_key[key] = deque(((entity_id, cell),))
-        else:
-            bucket.append((entity_id, cell))
+    def append(self, entity_id: int, cell: Cell, arrival_ms: int) -> None:
+        self._events.append((arrival_ms, cell))
+        self._by_cell.setdefault(cell, deque()).append((entity_id, cell))
 
-
-Sink = Callable[[ProximityMatch], None]
+    def near(self, cell: Cell, offsets: tuple[Cell, ...]):
+        """The `(id, cell)` of the events at `cell` plus each offset, in order."""
+        x, y, z = cell
+        for dx, dy, dz in offsets:
+            yield from self._by_cell.get((x + dx, y + dy, z + dz), ())
 
 
 class WindowStore:
@@ -173,27 +133,14 @@ class WindowStore:
 
     Each `ingest` returns only the matches in which the arriving event
     participates, mirroring on-arrival join-row emission; the same live pair
-    is not re-reported on unrelated arrivals. Event cells must be int
-    triples whose coordinates lie within +-(2**19 - 3); `ingest` raises
-    `ValueError` for any other.
+    is not re-reported on unrelated arrivals. A drone's rows come drone-drone,
+    then drone-static, then drone-moving, each by offset and then by arrival.
     """
 
-    def __init__(self, trace: Optional[Callable[[str], None]] = None):
+    def __init__(self) -> None:
         self._drones = _Stream(DRONE_RETENTION_MS)
         self._statics = _Stream(SOBS_RETENTION_MS)
         self._movings = _Stream(MOBS_RETENTION_MS)
-        self._sinks: dict[int, tuple[MatchKind, Sink]] = {}
-        self._next_handle = 0
-        self._trace = trace
-
-    def register_sink(self, kind: MatchKind, callback: Sink) -> int:
-        handle = self._next_handle
-        self._next_handle += 1
-        self._sinks[handle] = (kind, callback)
-        return handle
-
-    def unregister_sink(self, handle: int) -> None:
-        self._sinks.pop(handle, None)
 
     def ingest(self, event, now_ms: int) -> list[ProximityMatch]:
         t = getattr(event, "t", now_ms)
@@ -201,83 +148,32 @@ class WindowStore:
             raise ValueError("event time is ahead of ingestion time")
         if not isinstance(event, (DroneLocEvent, SObsEvent, MObsEvent)):
             raise TypeError(f"unknown event type: {type(event).__name__}")
-        key = _cell_key(event.cell)
-        self._drones.evict(now_ms)
-        self._statics.evict(now_ms)
-        self._movings.evict(now_ms)
+        for stream in (self._drones, self._statics, self._movings):
+            stream.evict(now_ms)
+        cell = event.cell
 
         if isinstance(event, DroneLocEvent):
-            matches = self._join_drone(event.drone_id, event.cell, key)
-            self._drones.append(key, event.drone_id, event.cell, now_ms)
-        elif isinstance(event, SObsEvent):
-            matches = self._join_obstacle(
-                event.obstacle_id, event.cell, key, _KEYS_R1, MatchKind.DRONE_STATIC
-            )
-            self._statics.append(key, event.obstacle_id, event.cell, now_ms)
-        else:
-            matches = self._join_obstacle(
-                event.obstacle_id, event.cell, key, _KEYS_R2, MatchKind.DRONE_MOVING
-            )
-            self._movings.append(key, event.obstacle_id, event.cell, now_ms)
+            me = event.drone_id
+            rows = [
+                ProximityMatch(MatchKind.DRONE_DRONE, me, other, cell, at)
+                for other, at in self._drones.near(cell, _OFFSETS_R2) if other != me
+            ]
+            rows += [
+                ProximityMatch(MatchKind.DRONE_STATIC, me, other, cell, at)
+                for other, at in self._statics.near(cell, _OFFSETS_R1)
+            ]
+            rows += [
+                ProximityMatch(MatchKind.DRONE_MOVING, me, other, cell, at)
+                for other, at in self._movings.near(cell, _OFFSETS_R2)
+            ]
+            self._drones.append(me, cell, now_ms)
+            return rows
 
-        if self._trace is None and not self._sinks:
-            return matches
-        for m in matches:
-            if self._trace is not None:
-                self._trace(
-                    f"{now_ms}\t{m.kind.value}\t{m.subject_id}\t{m.other_id}"
-                    f"\t{m.subject_cell}\t{m.other_cell}"
-                )
-            for kind, callback in list(self._sinks.values()):
-                if kind == m.kind:
-                    callback(m)
-        return matches
-
-    def _join_drone(self, drone_id: int, cell: Cell, key: int) -> list[ProximityMatch]:
-        """Rows in the order drone-drone, drone-static, drone-moving, each by
-        offset and then by arrival."""
-        drones = self._drones.by_key
-        statics = self._statics.by_key
-        movings = self._movings.by_key
-        row, match = _row, ProximityMatch
-        drone_drone = MatchKind.DRONE_DRONE
-        drone_static = MatchKind.DRONE_STATIC
-        drone_moving = MatchKind.DRONE_MOVING
-        dd: list[ProximityMatch] = []
-        ds: list[ProximityMatch] = []
-        dm: list[ProximityMatch] = []
-        for off, within_r1 in _DRONE_PROBES:
-            k = key + off
-            bucket = drones.get(k)
-            if bucket:
-                for other_id, other_cell in bucket:
-                    if other_id != drone_id:
-                        dd.append(row(match, (
-                            drone_drone, drone_id, other_id, cell, other_cell)))
-            if within_r1:
-                bucket = statics.get(k)
-                if bucket:
-                    for other_id, other_cell in bucket:
-                        ds.append(row(match, (
-                            drone_static, drone_id, other_id, cell, other_cell)))
-            bucket = movings.get(k)
-            if bucket:
-                for other_id, other_cell in bucket:
-                    dm.append(row(match, (
-                        drone_moving, drone_id, other_id, cell, other_cell)))
-        return dd + ds + dm
-
-    def _join_obstacle(
-        self, obstacle_id: int, cell: Cell, key: int, offsets, kind: MatchKind,
-    ) -> list[ProximityMatch]:
-        drones = self._drones.by_key
-        row, match = _row, ProximityMatch
-        matches: list[ProximityMatch] = []
-        for off in offsets:
-            bucket = drones.get(key + off)
-            if bucket:
-                for drone_id, drone_cell in bucket:
-                    matches.append(row(match, (
-                        kind, drone_id, obstacle_id, drone_cell, cell)))
-        return matches
-
+        static = isinstance(event, SObsEvent)
+        kind = MatchKind.DRONE_STATIC if static else MatchKind.DRONE_MOVING
+        rows = [
+            ProximityMatch(kind, drone, event.obstacle_id, at, cell)
+            for drone, at in self._drones.near(cell, _OFFSETS_R1 if static else _OFFSETS_R2)
+        ]
+        (self._statics if static else self._movings).append(event.obstacle_id, cell, now_ms)
+        return rows

@@ -22,9 +22,6 @@ class LockTable:
     def holder(self, cell: Cell) -> int | None:
         return self._holders.get(cell)
 
-    def cells_held(self, drone_id: int) -> list[Cell]:
-        return sorted(c for c, h in self._holders.items() if h == drone_id)
-
     def try_acquire(self, drone_id: int, cell: Cell) -> bool:
         """Acquire if unlocked or already held by this drone; never blocks."""
         holder = self._holders.get(cell)
@@ -38,16 +35,6 @@ class LockTable:
         if holder != drone_id:
             raise NotHolder(f"drone {drone_id} does not hold {cell} (holder={holder})")
         del self._holders[cell]
-
-    def assert_consistent(self) -> None:
-        # dict structure already forbids two holders per cell; verify the
-        # per-drone bound of two cells (current + next).
-        counts: dict[int, int] = {}
-        for h in self._holders.values():
-            counts[h] = counts.get(h, 0) + 1
-        for drone_id, n in counts.items():
-            if n > 2:
-                raise AssertionError(f"drone {drone_id} holds {n} cells")
 
 
 def arbitrate(

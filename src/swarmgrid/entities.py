@@ -68,12 +68,8 @@ class MovingObstacle:
     spawn_tick: int = 0
     alive: bool = True
 
-    def __post_init__(self) -> None:
-        if self.cadence < 1:
-            raise ValueError("cadence must be a positive tick count")
 
-
-def record_move(d: Drone, nxt: Cell) -> Drone:
+def record_move(d: Drone, nxt: Cell) -> None:
     """Append the next cell to the drone's route and update hover bookkeeping."""
     if nxt == d.current:
         d.hover_streak += 1
@@ -83,7 +79,6 @@ def record_move(d: Drone, nxt: Cell) -> Drone:
         raise IllegalMove(f"drone {d.id}: {d.current} -> {nxt}")
     d.route.append(nxt)
     d.current = nxt
-    return d
 
 
 def step_moving_obstacle(
@@ -93,7 +88,7 @@ def step_moving_obstacle(
     area: Area,
     occupied_drone_cells: set[Cell],
     avoid_drones: bool = True,
-) -> MovingObstacle:
+) -> None:
     """Advance a moving obstacle for one tick.
 
     Off-cadence ticks leave it in place. On cadence it takes one uniformly
@@ -102,9 +97,9 @@ def step_moving_obstacle(
     directions, hovering if every direction is occupied.
     """
     if not o.alive or tick < o.spawn_tick:
-        return o
+        return
     if (tick - o.spawn_tick) % o.cadence != 0:
-        return o
+        return
     x, y, z = o.cell
     dx, dy, dz = rng.choice(DIRECTIONS)
     target = (x + dx, y + dy, z + dz)
@@ -115,10 +110,9 @@ def step_moving_obstacle(
             if (x + ex, y + ey, z + ez) not in occupied_drone_cells
         ]
         if not free:
-            return o
+            return
         target = rng.choice(free)
     if target in area:
         o.cell = target
     else:
         o.alive = False
-    return o

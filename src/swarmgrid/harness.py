@@ -176,12 +176,6 @@ class RunRow:
         ]
 
 
-def parse_metrics_row(row: list[str]) -> Optional[Metrics]:
-    if row[3] == "":
-        return None
-    return Metrics(float(row[3]), int(row[4]), int(row[5]), float(row[6]))
-
-
 def run_batch(
     spec: ExperimentSpec,
     algorithm: str,

@@ -81,10 +81,6 @@ class Area:
     def dims(self) -> Cell:
         return (self.dim_x, self.dim_y, self.dim_z)
 
-    @property
-    def cell_count(self) -> int:
-        return self.dim_x * self.dim_y * self.dim_z
-
     def __contains__(self, c: Cell) -> bool:
         x, y, z = c
         return 0 <= x < self.dim_x and 0 <= y < self.dim_y and 0 <= z < self.dim_z
@@ -110,7 +106,3 @@ def neighbors(area: Area, c: Cell) -> list[Cell]:
 
 def manhattan(a: Cell, b: Cell) -> int:
     return abs(a[0] - b[0]) + abs(a[1] - b[1]) + abs(a[2] - b[2])
-
-
-def chebyshev(a: Cell, b: Cell) -> int:
-    return max(abs(a[0] - b[0]), abs(a[1] - b[1]), abs(a[2] - b[2]))

@@ -21,7 +21,9 @@ def test_reacquire_own_cell_is_a_noop_success():
     t = LockTable()
     assert t.try_acquire(1, (1, 1, 1))
     assert t.try_acquire(1, (1, 1, 1))
-    assert t.cells_held(1) == [(1, 1, 1)]
+    assert t.holder((1, 1, 1)) == 1
+    t.release(1, (1, 1, 1))
+    assert t.holder((1, 1, 1)) is None
 
 
 def test_release_requires_holding():
@@ -31,23 +33,6 @@ def test_release_requires_holding():
         t.release(2, (0, 0, 0))
     with pytest.raises(NotHolder):
         t.release(1, (9, 9, 9))
-
-
-def test_cells_held_sorted():
-    t = LockTable()
-    t.try_acquire(5, (2, 0, 0))
-    t.try_acquire(5, (1, 0, 0))
-    assert t.cells_held(5) == [(1, 0, 0), (2, 0, 0)]
-
-
-def test_consistency_bound():
-    t = LockTable()
-    t.try_acquire(1, (0, 0, 0))
-    t.try_acquire(1, (1, 0, 0))
-    t.assert_consistent()
-    t.try_acquire(1, (2, 0, 0))
-    with pytest.raises(AssertionError):
-        t.assert_consistent()
 
 
 def test_arbitrate_single_winner_per_cell():

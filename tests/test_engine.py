@@ -254,11 +254,14 @@ def test_lock_table_stays_consistent_during_run():
         drones=[((0, 0, 0), (7, 7, 7)), ((7, 0, 0), (0, 7, 7))], seed=4
     )
     sim = Simulation(cfg)
+    area = [(x, y, z) for x in range(8) for y in range(8) for z in range(8)]
     while not sim.all_arrived() and sim.tick < 200:
         sim.run_tick()
-        sim.locks.assert_consistent()
-        for d in sim.drones:
-            assert sim.locks.holder(d.current) == d.id
+        # Between ticks each drone holds exactly its current cell, and no
+        # other cell is held.
+        held = {d.current: d.id for d in sim.drones}
+        assert len(held) == len(sim.drones)
+        assert {c: sim.locks.holder(c) for c in area} == {c: held.get(c) for c in area}
 
 
 def test_trace_output_shape():

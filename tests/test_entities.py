@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+from swarmgrid.baselines import execute_open_loop
+from swarmgrid.engine import ConfigError, SimConfig
 from swarmgrid.entities import (
     Drone,
     IllegalMove,
@@ -55,8 +57,11 @@ def test_record_move_rejects_teleport():
 
 
 def test_moving_obstacle_cadence_validation():
-    with pytest.raises(ValueError):
-        MovingObstacle(id=0, cell=(0, 0, 0), cadence=0)
+    # The open-loop flight builds its obstacles from an unchecked config, so
+    # it validates first rather than divide by a cadence of 0.
+    cfg = SimConfig(dims=(4, 4, 4), drones=[], moving_obstacles=[((1, 1, 1), 0, 0)])
+    with pytest.raises(ConfigError, match=r"moving_obstacles\[0\]"):
+        execute_open_loop({}, cfg)
 
 
 def test_obstacle_holds_still_off_cadence_and_before_spawn():

@@ -17,7 +17,6 @@ from swarmgrid.harness import (
     build_experiment,
     compute_metrics,
     load_scenario,
-    parse_metrics_row,
     route_moves,
     rows_to_csv,
     run_batch,
@@ -121,6 +120,13 @@ def test_run_batch_single_run_equals_aggregate():
 def test_run_batch_rejects_unknown_algorithm():
     with pytest.raises(ValueError):
         run_batch(EXPERIMENTS[1], "a-star", n_runs=1)
+
+
+def parse_metrics_row(row: list[str]) -> Metrics | None:
+    """The metrics of one CSV row, or None for a row without them."""
+    if row[3] == "":
+        return None
+    return Metrics(float(row[3]), int(row[4]), int(row[5]), float(row[6]))
 
 
 def test_csv_shape_and_round_trip():

@@ -9,7 +9,6 @@ from swarmgrid.world import (
     OutOfBounds,
     SafetyParams,
     SpacingViolation,
-    chebyshev,
     manhattan,
     neighbors,
     new_area,
@@ -56,7 +55,7 @@ def test_area_needs_two_cells_per_dimension():
 
 def test_area_membership_and_count():
     area = Area(3, 4, 5, 10.0, 30.0, 9.0)
-    assert area.cell_count == 60
+    assert area.dims[0] * area.dims[1] * area.dims[2] == 60
     assert (0, 0, 0) in area
     assert (2, 3, 4) in area
     assert (3, 0, 0) not in area
@@ -79,6 +78,11 @@ def test_neighbors_out_of_area_raises():
 def test_directions_are_the_six_axis_steps():
     assert len(DIRECTIONS) == 6
     assert all(sum(abs(v) for v in d) == 1 for d in DIRECTIONS)
+
+
+def chebyshev(a, b):
+    """Oracle: the largest per-axis distance."""
+    return max(abs(a[0] - b[0]), abs(a[1] - b[1]), abs(a[2] - b[2]))
 
 
 @given(cells, cells)
