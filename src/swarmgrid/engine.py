@@ -16,11 +16,20 @@ in per-tick dicts rather than comparing every drone with every obstacle or
 drone: detection tests only the drones bucketed near each obstacle, a
 deciding drone collects the other drones within two cells of it once and
 tests its candidate cells against that short list, and the scan costs
-O(drones + obstacles) per tick plus sorting the records it finds. The
+O(flying drones + obstacles) per tick plus sorting the records it finds. The
 clearance margin of the known obstacles is one cell -> count map kept across
 ticks: a static obstacle adds its cells once, when first detected, and a
 known moving obstacle moves its cells only when it steps, dies, or enters or
 leaves detection.
+
+A drone that has arrived parks on its destination for good. The simulation
+keeps the flying drones, the set of drone cells, the parked drones' cells
+and buckets, and the static obstacles not yet detected across ticks, so a
+parked drone enters them once, when it parks. After that it costs a tick
+its draw in the shuffle of all drones (the draw order is part of the
+routes), a share of the bucket copy, and with a trace on, one trace line
+built from a suffix kept since it parked. It still detects obstacles, blocks
+cells and can be hit.
 """
 
 from __future__ import annotations
@@ -29,7 +38,7 @@ import random
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 from .avoidance import (
     BacktrackConfig,
@@ -290,28 +299,41 @@ def detect_collisions_ground_truth(
     after: dict[int, Cell],
     obstacle_cells: dict,
     tick: int,
+    parked: Optional[dict[Cell, int]] = None,
 ) -> list[CollisionRecord]:
     """Independent collision scan: co-location, obstacle overlap, edge swap.
+
+    `before` and `after` hold the cells of the drones that may move this
+    tick; `parked` maps the cell of each drone that stays put to its id.
+    The records are those of one scan over all the drones, with every
+    parked drone in `before` and `after` at its cell.
 
     Deliberately shares no code with the decision layer's conflict model
     (`cell_is_safe` and the lock table), so the collision count measures
     the navigation layer rather than its own assumptions.
     Every check goes through a cell-keyed map, so a tick costs
-    O(drones + obstacles) plus the sorting of the records found. Records
-    come out as co-locations by cell, obstacle hits by drone id then
+    O(moving drones + obstacles) plus the sorting of the records found.
+    Records come out as co-locations by cell, obstacle hits by drone id then
     `str(obstacle id)`, and swaps by `(a, b)` with `a < b`.
     """
+    if parked is None:
+        parked = {}
     by_cell: dict[Cell, list[int]] = {}
     for drone_id, cell in after.items():
         by_cell.setdefault(cell, []).append(drone_id)
-    records = [] if len(by_cell) == len(after) else [
+    shared = by_cell.keys() & parked.keys()
+    for cell in shared:
+        by_cell[cell].append(parked[cell])
+    records = [] if len(by_cell) == len(after) and not shared else [
         CollisionRecord(tick, "colocation", tuple(sorted(by_cell[cell])), cell)
         for cell in sorted(c for c, ids in by_cell.items() if len(ids) >= 2)
     ]
+    # A cell outside by_cell holds at most its parked drone.
     hits = [
         (drone_id, obs_id, cell)
         for obs_id, cell in obstacle_cells.items()
-        for drone_id in by_cell.get(cell, ())
+        if cell in by_cell or cell in parked
+        for drone_id in by_cell.get(cell) or (parked[cell],)
     ]
     hits.sort(key=lambda hit: (hit[0], str(hit[1])))
     records += [
@@ -377,14 +399,40 @@ class Simulation:
         for d in self.drones:
             if d.current == d.dest:
                 d.arrived = True
+        # Per-drone state kept across ticks: the flying drones in id order,
+        # every drone's cell, and the parked drones' cells as cell -> id and
+        # as side-_BLOCK_SIDE buckets. With a trace on, each parked drone's
+        # trace line after its tick number. The static obstacles not yet
+        # detected are the only ones detection still tests.
+        self._flying = [d for d in self.drones if not d.arrived]
+        self._drone_cells: set[Cell] = {d.current for d in self.drones}
+        self._parked: dict[Cell, int] = {}
+        self._parked_blocks: dict[Cell, list[Cell]] = {}
+        self._parked_lines: dict[int, str] = {}
+        self._park([d for d in self.drones if d.arrived])
+        self._undetected = list(self.statics)
+
+    def _park(self, drones: list[Drone]) -> None:
+        """Enter newly arrived drones in the parked state. A parked drone
+        never moves or changes mode again."""
+        for d in drones:
+            self._parked[d.current] = d.id
+        for key, cells in self._drone_blocks([d.current for d in drones]).items():
+            self._parked_blocks.setdefault(key, []).extend(cells)
+        if self.trace is not None:
+            for d in drones:
+                x, y, z = d.current
+                self._parked_lines[d.id] = f"\t{d.id}\t{d.mode.value}\t{x}\t{y}\t{z}\tparked\t0"
 
     # -- per-tick pipeline -------------------------------------------------
 
     def run_tick(self) -> None:
         cfg = self.cfg
         tick = self.tick
-        before = {d.id: d.current for d in self.drones}
-        drone_cells = set(before.values())
+        flying = self._flying
+        parked = self._parked
+        drone_cells = self._drone_cells
+        before = {d.id: d.current for d in flying}
 
         # Phase 1: obstacle motion on cadence.
         for o in self.movings:
@@ -394,17 +442,25 @@ class Simulation:
             )
 
         # Phase 2: obstacle detection. A static obstacle stays known once
-        # seen; a moving one is known only while a drone is near it.
-        drone_blocks = self._drone_blocks(drone_cells)
+        # seen; a moving one is known only while a drone is near it. The
+        # buckets are the parked drones' with the flying drones added, and
+        # the parked lists are copied only where a flying drone joins them.
+        parked_blocks = self._parked_blocks
+        flying_blocks = self._drone_blocks(before.values())
+        drone_blocks = {**parked_blocks, **flying_blocks}
+        for key in flying_blocks.keys() & parked_blocks.keys():
+            drone_blocks[key] = parked_blocks[key] + flying_blocks[key]
         margin = self._margin
         known_moving: dict[int, Cell] = {}
-        for so in self.statics:
-            if so.id in self.known_static:
-                continue
+        undetected = []
+        for so in self._undetected:
             if self._detected(so.cell, drone_blocks):
                 self.known_static[so.id] = so.cell
                 self._static_cells.add(so.cell)
                 _shift_margin(margin, so.cell, 1)
+            else:
+                undetected.append(so)
+        self._undetected = undetected
         for mo in self.movings:
             if not mo.alive or tick < mo.spawn_tick:
                 continue
@@ -430,10 +486,6 @@ class Simulation:
         committed: dict[int, Cell] = {}
         actions: dict[int, str] = {}
 
-        for d in self.drones:
-            if d.arrived:
-                committed[d.id] = d.current
-
         for d in order:
             if d.arrived:
                 continue
@@ -449,24 +501,29 @@ class Simulation:
             committed[d.id] = intent
             actions[d.id] = action
 
-        # Phase 4: commit moves, release old locks, update routes.
-        if len(set(committed.values())) != len(committed):
-            cell, n = Counter(committed.values()).most_common(1)[0]
+        # Phase 4: commit moves, release old locks, update routes. No two
+        # drones, flying or parked, may end the tick on one cell.
+        targets = set(committed.values())
+        if len(targets) != len(committed) or not parked.keys().isdisjoint(targets):
+            cells = [d.current for d in self.drones if d.arrived] + list(committed.values())
+            cell, n = Counter(cells).most_common(1)[0]
             raise EngineInvariantViolation(f"{n} drones committed {cell}")
-        for d in self.drones:
-            if d.arrived:
-                continue
+        vacated = []
+        landed = []
+        for d in flying:
             nxt = committed[d.id]
             prev = d.current
             record_move(d, nxt)
             if nxt != prev:
                 self.locks.release(d.id, prev)
+                vacated.append(prev)
                 if d.mode is Mode.HOVER:
                     d.mode = Mode.NORMAL
             elif d.mode is Mode.NORMAL:
                 d.mode = Mode.HOVER
             if nxt == d.dest and d.mode is not Mode.BACKTRACK:
                 d.arrived = True
+                landed.append(d)
             gx, gy, gz = d.dest
             dist = abs(nxt[0] - gx) + abs(nxt[1] - gy) + abs(nxt[2] - gz)
             if dist < d.best_dist:
@@ -474,29 +531,40 @@ class Simulation:
                 d.stall_ticks = 0
             else:
                 d.stall_ticks += 1
+        # Drop every vacated cell before adding the entered ones: a drone may
+        # move into a cell another drone left this tick.
+        drone_cells.difference_update(vacated)
+        drone_cells.update(targets)
 
         # Phase 5: ground-truth collision scan, independent of the decisions.
-        after = {d.id: d.current for d in self.drones}
+        after = {d.id: d.current for d in flying}
         obstacle_cells = dict(self._static_labels)
         for label, mo in self._moving_labels:
             if mo.alive and tick >= mo.spawn_tick:
                 obstacle_cells[label] = mo.cell
         self.collisions += detect_collisions_ground_truth(
-            before, after, obstacle_cells, tick
+            before, after, obstacle_cells, tick, parked
         )
 
         if self.trace is not None:
+            parked_lines = self._parked_lines
             for d in self.drones:
                 # Drones that had arrived before this tick took no decision.
-                action = actions.get(d.id, "parked")
+                action = actions.get(d.id)
+                if action is None:
+                    self.trace(f"{tick}{parked_lines[d.id]}")
+                    continue
                 x, y, z = d.current
                 self.trace(
                     f"{tick}\t{d.id}\t{d.mode.value}\t{x}\t{y}\t{z}"
                     f"\t{action}\t{_NPRED.get(action, 0)}"
                 )
+        if landed:
+            self._park(landed)
+            self._flying = [d for d in flying if not d.arrived]
         self.tick += 1
 
-    def _drone_blocks(self, drone_cells: set[Cell]) -> dict[Cell, list[Cell]]:
+    def _drone_blocks(self, drone_cells: Iterable[Cell]) -> dict[Cell, list[Cell]]:
         """Drone cells bucketed into cubes of side _BLOCK_SIDE."""
         side = _BLOCK_SIDE
         blocks: dict[Cell, list[Cell]] = {}
@@ -604,7 +672,7 @@ class Simulation:
     # -- mission loop ------------------------------------------------------
 
     def all_arrived(self) -> bool:
-        return all(d.arrived for d in self.drones)
+        return not self._flying
 
     def run(self) -> SimResult:
         start = time.perf_counter()

@@ -328,6 +328,19 @@ def test_two_drones_committing_one_cell_is_an_invariant_violation(monkeypatch):
         sim.run_tick()
 
 
+def test_a_drone_committing_a_parked_drones_cell_is_an_invariant_violation(monkeypatch):
+    """Parked drones are not among the tick's decisions, but the commit
+    check still counts them."""
+    cfg = simple_cfg(drones=[((1, 0, 0), (1, 0, 0)), ((0, 0, 0), (5, 5, 5))])
+    sim = Simulation(cfg)
+    monkeypatch.setattr(
+        Simulation, "_normal_decision", lambda self, d, ctx, near: ((1, 0, 0), "advance")
+    )
+    monkeypatch.setattr(LockTable, "try_acquire", lambda self, drone_id, cell: True)
+    with pytest.raises(EngineInvariantViolation, match=r"2 drones committed \(1, 0, 0\)"):
+        sim.run_tick()
+
+
 def test_the_tick_does_not_feed_the_cep(monkeypatch, tmp_path):
     """No decision reads CEP matches, so a mission never ingests an event."""
     def ingest(self, event, now_ms):

@@ -1,4 +1,9 @@
-"""Cell-indexed scan and obstacle detection against the pairwise checks they replaced."""
+"""Cell-indexed scan and obstacle detection against the pairwise checks they replaced.
+
+The engine passes parked drones to the scan as a cell -> id map, outside
+`before` and `after`; its records must equal the pairwise scan over every
+drone.
+"""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -85,6 +90,57 @@ def test_record_order_on_a_busy_tick():
         ("obstacle", (9, "s2")),
         ("swap", (1, 4)),
     ]
+
+
+@st.composite
+def split_ticks(draw):
+    """A tick from `ticks()` with some unmoved drones, on distinct cells,
+    taken out of before/after and passed as parked."""
+    before, after, obstacles, tick = draw(ticks())
+    parked = {}
+    for i in sorted(after):
+        if before[i] == after[i] and after[i] not in parked and draw(st.booleans()):
+            parked[after[i]] = i
+    flying = [i for i in after if i not in parked.values()]
+    return (
+        {i: before[i] for i in flying}, {i: after[i] for i in flying},
+        obstacles, tick, parked, (before, after, obstacles, tick),
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(split_ticks())
+def test_scan_with_parked_drones_matches_pairwise_oracle(split):
+    *scan_input, whole = split
+    assert detect_collisions_ground_truth(*scan_input) == pairwise_scan(*whole)
+
+
+def test_obstacle_on_a_parked_drone_alone_in_its_cell():
+    """A moving obstacle stepping onto a parked drone, as in the missions
+    where obstacles do not avoid drones."""
+    before = {1: (0, 0, 0), 3: (2, 2, 2)}
+    after = {1: (0, 0, 1), 3: (2, 2, 2)}
+    parked = {(1, 1, 1): 5, (2, 1, 1): 0}
+    obstacles = {"m4": (1, 1, 1), "s0": (0, 2, 0)}
+    recs = detect_collisions_ground_truth(before, after, obstacles, 9, parked)
+    assert recs == [CollisionRecord(9, "obstacle", (5, "m4"), (1, 1, 1))]
+    everyone = ({**before, 5: (1, 1, 1), 0: (2, 1, 1)}, {**after, 5: (1, 1, 1), 0: (2, 1, 1)})
+    assert recs == pairwise_scan(*everyone, obstacles, 9)
+
+
+def test_flying_drone_moving_onto_a_parked_drone():
+    before = {2: (0, 1, 1), 7: (1, 0, 1)}
+    after = {2: (1, 1, 1), 7: (1, 0, 0)}
+    parked = {(1, 1, 1): 5, (0, 0, 0): 1}
+    obstacles = {"m0": (1, 1, 1)}
+    recs = detect_collisions_ground_truth(before, after, obstacles, 4, parked)
+    assert [(r.kind, r.ids, r.cell) for r in recs] == [
+        ("colocation", (2, 5), (1, 1, 1)),
+        ("obstacle", (2, "m0"), (1, 1, 1)),
+        ("obstacle", (5, "m0"), (1, 1, 1)),
+    ]
+    everyone = ({**before, 5: (1, 1, 1), 1: (0, 0, 0)}, {**after, 5: (1, 1, 1), 1: (0, 0, 0)})
+    assert recs == pairwise_scan(*everyone, obstacles, 4)
 
 
 def chebyshev(a, b):
