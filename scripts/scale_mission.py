@@ -12,15 +12,16 @@ flight, then the `harness.mission_digest` (routes, collisions, ticks and
 trace) of a second, traced flight. The 60^3 mission takes tens of seconds.
 
 Both digests guard the navigator's routes at a scale too slow for the test
-suite; a change that keeps routes byte-identical keeps them at
-    40^3  072df5da1cd45f6e64a44687d6324354c5765dfa4f9ec65adfdd25ae81135962
-    60^3  d9193fea70e91d92c2bc8c04f2eb34e45d77e35e44103a9d28547263409ae6d8
+suite: a change that keeps routes byte-identical keeps them at DIGESTS. On
+a mismatch the script prints one `error:` line naming the scenario to
+standard error and exits 1.
 """
 
 from __future__ import annotations
 
 import json
 import resource
+import sys
 import time
 
 from swarmgrid.engine import run_mission
@@ -29,6 +30,11 @@ from swarmgrid.harness import ExperimentSpec, build_experiment, mission_digest
 SCENARIOS = (
     ExperimentSpec(0, (40, 40, 40), 1000, 500, 500),
     ExperimentSpec(0, (60, 60, 60), 3000, 1500, 1500),
+)
+# The mission_sha256 of each scenario of SCENARIOS, in the same order.
+DIGESTS = (
+    "072df5da1cd45f6e64a44687d6324354c5765dfa4f9ec65adfdd25ae81135962",
+    "d9193fea70e91d92c2bc8c04f2eb34e45d77e35e44103a9d28547263409ae6d8",
 )
 SEED = 0
 
@@ -57,8 +63,12 @@ def measure(spec: ExperimentSpec) -> dict:
 
 
 def main() -> None:
-    for spec in SCENARIOS:
-        print(json.dumps(measure(spec)), flush=True)
+    for spec, want in zip(SCENARIOS, DIGESTS):
+        line = measure(spec)
+        print(json.dumps(line), flush=True)
+        if line["mission_sha256"] != want:
+            name = "x".join(map(str, spec.dims)) + f" with {spec.n_drones} drones"
+            sys.exit(f"error: {name}: mission_sha256 {line['mission_sha256']} is not {want}")
 
 
 if __name__ == "__main__":

@@ -8,30 +8,11 @@ has hovered or stalled for too long.
 from __future__ import annotations
 
 import random
-from collections.abc import Container
 from dataclasses import dataclass, fields
 
 from .coordination import LockTable
 from .entities import Drone, Mode
 from .world import Area, Cell, is_int, manhattan, neighbors
-
-
-@dataclass(frozen=True)
-class Redirect:
-    next: Cell
-
-
-@dataclass(frozen=True)
-class Hover:
-    pass
-
-
-@dataclass(frozen=True)
-class EnterBacktrack:
-    pass
-
-
-AvoidanceAction = Redirect | Hover | EnterBacktrack
 
 
 @dataclass(frozen=True)
@@ -52,20 +33,21 @@ class BacktrackConfig:
 class DecisionContext:
     """Everything a single drone's avoidance decision may look at.
 
-    blocked_cells: known obstacle cells plus other drones' current cells;
-    only tested for membership.
+    blocked_cells: the known static and moving obstacle cells.
     locks: every drone's current cell plus the next cells locked by drones
-    earlier in this tick's decision order.
+    earlier in this tick's decision order. Each drone holds its own cell's
+    lock from the start and releases a cell only after leaving it (a parked
+    drone never does), so the context needs no other record of the drones.
     """
 
     area: Area
-    blocked_cells: Container[Cell]
+    blocked_cells: set[Cell]
     locks: LockTable
 
 
 def cell_is_safe(ctx: DecisionContext, drone_id: int, cell: Cell) -> bool:
-    """The one conflict predicate: no known obstacle or other drone is in the
-    cell, and no other drone holds its lock."""
+    """The one conflict predicate: no known obstacle is in the cell, and no
+    other drone holds its lock (which it does for its own cell)."""
     if cell in ctx.blocked_cells:
         return False
     holder = ctx.locks.holder(cell)
@@ -77,24 +59,25 @@ def avoid(
     ctx: DecisionContext,
     rng: random.Random,
     cfg: BacktrackConfig,
-) -> AvoidanceAction:
+) -> tuple[Cell, str] | None:
     """Pick an avoidance action for a drone whose intent was flagged.
 
     Preference: distance-reducing safe neighbors, then any other safe
     neighbor (a sidestep or retreat beats standing in a moving crowd), then
-    hover. Persistent hovering or stalling escalates to backtrack mode.
+    hover. Returns `(cell, "redirect")` or `(drone.current, "hover")`, or
+    None when persistent hovering or stalling escalates to backtrack mode.
     """
     if drone.hover_streak >= cfg.hover_threshold or drone.stall_ticks >= cfg.stall_threshold:
-        return EnterBacktrack()
+        return None
     candidates = [
         n for n in neighbors(ctx.area, drone.current)
         if cell_is_safe(ctx, drone.id, n)
     ]
     if not candidates:
-        return Hover()
+        return drone.current, "hover"
     dist_now = manhattan(drone.current, drone.dest)
     reducing = [n for n in candidates if manhattan(n, drone.dest) < dist_now]
-    return Redirect(rng.choice(reducing if reducing else candidates))
+    return rng.choice(reducing if reducing else candidates), "redirect"
 
 
 def backtrack_step(

@@ -8,8 +8,10 @@ The tick does not feed the CEP (`swarmgrid.cep`): no decision needs its
 matches.
 
 One predicate, `avoidance.cell_is_safe`, defines a conflict: a known obstacle
-or another drone in the cell, or another drone holding its lock (which covers
-the cells claimed earlier in the tick). So a lock is never denied.
+in the cell, or another drone holding its lock. Each drone holds its own
+cell's lock from the start and releases a cell only after leaving it, so the
+lock table holds every drone's cell as well as the cells claimed earlier in
+the tick. So a lock is never denied.
 
 Obstacle detection, the hazard test and the ground-truth scan look cells up
 in per-tick dicts rather than comparing every drone with every obstacle or
@@ -43,8 +45,6 @@ from typing import Callable, Iterable, Optional
 from .avoidance import (
     BacktrackConfig,
     DecisionContext,
-    Hover,
-    Redirect,
     avoid,
     backtrack_exit_check,
     backtrack_step,
@@ -96,30 +96,6 @@ def clearance_margin(cells: set[Cell]) -> set[Cell]:
                 for dz in (-1, 0, 1):
                     out.add((x + dx, y + dy, z + dz))
     return out
-
-
-class _BlockedCells:
-    """Known static and moving obstacle cells plus every drone cell but the
-    deciding drone's (`own`, set before each drone decides).
-
-    Answers membership without building that union for each drone.
-    """
-
-    __slots__ = ("static_cells", "moving_cells", "drone_cells", "own")
-
-    def __init__(
-        self, static_cells: set[Cell], moving_cells: set[Cell], drone_cells: set[Cell],
-    ):
-        self.static_cells = static_cells
-        self.moving_cells = moving_cells
-        self.drone_cells = drone_cells
-        self.own: Optional[Cell] = None
-
-    def __contains__(self, c: object) -> bool:
-        return (
-            c in self.static_cells or c in self.moving_cells
-            or (c != self.own and c in self.drone_cells)
-        )
 
 
 # Offsets of the 27 cells within Chebyshev distance 1 of a cell.
@@ -378,9 +354,6 @@ class Simulation:
             if not self.locks.try_acquire(d.id, d.current):
                 raise EngineInvariantViolation(f"start cell {d.current} already locked")
         self.known_static: dict[int, Cell] = {}
-        # Static obstacles never move and stay known once detected, so their
-        # cells only grow.
-        self._static_cells: set[Cell] = set()
         # Last tick's known moving obstacles, and the clearance margin of
         # every known obstacle as cell -> number of obstacles it is near.
         self._known_moving: dict[int, Cell] = {}
@@ -388,7 +361,6 @@ class Simulation:
         # The scan's obstacle labels, built once.
         self._static_labels = {f"s{so.id}": so.cell for so in self.statics}
         self._moving_labels = [(f"m{mo.id}", mo) for mo in self.movings]
-        self._sidestep_cooldown: dict[int, int] = {}
         self.collisions: list[CollisionRecord] = []
         self.tick = 0
         self.trace = trace
@@ -456,7 +428,6 @@ class Simulation:
         for so in self._undetected:
             if self._detected(so.cell, drone_blocks):
                 self.known_static[so.id] = so.cell
-                self._static_cells.add(so.cell)
                 _shift_margin(margin, so.cell, 1)
             else:
                 undetected.append(so)
@@ -481,7 +452,7 @@ class Simulation:
         # Phase 3: decisions in a fresh seeded-random order.
         order = list(self.drones)
         _shuffle(self.rng, order)
-        blocked = _BlockedCells(self._static_cells, set(known_moving.values()), drone_cells)
+        blocked = {*self.known_static.values(), *known_moving.values()}
         ctx = DecisionContext(area=self.area, blocked_cells=blocked, locks=self.locks)
         committed: dict[int, Cell] = {}
         actions: dict[int, str] = {}
@@ -489,7 +460,6 @@ class Simulation:
         for d in order:
             if d.arrived:
                 continue
-            blocked.own = d.current
             if d.mode is Mode.BACKTRACK:
                 intent, action = self._backtrack_decision(d, ctx)
             else:
@@ -605,28 +575,32 @@ class Simulation:
         The reducing neighbors are the one step toward the goal on each axis
         where the drone is off it, in x, y, z order: the order `neighbors`
         lists them in, since on each axis at most one direction reduces.
+        Those holding a known obstacle or a drone at the start of the tick
+        are left out. The drones are read from `_drone_cells`, not from the
+        locks: the cells claimed earlier in the tick would change the draw.
         """
         cur = d.current
         dest = d.dest
         x, y, z = cur
         gx, gy, gz = dest
         blocked = ctx.blocked_cells
+        drone_cells = self._drone_cells
         reducing = []
         if gx != x:
             n = (x + 1 if gx > x else x - 1, y, z)
-            if n not in blocked:
+            if n not in blocked and n not in drone_cells:
                 reducing.append(n)
         if gy != y:
             n = (x, y + 1 if gy > y else y - 1, z)
-            if n not in blocked:
+            if n not in blocked and n not in drone_cells:
                 reducing.append(n)
         if gz != z:
             n = (x, y, z + 1 if gz > z else z - 1)
-            if n not in blocked:
+            if n not in blocked and n not in drone_cells:
                 reducing.append(n)
-        cool = self._sidestep_cooldown.get(d.id, 0)
+        cool = d.sidestep_cooldown
         if cool:
-            self._sidestep_cooldown[d.id] = cool - 1
+            d.sidestep_cooldown = cool - 1
         if reducing:
             margin = self._margin
             near = _drones_near(cur, drone_blocks)
@@ -644,7 +618,7 @@ class Simulation:
                 dist_now = abs(gx - x) + abs(gy - y) + abs(gz - z)
                 if sidesteps and dist_now > 2 and not cool:
                     intent = self.rng.choice(sidesteps)
-                    self._sidestep_cooldown[d.id] = SIDESTEP_COOLDOWN
+                    d.sidestep_cooldown = SIDESTEP_COOLDOWN
                 else:
                     intent = self.rng.choice(reducing)
         else:
@@ -655,10 +629,8 @@ class Simulation:
 
     def _apply_avoidance(self, d: Drone, ctx: DecisionContext) -> tuple[Cell, str]:
         act = avoid(d, ctx, self.rng, self.cfg.backtrack)
-        if isinstance(act, Redirect):
-            return act.next, "redirect"
-        if isinstance(act, Hover):
-            return d.current, "hover"
+        if act is not None:
+            return act
         d.mode = Mode.BACKTRACK
         return self._backtrack_decision(d, ctx)
 

@@ -34,6 +34,7 @@ class Drone:
     mode: Mode = Mode.NORMAL
     route: list[Cell] = field(default_factory=list)
     hover_streak: int = 0
+    sidestep_cooldown: int = 0  # greedy steps left before the next clearance sidestep
     bt_steps_done: int = 0
     bt_attempts: int = 0
     best_dist: int = 0

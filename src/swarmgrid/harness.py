@@ -234,7 +234,10 @@ def load_scenario(path: Path) -> SimConfig:
     SimConfig. This checks only the shape (objects, arrays, required and
     unknown keys) and passes on only the keys present, so the config classes'
     field defaults are the only copy; `SimConfig.validate` checks the values."""
-    data = json.loads(Path(path).read_text())
+    try:
+        data = json.loads(Path(path).read_text())
+    except RecursionError:
+        raise ConfigError(f"{path} nests its arrays or objects too deeply") from None
     kw = _object(data, "scenario", {f.name for f in fields(SimConfig)}, "dims", "drones")
     kw["dims"] = _tuple(kw["dims"])
     kw["drones"] = [

@@ -7,9 +7,6 @@ import pytest
 from swarmgrid.avoidance import (
     BacktrackConfig,
     DecisionContext,
-    EnterBacktrack,
-    Hover,
-    Redirect,
     avoid,
     backtrack_exit_check,
     backtrack_step,
@@ -58,35 +55,37 @@ def test_cell_is_safe():
 def test_redirect_prefers_distance_reducing_neighbors():
     d = drone()
     for seed in range(20):
-        act = avoid(d, ctx(), random.Random(seed), CFG)
-        assert isinstance(act, Redirect)
-        assert manhattan(act.next, d.dest) < manhattan(d.current, d.dest)
+        cell, action = avoid(d, ctx(), random.Random(seed), CFG)
+        assert action == "redirect"
+        assert manhattan(cell, d.dest) < manhattan(d.current, d.dest)
 
 
 def test_redirect_accepts_any_safe_neighbor_when_cornered():
     # Everything toward the goal is blocked, one retreat remains.
     d = drone(cur=(4, 4, 4), dest=(7, 4, 4))
     blocked = [(5, 4, 4), (4, 5, 4), (4, 3, 4), (4, 4, 5), (4, 4, 3)]
-    act = avoid(d, ctx(blocked=blocked), random.Random(0), CFG)
-    assert act == Redirect(next=(3, 4, 4))
+    assert avoid(d, ctx(blocked=blocked), random.Random(0), CFG) == ((3, 4, 4), "redirect")
 
 
 def test_hover_when_fully_boxed_in():
     d = drone()
-    blocked = [
-        (5, 4, 4), (3, 4, 4), (4, 5, 4), (4, 3, 4), (4, 4, 5), (4, 4, 3),
-    ]
-    assert avoid(d, ctx(blocked=blocked), random.Random(0), CFG) == Hover()
+    box = [(5, 4, 4), (3, 4, 4), (4, 5, 4), (4, 3, 4), (4, 4, 5), (4, 4, 3)]
+    assert avoid(d, ctx(blocked=box), random.Random(0), CFG) == ((4, 4, 4), "hover")
+    # Other drones box it in through the locks of their cells.
+    locks = LockTable()
+    for i, cell in enumerate(box, start=1):
+        locks.try_acquire(i, cell)
+    assert avoid(d, ctx(locks=locks), random.Random(0), CFG) == ((4, 4, 4), "hover")
 
 
 def test_hover_streak_escalates_to_backtrack():
     d = drone(hover_streak=CFG.hover_threshold)
-    assert avoid(d, ctx(), random.Random(0), CFG) == EnterBacktrack()
+    assert avoid(d, ctx(), random.Random(0), CFG) is None
 
 
 def test_stalling_escalates_to_backtrack():
     d = drone(stall_ticks=CFG.stall_threshold)
-    assert avoid(d, ctx(), random.Random(0), CFG) == EnterBacktrack()
+    assert avoid(d, ctx(), random.Random(0), CFG) is None
 
 
 def test_backtrack_step_requires_mode():

@@ -309,7 +309,9 @@ def test_run_rejects_an_unwritable_trace_before_running(where, scenario, tmp_pat
     '[1, 2]',
     '{"dims": [4, 4, 4], "drones": [], "safety": {"max_speed": "fast"}}',
     'not json',
-], ids=["no-dims", "int-dims", "int-drone", "no-dest", "list-document", "str-speed", "not-json"])
+    '[' * 5000,
+], ids=["no-dims", "int-dims", "int-drone", "no-dest", "list-document", "str-speed", "not-json",
+        "deeply-nested"])
 def test_run_rejects_a_malformed_scenario_in_one_line(text, tmp_path, capsys):
     p = tmp_path / "bad.json"
     p.write_text(text)

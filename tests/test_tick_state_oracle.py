@@ -10,7 +10,8 @@ against the drones themselves:
   drones not yet arrived in id order, the parked map is the arrived drones'
   cells to their ids, the drone-cell set is every drone's current cell, the
   parked buckets are `_drone_blocks` of the parked cells, and the
-  undetected statics are those not in `known_static`, in id order;
+  undetected statics are those not in `known_static`, in id order, and
+  the lock table holds each drone's current cell and nothing else;
 - every bucket map a tick hands to detection or to a decision equals
   `_drone_blocks` over all the drones' cells at the start of that tick.
 """
@@ -37,6 +38,9 @@ def check_kept_state(sim: Simulation) -> None:
     assert [d.id for d in sim._flying] == [d.id for d in sim.drones if not d.arrived]
     assert sim._parked == {d.current: d.id for d in arrived}
     assert sim._drone_cells == {d.current for d in sim.drones}
+    # Between ticks each drone holds exactly its own cell's lock; the
+    # conflict test relies on it to keep drones out of each other's cells.
+    assert sim.locks._holders == {d.current: d.id for d in sim.drones}
     assert _as_sorted(sim._parked_blocks) == _as_sorted(
         sim._drone_blocks([d.current for d in arrived])
     )
@@ -113,14 +117,25 @@ def test_dense_swarm_keeps_its_state(monkeypatch):
 def test_a_drone_following_into_a_cell_vacated_this_tick_keeps_its_cell(monkeypatch):
     """The decisions never pick a cell another drone started the tick on, but
     the drone-cell set must not depend on that: drone 0 enters the cell
-    drone 1 leaves, and drone 1 is committed after drone 0."""
+    drone 1 leaves, and drone 1 is committed after drone 0. The lock of that
+    cell passes to drone 0 when it asks, and drone 1's release skips it."""
     cfg = SimConfig(dims=(6, 6, 6), drones=[((0, 0, 0), (5, 0, 0)), ((1, 0, 0), (5, 5, 5))])
     sim = Simulation(cfg)
     monkeypatch.setattr(
         Simulation, "_normal_decision",
         lambda self, d, ctx, near: ((d.current[0] + 1, 0, 0), "advance"),
     )
-    monkeypatch.setattr(LockTable, "try_acquire", lambda self, drone_id, cell: True)
+
+    def hand_over(self, drone_id, cell):
+        self._holders[cell] = drone_id
+        return True
+
+    def release_if_held(self, drone_id, cell):
+        if self._holders.get(cell) == drone_id:
+            del self._holders[cell]
+
+    monkeypatch.setattr(LockTable, "try_acquire", hand_over)
+    monkeypatch.setattr(LockTable, "release", release_if_held)
     sim.run_tick()
     assert [d.current for d in sim.drones] == [(1, 0, 0), (2, 0, 0)]
     assert sim.collisions == []
