@@ -15,14 +15,21 @@ the tick. So a lock is never denied.
 
 Obstacle detection, the hazard test and the ground-truth scan look cells up
 in per-tick dicts rather than comparing every drone with every obstacle or
-drone: detection tests only the drones bucketed near each obstacle, a
-deciding drone collects the other drones within two cells of it once and
-tests its candidate cells against that short list, and the scan costs
-O(flying drones + obstacles) per tick plus sorting the records it finds. The
+drone: detection tests only the drones bucketed near each static obstacle
+not yet detected, a deciding drone collects the other drones within two
+cells of it once and tests its candidate cells against that short list, and
+the scan costs O(flying drones + obstacles) per tick plus sorting the
+records it finds. From a `detection_radius` of 2 up, every live moving
+obstacle counts as known with no detection test, since any moving obstacle
+that can change a decision is within two cells of the deciding drone (see
+`run_tick`); below 2, moving obstacles are tested like statics. The
 clearance margin of the known obstacles is one cell -> count map kept across
-ticks: a static obstacle adds its cells once, when first detected, and a
-known moving obstacle moves its cells only when it steps, dies, or enters or
-leaves detection.
+ticks: a static obstacle adds its 27 cells once, when first detected; a
+known moving obstacle that takes an axis step moves only the 9 cells of its
+cube's trailing face and the 9 of its new leading face, and one that
+spawns, dies, or enters or leaves detection moves all 27. The decisions'
+blocked cells are one set kept across ticks, rebuilt only on a tick where
+a static obstacle is newly detected or a known moving obstacle changed.
 
 A drone that has arrived parks on its destination for good. The simulation
 keeps the flying drones, the set of drone cells, the parked drones' cells
@@ -60,6 +67,7 @@ from .entities import (
     step_moving_obstacle,
 )
 from .world import (
+    DIRECTIONS,
     Area,
     Cell,
     SafetyParams,
@@ -102,17 +110,51 @@ def clearance_margin(cells: set[Cell]) -> set[Cell]:
 _CUBE = tuple((dx, dy, dz) for dx in (-1, 0, 1) for dy in (-1, 0, 1) for dz in (-1, 0, 1))
 
 
-def _shift_margin(margin: dict[Cell, int], cell: Cell, delta: int) -> None:
-    """Add delta to the count of each cell of `cell`'s clearance margin,
-    dropping cells whose count reaches zero."""
+# The 9 offsets of _CUBE on the face a unit axis step points at, by step.
+_FACE = {
+    step: tuple(o for o in _CUBE if o[0] * step[0] + o[1] * step[1] + o[2] * step[2] == 1)
+    for step in DIRECTIONS
+}
+
+
+def _shift_margin(
+    margin: dict[Cell, int], cell: Cell, delta: int, offsets: tuple[Cell, ...] = _CUBE,
+) -> None:
+    """Add delta to the count of each cell at the offsets from `cell` (by
+    default its clearance margin), dropping cells whose count reaches zero."""
     x, y, z = cell
-    for dx, dy, dz in _CUBE:
+    for dx, dy, dz in offsets:
         c = (x + dx, y + dy, z + dz)
         n = margin.get(c, 0) + delta
         if n:
             margin[c] = n
         else:
             del margin[c]
+
+
+def _move_margin(
+    margin: dict[Cell, int], last: dict[int, Cell], now: dict[int, Cell],
+) -> None:
+    """Move the margin counts of the obstacles in `last` (id -> cell) to
+    those of the obstacles in `now`, one tick later.
+
+    An obstacle in both is on the same cell or one axis step away, since an
+    obstacle steps at most once a tick. A step moves only the two faces its
+    cube changes: the old cube's trailing 9 cells lose a count and the new
+    cube's leading 9 cells gain one. An obstacle in only one of them moves
+    all 27 cells.
+    """
+    for i, cell in last.items():
+        new = now.get(i)
+        if new is None:
+            _shift_margin(margin, cell, -1)
+        elif new != cell:
+            step = (new[0] - cell[0], new[1] - cell[1], new[2] - cell[2])
+            _shift_margin(margin, cell, -1, _FACE[(-step[0], -step[1], -step[2])])
+            _shift_margin(margin, new, 1, _FACE[step])
+    for i, cell in now.items():
+        if i not in last:
+            _shift_margin(margin, cell, 1)
 
 
 # Side of the cubes the drone cells are bucketed into each tick. Detection
@@ -354,10 +396,14 @@ class Simulation:
             if not self.locks.try_acquire(d.id, d.current):
                 raise EngineInvariantViolation(f"start cell {d.current} already locked")
         self.known_static: dict[int, Cell] = {}
-        # Last tick's known moving obstacles, and the clearance margin of
-        # every known obstacle as cell -> number of obstacles it is near.
-        self._known_moving: dict[int, Cell] = {}
+        # The moving obstacles the decisions took as known last tick (every
+        # live one while detection_radius >= 2, see run_tick), the clearance
+        # margin of those and the known statics as cell -> number of
+        # obstacles it is near, and the cells of both as the decisions'
+        # blocked cells.
+        self._moving_in_margin: dict[int, Cell] = {}
         self._margin: dict[Cell, int] = {}
+        self._blocked: set[Cell] = set()
         # The scan's obstacle labels, built once.
         self._static_labels = {f"s{so.id}": so.cell for so in self.statics}
         self._moving_labels = [(f"m{mo.id}", mo) for mo in self.movings]
@@ -414,16 +460,16 @@ class Simulation:
             )
 
         # Phase 2: obstacle detection. A static obstacle stays known once
-        # seen; a moving one is known only while a drone is near it. The
-        # buckets are the parked drones' with the flying drones added, and
-        # the parked lists are copied only where a flying drone joins them.
+        # seen; a moving one is known while it is alive or, below radius 2,
+        # while a drone is near it. The buckets are the parked drones' with
+        # the flying drones added, and the parked lists are copied only
+        # where a flying drone joins them.
         parked_blocks = self._parked_blocks
         flying_blocks = self._drone_blocks(before.values())
         drone_blocks = {**parked_blocks, **flying_blocks}
         for key in flying_blocks.keys() & parked_blocks.keys():
             drone_blocks[key] = parked_blocks[key] + flying_blocks[key]
         margin = self._margin
-        known_moving: dict[int, Cell] = {}
         undetected = []
         for so in self._undetected:
             if self._detected(so.cell, drone_blocks):
@@ -431,29 +477,41 @@ class Simulation:
                 _shift_margin(margin, so.cell, 1)
             else:
                 undetected.append(so)
+        changed = len(undetected) < len(self._undetected)
         self._undetected = undetected
-        for mo in self.movings:
-            if not mo.alive or tick < mo.spawn_tick:
-                continue
-            if self._detected(mo.cell, drone_blocks):
-                known_moving[mo.id] = mo.cell
-        # Move the margin of the known moving obstacles that stepped, died,
-        # or entered or left detection since the last tick.
-        last_moving = self._known_moving
-        if known_moving != last_moving:
-            for i, cell in last_moving.items():
-                if known_moving.get(i) != cell:
-                    _shift_margin(margin, cell, -1)
-            for i, cell in known_moving.items():
-                if last_moving.get(i) != cell:
-                    _shift_margin(margin, cell, 1)
-            self._known_moving = known_moving
+        # From radius 2 up every live moving obstacle counts as known, with
+        # no detection test. A decision reads only the cells next to its
+        # drone's cell (the reducing cells, sidesteps, avoid's neighbours,
+        # the backtrack cell) and, for the reducing cells and sidesteps,
+        # their margin, so only an obstacle within Chebyshev 2 of the drone's
+        # cell can change it. The drone detects from that cell this tick, so
+        # each such obstacle is known either way, and the decisions are the
+        # same. Below radius 2 an obstacle two cells away may be undetected,
+        # so the test stays.
+        if self._detection_radius >= 2:
+            moving = {
+                mo.id: mo.cell for mo in self.movings
+                if mo.alive and tick >= mo.spawn_tick
+            }
+        else:
+            moving = {
+                mo.id: mo.cell for mo in self.movings
+                if mo.alive and tick >= mo.spawn_tick and self._detected(mo.cell, drone_blocks)
+            }
+        # Move the margin of the moving obstacles that stepped, died, spawned,
+        # or entered or left detection since the last tick, and rebuild the
+        # blocked cells only when a known obstacle changed.
+        if moving != self._moving_in_margin:
+            _move_margin(margin, self._moving_in_margin, moving)
+            self._moving_in_margin = moving
+            changed = True
+        if changed:
+            self._blocked = {*self.known_static.values(), *moving.values()}
 
         # Phase 3: decisions in a fresh seeded-random order.
         order = list(self.drones)
         _shuffle(self.rng, order)
-        blocked = {*self.known_static.values(), *known_moving.values()}
-        ctx = DecisionContext(area=self.area, blocked_cells=blocked, locks=self.locks)
+        ctx = DecisionContext(area=self.area, blocked_cells=self._blocked, locks=self.locks)
         committed: dict[int, Cell] = {}
         actions: dict[int, str] = {}
 
@@ -611,12 +669,12 @@ class Simulation:
             if clear:
                 intent = self.rng.choice(clear)
             else:
-                sidesteps = [
+                # Sidestep only off cooldown and not nearly home.
+                sidesteps = [] if cool or abs(gx - x) + abs(gy - y) + abs(gz - z) <= 2 else [
                     n for n in neighbors(self.area, cur)
                     if cell_is_safe(ctx, d.id, n) and not _in_hazard_margin(n, margin, near)
                 ]
-                dist_now = abs(gx - x) + abs(gy - y) + abs(gz - z)
-                if sidesteps and dist_now > 2 and not cool:
+                if sidesteps:
                     intent = self.rng.choice(sidesteps)
                     d.sidestep_cooldown = SIDESTEP_COOLDOWN
                 else:

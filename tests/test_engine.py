@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -18,13 +19,15 @@ from swarmgrid.engine import (
     EngineInvariantViolation,
     SimConfig,
     Simulation,
+    _move_margin,
     _shuffle,
     clearance_margin,
     detect_collisions_ground_truth,
     run_mission,
 )
 from swarmgrid.harness import EXPERIMENTS, ExperimentSpec, build_experiment, mission_digest
-from swarmgrid.world import manhattan
+from swarmgrid.entities import MovingObstacle, step_moving_obstacle
+from swarmgrid.world import SafetyParams, manhattan, new_area
 
 
 def simple_cfg(**kw):
@@ -116,6 +119,40 @@ def test_clearance_margin_size():
     assert len(clearance_margin({(5, 5, 5)})) == 27
     assert (4, 4, 4) in clearance_margin({(5, 5, 5)})
     assert clearance_margin(set()) == set()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_moving_the_margin_keeps_the_counts_of_random_walks(seed):
+    """Obstacles take random walks in a small area, many off its edge, some
+    spawning late and some sharing cells. Each tick a random fifth is left
+    out, as detection would. After every move from the last tick's cells,
+    the margin map is the count of the present obstacles' cubes, whether an
+    obstacle stepped (two faces), died, left or came back (all 27 cells)."""
+    rng = random.Random(seed)
+    area = new_area((5, 5, 5), 10.0, 30.0, SafetyParams())
+    obstacles = [
+        MovingObstacle(
+            id=i, cell=(rng.randrange(5), rng.randrange(5), rng.randrange(5)),
+            cadence=rng.randint(1, 3), spawn_tick=rng.randrange(8),
+        )
+        for i in range(40)
+    ]
+    margin: dict = {}
+    last: dict = {}
+    steps = 0
+    for tick in range(60):
+        for o in obstacles:
+            step_moving_obstacle(o, tick, rng, area, set())
+        now = {
+            o.id: o.cell for o in obstacles
+            if o.alive and tick >= o.spawn_tick and rng.random() < 0.8
+        }
+        steps += sum(now[i] != last[i] for i in now.keys() & last.keys())
+        _move_margin(margin, last, now)
+        assert margin == Counter(c for cell in now.values() for c in clearance_margin({cell}))
+        last = now
+    assert steps > 20
+    assert sum(not o.alive for o in obstacles) > 20
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 2**40 + 3])

@@ -1,16 +1,28 @@
-"""Oracle for the tick's obstacle-margin map and its hazard test.
+"""Oracle for the tick's obstacle-margin map, its hazard test and its
+blocked cells.
 
 The engine keeps the clearance margin of the known obstacles as one
-cell -> count map across ticks and tests a deciding drone's candidate cells
-against the other drones within two cells of it. These tests fly seeded
-missions tick by tick and check both against the definitions they replace:
+cell -> count map across ticks, keeps the blocked cells as one set across
+ticks, and tests a deciding drone's candidate cells against the other drones
+within two cells of it. From `detection_radius` 2 up it takes every live
+moving obstacle as known without a detection test. These tests fly seeded
+missions tick by tick and check all three against the definitions they
+replace:
 
 - after every tick, the map's cells equal `clearance_margin` of the known
   static obstacles united with `clearance_margin` of the cells of the moving
-  obstacles a drone detected this tick, both found here by brute force, and
-  each cell counts the known obstacles whose margin holds it;
+  obstacles the engine takes as known (every live one from radius 2 up, the
+  ones a drone detected this tick below it), both found here by brute
+  force, and each cell counts the obstacles whose margin holds it;
 - every hazard answer the decisions take equals the 27-probe test the
-  engine used before (`reference_in_hazard_margin` below).
+  engine used before (`reference_in_hazard_margin` below) against the margin
+  of the known statics and of the moving obstacles a drone detected this
+  tick, found by brute force at every radius;
+- every `ctx.blocked_cells` membership a decision reads equals membership
+  in the cells of those same brute-force known obstacles.
+
+The last two are what show that skipping moving-obstacle detection from
+radius 2 up changes no decision.
 """
 
 import dataclasses
@@ -47,44 +59,67 @@ def _near_a_drone(cell, drone_cells, r) -> bool:
 
 
 def fly_with_oracle(cfg: SimConfig, monkeypatch) -> dict:
-    """Fly cfg to its end, checking the margin map and every hazard answer.
+    """Fly cfg to its end, checking the margin map, every hazard answer and
+    every blocked-cell answer.
 
-    Returns counts of the cases the oracle saw: hazard answers checked,
-    known moving obstacles that died, and ticks where two known moving
-    obstacles shared a cell.
+    Returns counts of the cases the oracle saw: hazard and blocked-cell
+    answers checked, known moving obstacles that died, ticks where two known
+    moving obstacles shared a cell, and ticks where a live moving obstacle
+    no drone detected was in the margin map.
     """
     sim = Simulation(cfg)
     r = cfg.detection_radius
     seen_static: dict = {}
-    seen = {"hazard_checks": 0, "known_died": 0, "shared_cell": 0}
+    seen = {
+        "hazard_checks": 0, "blocked_checks": 0, "known_died": 0, "shared_cell": 0,
+        "undetected_in_margin": 0,
+    }
     tick_ref: dict = {}
     deciding: list = []
 
+    def live_moving(tick):
+        return {mo.id: mo.cell for mo in sim.movings if mo.alive and tick >= mo.spawn_tick}
+
     def known_moving(drone_cells, tick):
         return {
-            mo.id: mo.cell for mo in sim.movings
-            if mo.alive and tick >= mo.spawn_tick
-            and _near_a_drone(mo.cell, drone_cells, r)
+            i: cell for i, cell in live_moving(tick).items()
+            if _near_a_drone(cell, drone_cells, r)
         }
 
-    normal_decision = Simulation._normal_decision
+    class CheckedCells(set):
+        """The engine's blocked cells; each membership test is checked
+        against the cells of the brute-force known obstacles."""
 
-    def recording_decision(self, d, *args):
-        deciding.append(d)
-        try:
-            return normal_decision(self, d, *args)
-        finally:
-            deciding.pop()
+        def __contains__(self, cell):
+            got = set.__contains__(self, cell)
+            assert got == (cell in tick_ref["blocked"]), (sim.tick, deciding[-1].id, cell)
+            seen["blocked_checks"] += 1
+            return got
+
+    decision_context = engine.DecisionContext
+
+    def checked_context(area, blocked_cells, locks):
+        # The decision phase starts: the obstacles have moved, the drones not.
+        drone_cells = {d.current for d in sim.drones}
+        moving = set(known_moving(drone_cells, sim.tick).values())
+        tick_ref["drone_cells"] = drone_cells
+        tick_ref["margin"] = clearance_margin(set(seen_static.values())) | clearance_margin(moving)
+        tick_ref["blocked"] = set(seen_static.values()) | moving
+        return decision_context(area=area, blocked_cells=CheckedCells(blocked_cells), locks=locks)
+
+    def recording(decide):
+        def recording_decision(self, d, *args):
+            deciding.append(d)
+            try:
+                return decide(self, d, *args)
+            finally:
+                deciding.pop()
+        return recording_decision
 
     in_hazard_margin = engine._in_hazard_margin
 
     def checked_in_hazard_margin(cell, margin, near):
         got = in_hazard_margin(cell, margin, near)
-        if "margin" not in tick_ref:
-            drone_cells = {d.current for d in sim.drones}
-            moving = set(known_moving(drone_cells, sim.tick).values())
-            tick_ref["drone_cells"] = drone_cells
-            tick_ref["margin"] = clearance_margin(set(seen_static.values())) | clearance_margin(moving)
         want = reference_in_hazard_margin(
             cell, deciding[-1].current, tick_ref["margin"], tick_ref["drone_cells"]
         )
@@ -92,7 +127,9 @@ def fly_with_oracle(cfg: SimConfig, monkeypatch) -> dict:
         seen["hazard_checks"] += 1
         return got
 
-    monkeypatch.setattr(Simulation, "_normal_decision", recording_decision)
+    monkeypatch.setattr(engine, "DecisionContext", checked_context)
+    for name in ("_normal_decision", "_backtrack_decision"):
+        monkeypatch.setattr(Simulation, name, recording(getattr(Simulation, name)))
     monkeypatch.setattr(engine, "_in_hazard_margin", checked_in_hazard_margin)
 
     last_known: dict = {}
@@ -107,13 +144,15 @@ def fly_with_oracle(cfg: SimConfig, monkeypatch) -> dict:
         tick = sim.tick
         sim.run_tick()
         known = known_moving(drone_cells, tick)
-        cells = list(seen_static.values()) + list(known.values())
+        in_margin = live_moving(tick) if r >= 2 else known
+        cells = list(seen_static.values()) + list(in_margin.values())
         want = clearance_margin(set(cells))
         assert {c for c, n in sim._margin.items() if n > 0} == want, tick
         assert sim._margin == Counter(c for o in cells for c in clearance_margin({o})), tick
         dead = {mo.id for mo in sim.movings if not mo.alive}
         seen["known_died"] += len(dead & last_known.keys())
         seen["shared_cell"] += len(set(known.values())) < len(known)
+        seen["undetected_in_margin"] += len(in_margin) > len(known)
         last_known = known
     return seen
 
@@ -127,6 +166,7 @@ DENSE = ExperimentSpec(0, (6, 6, 6), 30, 5, 5)
 def test_cluttered_missions_match_the_oracle(seed, monkeypatch):
     seen = fly_with_oracle(build_experiment(EXPERIMENTS[3], seed), monkeypatch)
     assert seen["hazard_checks"] > 0
+    assert seen["blocked_checks"] > 0
     assert seen["known_died"] > 0  # known obstacles left the area
 
 
@@ -143,8 +183,13 @@ def test_dense_grid_matches_the_oracle(seed, monkeypatch):
     assert fly_with_oracle(cfg, monkeypatch)["hazard_checks"] > 0
 
 
-@pytest.mark.parametrize("radius", [0, 1, 3])
+@pytest.mark.parametrize("radius", [0, 1, 2, 3])
 def test_other_detection_radii_match_the_oracle(radius, monkeypatch):
-    """Detection and the hazard test read one bucket side for any radius."""
+    """Detection and the hazard test read one bucket side for any radius, and
+    the blocked cells a decision reads are the known obstacles' at each."""
     cfg = dataclasses.replace(build_experiment(EXPERIMENTS[3], 0), detection_radius=radius)
-    assert fly_with_oracle(cfg, monkeypatch)["hazard_checks"] > 0
+    seen = fly_with_oracle(cfg, monkeypatch)
+    assert seen["hazard_checks"] > 0
+    assert seen["blocked_checks"] > 0
+    # From radius 2 up the margin holds moving obstacles no drone detected.
+    assert (seen["undetected_in_margin"] > 0) == (radius >= 2)

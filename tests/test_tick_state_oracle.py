@@ -10,8 +10,10 @@ against the drones themselves:
   drones not yet arrived in id order, the parked map is the arrived drones'
   cells to their ids, the drone-cell set is every drone's current cell, the
   parked buckets are `_drone_blocks` of the parked cells, and the
-  undetected statics are those not in `known_static`, in id order, and
-  the lock table holds each drone's current cell and nothing else;
+  undetected statics are those not in `known_static`, in id order,
+  the lock table holds each drone's current cell and nothing else, and the
+  kept blocked cells are the known statics' cells and the last tick's live
+  moving obstacles' cells (at the default `detection_radius` of 2);
 - every bucket map a tick hands to detection or to a decision equals
   `_drone_blocks` over all the drones' cells at the start of that tick.
 """
@@ -47,6 +49,11 @@ def check_kept_state(sim: Simulation) -> None:
     assert [so.id for so in sim._undetected] == [
         so.id for so in sim.statics if so.id not in sim.known_static
     ]
+    # From radius 2 up the decisions take every live moving obstacle as
+    # known. The obstacles have not moved since the last tick's phase 1.
+    assert sim.cfg.detection_radius >= 2
+    moving = {mo.cell for mo in sim.movings if mo.alive and sim.tick - 1 >= mo.spawn_tick}
+    assert sim._blocked == {*sim.known_static.values(), *moving}
 
 
 def fly_with_oracle(cfg: SimConfig, monkeypatch) -> dict:
