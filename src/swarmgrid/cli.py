@@ -83,30 +83,47 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _parse_trace(lines: list[str]) -> tuple[tuple[int, ...], dict[int, dict[int, tuple]]]:
+    """The area dims and each tick's drone cells of a v1 trace. Raises
+    ValueError naming the first line that is malformed (the area header
+    needs three ints of at least 2), or a row before the area header or
+    outside the area."""
+    dims = None
+    ticks: dict[int, dict[int, tuple]] = {}
+    for lineno, line in enumerate(lines, 1):
+        try:
+            if line.startswith("# area"):
+                dims = tuple(int(v) for v in line.split()[2:])
+                if len(dims) != 3 or min(dims) < 2:
+                    raise ValueError
+                continue
+            if line.startswith("#") or not line.strip():
+                continue
+            tick, drone, _mode, x, y, z, _action, _npred = line.split("\t")
+            cell = (int(x), int(y), int(z))
+            tick, drone = int(tick), int(drone)
+        except ValueError:
+            raise ValueError(f"line {lineno} is malformed: {line!r}") from None
+        if dims is None:
+            raise ValueError(f"line {lineno} comes before the area header: {line!r}")
+        if not all(0 <= c < n for c, n in zip(cell, dims)):
+            raise ValueError(f"line {lineno} holds cell {cell} outside the area {dims}: {line!r}")
+        ticks.setdefault(tick, {})[drone] = cell
+    if dims is None:
+        raise ValueError("trace has no area header")
+    return dims, ticks
+
+
 def _cmd_replay(args: argparse.Namespace) -> int:
     try:
         lines = Path(args.trace).read_text().splitlines()
     except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    dims = None
-    ticks: dict[int, dict[int, tuple[int, int, int]]] = {}
-    for lineno, line in enumerate(lines, 1):
-        try:
-            if line.startswith("# area"):
-                dims = tuple(int(v) for v in line.split()[2:])
-                if len(dims) != 3:
-                    raise ValueError("an area header holds three ints")
-                continue
-            if line.startswith("#") or not line.strip():
-                continue
-            tick, drone, _mode, x, y, z, _action, _npred = line.split("\t")
-            ticks.setdefault(int(tick), {})[int(drone)] = (int(x), int(y), int(z))
-        except ValueError:
-            print(f"error: {args.trace}: line {lineno} is malformed: {line!r}", file=sys.stderr)
-            return EXIT_CONFIG_ERROR
-    if dims is None:
-        print("error: trace has no area header", file=sys.stderr)
+    try:
+        dims, ticks = _parse_trace(lines)
+    except ValueError as exc:
+        print(f"error: {args.trace}: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     for tick in sorted(ticks):
         print(f"== tick {tick} ==")

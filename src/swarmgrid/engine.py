@@ -13,32 +13,33 @@ cell's lock from the start and releases a cell only after leaving it, so the
 lock table holds every drone's cell as well as the cells claimed earlier in
 the tick. So a lock is never denied.
 
-Obstacle detection, the hazard test and the ground-truth scan look cells up
-in per-tick dicts rather than comparing every drone with every obstacle or
-drone: detection tests only the drones bucketed near each static obstacle
-not yet detected, a deciding drone collects the other drones within two
-cells of it once and tests its candidate cells against that short list, and
-the scan costs O(flying drones + obstacles) per tick plus sorting the
-records it finds. From a `detection_radius` of 2 up, every live moving
-obstacle counts as known with no detection test, since any moving obstacle
-that can change a decision is within two cells of the deciding drone (see
-`run_tick`); below 2, moving obstacles are tested like statics. The
-clearance margin of the known obstacles is one cell -> count map kept across
-ticks: a static obstacle adds its 27 cells once, when first detected; a
-known moving obstacle that takes an axis step moves only the 9 cells of its
-cube's trailing face and the 9 of its new leading face, and one that
-spawns, dies, or enters or leaves detection moves all 27. The decisions'
-blocked cells are one set kept across ticks, rebuilt only on a tick where
-a static obstacle is newly detected or a known moving obstacle changed.
+An obstacle is known while it is live and either `detection_radius` is at
+least 2 or a drone is within Chebyshev `detection_radius` of it; a static
+obstacle stays known once detected. From radius 2 up no detection test is
+needed: every cell a decision reads (the reducing cells and sidesteps with
+their hazard margin, `avoid`'s neighbours, the backtrack cell) lies next to
+the deciding drone's start-of-tick cell, so any obstacle that can change a
+decision is within Chebyshev 2 of that cell, where the drone detects it
+this tick. Below radius 2 each obstacle not yet known probes the drone
+cells around it.
 
-A drone that has arrived parks on its destination for good. The simulation
-keeps the flying drones, the set of drone cells, the parked drones' cells
-and buckets, and the static obstacles not yet detected across ticks, so a
-parked drone enters them once, when it parks. After that it costs a tick
-its draw in the shuffle of all drones (the draw order is part of the
-routes), a share of the bucket copy, and with a trace on, one trace line
-built from a suffix kept since it parked. It still detects obstacles, blocks
-cells and can be hit.
+The known obstacles' clearance margin is one cell -> count map kept across
+ticks: a static obstacle adds its 27 cells once, when it becomes known; a
+known moving obstacle's axis step moves only the 9 cells of its cube's
+trailing face and the 9 of its new leading face, and a spawn, death, or
+entry to or exit from detection moves all 27. The decisions' blocked cells
+are one set, rebuilt only on a tick where a known obstacle changed. A
+deciding drone collects the other drones within two cells of it once and
+tests its candidate cells against that short list. The scan costs
+O(flying drones + obstacles) per tick plus sorting the records it finds.
+
+A drone that has arrived parks on its destination for good. The flying
+drones, the drone cells (as a set and as buckets), the parked drones' cells
+and the static obstacles not yet known are kept across ticks, and a drone's
+entries move only when it moves. So a parked drone costs a tick its draw in
+the shuffle of all drones (the draw order is part of the routes) and, with
+a trace on, one trace line built from a suffix kept since it parked. It
+still detects obstacles, blocks cells and can be hit.
 """
 
 from __future__ import annotations
@@ -157,10 +158,15 @@ def _move_margin(
             _shift_margin(margin, cell, 1)
 
 
-# Side of the cubes the drone cells are bucketed into each tick. Detection
-# and the hazard test both read these buckets; the cube of Chebyshev radius 2
-# around a cell spans at most two of them per axis.
+# Side of the cubes the drone cells are bucketed into for the hazard test;
+# the cube of Chebyshev radius 2 around a cell spans at most two of them per
+# axis.
 _BLOCK_SIDE = 5
+
+
+def _block_of(cell: Cell) -> Cell:
+    """The key of the side-_BLOCK_SIDE bucket holding the cell."""
+    return (cell[0] // _BLOCK_SIDE, cell[1] // _BLOCK_SIDE, cell[2] // _BLOCK_SIDE)
 
 
 def _drones_near(cell: Cell, blocks: dict[Cell, list[Cell]]) -> list[Cell]:
@@ -378,8 +384,6 @@ class Simulation:
         cfg.validate()
         self.cfg = cfg
         self.area = cfg.area()
-        # No two cells of the area are farther apart than its longest side.
-        self._detection_radius = min(cfg.detection_radius, max(self.area.dims))
         self.rng = random.Random(cfg.seed)
         self.drones = [
             Drone(id=i, start=s, dest=d) for i, (s, d) in enumerate(cfg.drones)
@@ -396,10 +400,9 @@ class Simulation:
             if not self.locks.try_acquire(d.id, d.current):
                 raise EngineInvariantViolation(f"start cell {d.current} already locked")
         self.known_static: dict[int, Cell] = {}
-        # The moving obstacles the decisions took as known last tick (every
-        # live one while detection_radius >= 2, see run_tick), the clearance
-        # margin of those and the known statics as cell -> number of
-        # obstacles it is near, and the cells of both as the decisions'
+        # The moving obstacles the decisions took as known last tick, the
+        # clearance margin of those and the known statics as cell -> number
+        # of obstacles it is near, and the cells of both as the decisions'
         # blocked cells.
         self._moving_in_margin: dict[int, Cell] = {}
         self._margin: dict[Cell, int] = {}
@@ -418,14 +421,14 @@ class Simulation:
             if d.current == d.dest:
                 d.arrived = True
         # Per-drone state kept across ticks: the flying drones in id order,
-        # every drone's cell, and the parked drones' cells as cell -> id and
-        # as side-_BLOCK_SIDE buckets. With a trace on, each parked drone's
-        # trace line after its tick number. The static obstacles not yet
-        # detected are the only ones detection still tests.
+        # every drone's cell, as a set and as side-_BLOCK_SIDE buckets, and
+        # the parked drones' cells as cell -> id. With a trace on, each
+        # parked drone's trace line after its tick number. The static
+        # obstacles not yet known are the only ones phase 2 still tests.
         self._flying = [d for d in self.drones if not d.arrived]
         self._drone_cells: set[Cell] = {d.current for d in self.drones}
+        self._blocks = self._drone_blocks(self._drone_cells)
         self._parked: dict[Cell, int] = {}
-        self._parked_blocks: dict[Cell, list[Cell]] = {}
         self._parked_lines: dict[int, str] = {}
         self._park([d for d in self.drones if d.arrived])
         self._undetected = list(self.statics)
@@ -435,8 +438,6 @@ class Simulation:
         never moves or changes mode again."""
         for d in drones:
             self._parked[d.current] = d.id
-        for key, cells in self._drone_blocks([d.current for d in drones]).items():
-            self._parked_blocks.setdefault(key, []).extend(cells)
         if self.trace is not None:
             for d in drones:
                 x, y, z = d.current
@@ -459,45 +460,24 @@ class Simulation:
                 avoid_drones=cfg.obstacles_avoid_drones,
             )
 
-        # Phase 2: obstacle detection. A static obstacle stays known once
-        # seen; a moving one is known while it is alive or, below radius 2,
-        # while a drone is near it. The buckets are the parked drones' with
-        # the flying drones added, and the parked lists are copied only
-        # where a flying drone joins them.
-        parked_blocks = self._parked_blocks
-        flying_blocks = self._drone_blocks(before.values())
-        drone_blocks = {**parked_blocks, **flying_blocks}
-        for key in flying_blocks.keys() & parked_blocks.keys():
-            drone_blocks[key] = parked_blocks[key] + flying_blocks[key]
+        # Phase 2: obstacle detection, by the rule in the module docstring.
+        # From radius 2 up it tests no drone: every static becomes known on
+        # the first tick and every live moving obstacle is known.
+        sees_all = cfg.detection_radius >= 2
         margin = self._margin
         undetected = []
         for so in self._undetected:
-            if self._detected(so.cell, drone_blocks):
+            if sees_all or self._detected(so.cell):
                 self.known_static[so.id] = so.cell
                 _shift_margin(margin, so.cell, 1)
             else:
                 undetected.append(so)
         changed = len(undetected) < len(self._undetected)
         self._undetected = undetected
-        # From radius 2 up every live moving obstacle counts as known, with
-        # no detection test. A decision reads only the cells next to its
-        # drone's cell (the reducing cells, sidesteps, avoid's neighbours,
-        # the backtrack cell) and, for the reducing cells and sidesteps,
-        # their margin, so only an obstacle within Chebyshev 2 of the drone's
-        # cell can change it. The drone detects from that cell this tick, so
-        # each such obstacle is known either way, and the decisions are the
-        # same. Below radius 2 an obstacle two cells away may be undetected,
-        # so the test stays.
-        if self._detection_radius >= 2:
-            moving = {
-                mo.id: mo.cell for mo in self.movings
-                if mo.alive and tick >= mo.spawn_tick
-            }
-        else:
-            moving = {
-                mo.id: mo.cell for mo in self.movings
-                if mo.alive and tick >= mo.spawn_tick and self._detected(mo.cell, drone_blocks)
-            }
+        moving = {
+            mo.id: mo.cell for mo in self.movings
+            if mo.alive and tick >= mo.spawn_tick and (sees_all or self._detected(mo.cell))
+        }
         # Move the margin of the moving obstacles that stepped, died, spawned,
         # or entered or left detection since the last tick, and rebuild the
         # blocked cells only when a known obstacle changed.
@@ -521,7 +501,7 @@ class Simulation:
             if d.mode is Mode.BACKTRACK:
                 intent, action = self._backtrack_decision(d, ctx)
             else:
-                intent, action = self._normal_decision(d, ctx, drone_blocks)
+                intent, action = self._normal_decision(d, ctx)
             if intent != d.current and not self.locks.try_acquire(d.id, intent):
                 raise EngineInvariantViolation(
                     f"drone {d.id} was denied the lock of {intent} after finding it safe"
@@ -537,6 +517,7 @@ class Simulation:
             cell, n = Counter(cells).most_common(1)[0]
             raise EngineInvariantViolation(f"{n} drones committed {cell}")
         vacated = []
+        entered = []
         landed = []
         for d in flying:
             nxt = committed[d.id]
@@ -545,6 +526,7 @@ class Simulation:
             if nxt != prev:
                 self.locks.release(d.id, prev)
                 vacated.append(prev)
+                entered.append(nxt)
                 if d.mode is Mode.HOVER:
                     d.mode = Mode.NORMAL
             elif d.mode is Mode.NORMAL:
@@ -562,7 +544,16 @@ class Simulation:
         # Drop every vacated cell before adding the entered ones: a drone may
         # move into a cell another drone left this tick.
         drone_cells.difference_update(vacated)
-        drone_cells.update(targets)
+        drone_cells.update(entered)
+        blocks = self._blocks
+        for c in vacated:
+            key = _block_of(c)
+            cells = blocks[key]
+            cells.remove(c)
+            if not cells:
+                del blocks[key]
+        for c in entered:
+            blocks.setdefault(_block_of(c), []).append(c)
 
         # Phase 5: ground-truth collision scan, independent of the decisions.
         after = {d.id: d.current for d in flying}
@@ -594,33 +585,26 @@ class Simulation:
 
     def _drone_blocks(self, drone_cells: Iterable[Cell]) -> dict[Cell, list[Cell]]:
         """Drone cells bucketed into cubes of side _BLOCK_SIDE."""
-        side = _BLOCK_SIDE
         blocks: dict[Cell, list[Cell]] = {}
         for c in drone_cells:
-            blocks.setdefault((c[0] // side, c[1] // side, c[2] // side), []).append(c)
+            blocks.setdefault(_block_of(c), []).append(c)
         return blocks
 
-    def _detected(self, cell: Cell, drone_blocks: dict[Cell, list[Cell]]) -> bool:
+    def _detected(self, cell: Cell) -> bool:
         """Is a drone within Chebyshev detection_radius of the cell?
 
-        Only the drones in the blocks that the cube of that radius around the
-        cell overlaps are tested: at most 8 blocks while the radius is 2.
+        Probes the drone cells at every offset within the radius; phase 2
+        asks only below radius 2, so that is at most 27 probes.
         """
-        r = self._detection_radius
+        r = self.cfg.detection_radius
+        drone_cells = self._drone_cells
         x, y, z = cell
-        bys = range((y - r) // _BLOCK_SIDE, (y + r) // _BLOCK_SIDE + 1)
-        bzs = range((z - r) // _BLOCK_SIDE, (z + r) // _BLOCK_SIDE + 1)
-        for bx in range((x - r) // _BLOCK_SIDE, (x + r) // _BLOCK_SIDE + 1):
-            for by in bys:
-                for bz in bzs:
-                    for dx, dy, dz in drone_blocks.get((bx, by, bz), ()):
-                        if abs(dx - x) <= r and abs(dy - y) <= r and abs(dz - z) <= r:
-                            return True
-        return False
+        span = range(-r, r + 1)
+        return any(
+            (x + dx, y + dy, z + dz) in drone_cells for dx in span for dy in span for dz in span
+        )
 
-    def _normal_decision(
-        self, d: Drone, ctx: DecisionContext, drone_blocks: dict[Cell, list[Cell]],
-    ) -> tuple[Cell, str]:
+    def _normal_decision(self, d: Drone, ctx: DecisionContext) -> tuple[Cell, str]:
         """Greedy step with hazard clearance.
 
         Prefers a goal-reducing neighbor outside the clearance margin of
@@ -661,7 +645,7 @@ class Simulation:
             d.sidestep_cooldown = cool - 1
         if reducing:
             margin = self._margin
-            near = _drones_near(cur, drone_blocks)
+            near = _drones_near(cur, self._blocks)
             clear = [
                 n for n in reducing
                 if n == dest or not _in_hazard_margin(n, margin, near)

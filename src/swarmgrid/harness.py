@@ -131,12 +131,6 @@ def mission_digest(cfg: SimConfig) -> str:
     return h.hexdigest()
 
 
-def _run_proposed(cfg: SimConfig) -> tuple[SimResult, float]:
-    t0 = time.perf_counter()
-    result = run_mission(cfg)
-    return result, (time.perf_counter() - t0) * 1000.0
-
-
 def _run_baseline(cfg: SimConfig, algorithm: str) -> tuple[SimResult, float]:
     area = cfg.area()
     planner = rrt_plan if algorithm == "rrt" else rrt_star_plan
@@ -196,7 +190,8 @@ def run_batch(
         cfg = build_experiment(spec, seed)
         try:
             if algorithm == "proposed":
-                result, wall_ms = _run_proposed(cfg)
+                result = run_mission(cfg)
+                wall_ms = result.wall_ms
             else:
                 result, wall_ms = _run_baseline(cfg, algorithm)
         except PlanFailure:

@@ -250,7 +250,15 @@ def test_replay_missing_trace(tmp_path, capsys):
     ("0\t0\tnormal\t1\t2", 4),
     ("0\t0\tnormal\tx\t0\t0\tadvance\t0", 4),
     ("# area 6 six 4", 2),
-], ids=["two-fields", "short-row", "non-int-x", "bad-area-header"])
+    ("# area 4 4 -4", 2),
+    ("# area 4 4 1", 2),
+    ("0\t0\tnormal\t0\t0\t0\tadvance\t0", 2),
+    ("0\t0\tnormal\t99\t99\t99\tadvance\t0", 4),
+    ("0\t0\tnormal\t0\t-1\t0\tadvance\t0", 5),
+], ids=[
+    "two-fields", "short-row", "non-int-x", "bad-area-header", "negative-area-dim",
+    "area-dim-below-two", "row-before-area-header", "cell-past-the-area", "negative-cell",
+])
 def test_replay_malformed_trace_names_the_line(scenario, tmp_path, capsys, bad, lineno):
     trace = tmp_path / "r.trace"
     main(["run", "--scenario", str(scenario), "--trace", str(trace)])

@@ -107,12 +107,18 @@ class TestConfigValidation:
 
 
 def test_a_radius_past_the_area_flies_as_its_longest_side():
-    """No two cells of the area are farther apart than its longest side, so
-    a larger detection radius flies the same mission at the same cost."""
-    cfg = build_experiment(EXPERIMENTS[3], 0)
-    side = dataclasses.replace(cfg, detection_radius=max(cfg.dims))
-    huge = dataclasses.replace(cfg, detection_radius=10**9)
-    assert mission_digest(huge) == mission_digest(side)
+    """From radius 2 up the decisions know every obstacle that can change
+    them, so radii 2, 3, the area's longest side (past which no two cells are
+    farther apart) and beyond all fly one mission. Radii 0 and 1 leave
+    obstacles two cells from a drone unknown, and fly differently."""
+    for exp in (1, 3):
+        cfg = build_experiment(EXPERIMENTS[exp], 0)
+        digests = {
+            r: mission_digest(dataclasses.replace(cfg, detection_radius=r))
+            for r in (0, 1, 2, 3, max(cfg.dims), 10**9)
+        }
+        assert len({digests[r] for r in (2, 3, max(cfg.dims), 10**9)}) == 1, exp
+        assert digests[0] != digests[2] and digests[1] != digests[2], exp
 
 
 def test_clearance_margin_size():
@@ -358,7 +364,7 @@ def test_two_drones_committing_one_cell_is_an_invariant_violation(monkeypatch):
     cfg = simple_cfg(drones=[((0, 0, 0), (5, 5, 5)), ((2, 0, 0), (0, 5, 5))])
     sim = Simulation(cfg)
     monkeypatch.setattr(
-        Simulation, "_normal_decision", lambda self, d, ctx, near: ((1, 0, 0), "advance")
+        Simulation, "_normal_decision", lambda self, d, ctx: ((1, 0, 0), "advance")
     )
     monkeypatch.setattr(LockTable, "try_acquire", lambda self, drone_id, cell: True)
     with pytest.raises(EngineInvariantViolation, match=r"2 drones committed \(1, 0, 0\)"):
@@ -371,7 +377,7 @@ def test_a_drone_committing_a_parked_drones_cell_is_an_invariant_violation(monke
     cfg = simple_cfg(drones=[((1, 0, 0), (1, 0, 0)), ((0, 0, 0), (5, 5, 5))])
     sim = Simulation(cfg)
     monkeypatch.setattr(
-        Simulation, "_normal_decision", lambda self, d, ctx, near: ((1, 0, 0), "advance")
+        Simulation, "_normal_decision", lambda self, d, ctx: ((1, 0, 0), "advance")
     )
     monkeypatch.setattr(LockTable, "try_acquire", lambda self, drone_id, cell: True)
     with pytest.raises(EngineInvariantViolation, match=r"2 drones committed \(1, 0, 0\)"):

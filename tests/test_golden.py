@@ -110,24 +110,36 @@ def _stream_missions():
         yield dataclasses.replace(build_experiment(CONGESTED, seed), max_ticks=300)
 
 
+def _near(cell, drone_cells, r) -> bool:
+    """Is a drone cell within Chebyshev r of the cell?"""
+    x, y, z = cell
+    return any(
+        abs(qx - x) <= r and abs(qy - y) <= r and abs(qz - z) <= r for qx, qy, qz in drone_cells
+    )
+
+
 def _mission_events(cfg):
-    """Each tick's CEP events with their ingestion time, in engine order."""
+    """Each tick's CEP events with their ingestion time, in engine order.
+
+    A drone detects an obstacle within Chebyshev `detection_radius` of its
+    cell at the start of the tick, after the obstacles moved."""
     sim = Simulation(cfg)
+    r = cfg.detection_radius
+    detected_static: set = set()
     max_ticks = cfg.effective_max_ticks()
     while not sim.all_arrived() and sim.tick < max_ticks:
         tick = sim.tick
         now_ms = tick * TICK_LEN_MS
         cells = [d.current for d in sim.drones]
-        known_static = set(sim.known_static)
         sim.run_tick()
         for d, cell in zip(sim.drones, cells):
             yield DroneLocEvent(d.id, cell, now_ms), now_ms
         for so in sim.statics:
-            if so.id in sim.known_static and so.id not in known_static:
+            if so.id not in detected_static and _near(so.cell, cells, r):
+                detected_static.add(so.id)
                 yield SObsEvent(so.id, so.cell), now_ms
-        drone_blocks = sim._drone_blocks(set(cells))
         for mo in sim.movings:
-            if mo.alive and tick >= mo.spawn_tick and sim._detected(mo.cell, drone_blocks):
+            if mo.alive and tick >= mo.spawn_tick and _near(mo.cell, cells, r):
                 yield MObsEvent(mo.id, mo.cell, now_ms), now_ms
 
 

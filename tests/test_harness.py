@@ -117,6 +117,23 @@ def test_run_batch_single_run_equals_aggregate():
     assert aggregate.nc == rows[0].metrics.nc
 
 
+def test_run_batch_times_the_navigator_by_its_mission_loop(monkeypatch):
+    """T_ms of the online navigator is `SimResult.wall_ms`, as `swarmgrid
+    run` reports it, not a timer around building the simulation too."""
+    def stub(cfg, trace=None):
+        result = result_with_routes({0: straight_route(3)})
+        result.wall_ms = 42.5
+        return result
+
+    monkeypatch.setattr("swarmgrid.harness.run_mission", stub)
+    tiny = ExperimentSpec(8, (6, 6, 6), 3, 2, 2)
+    aggregate, rows = run_batch(tiny, "proposed", n_runs=2, base_seed=5)
+    assert [r.metrics.t_ms for r in rows] == [42.5, 42.5]
+    assert aggregate.t_ms == 42.5
+    assert rows[0].as_csv()[6] == "42.500"
+    assert rows[0].as_csv(deterministic_timing=True)[6] == "0.000"
+
+
 def test_run_batch_rejects_unknown_algorithm():
     with pytest.raises(ValueError):
         run_batch(EXPERIMENTS[1], "a-star", n_runs=1)

@@ -4,15 +4,15 @@ blocked cells.
 The engine keeps the clearance margin of the known obstacles as one
 cell -> count map across ticks, keeps the blocked cells as one set across
 ticks, and tests a deciding drone's candidate cells against the other drones
-within two cells of it. From `detection_radius` 2 up it takes every live
-moving obstacle as known without a detection test. These tests fly seeded
-missions tick by tick and check all three against the definitions they
-replace:
+within two cells of it. From `detection_radius` 2 up it takes every static
+and every live moving obstacle as known without a detection test. These
+tests fly seeded missions tick by tick and check all three against the
+definitions they replace:
 
-- after every tick, the map's cells equal `clearance_margin` of the known
-  static obstacles united with `clearance_margin` of the cells of the moving
-  obstacles the engine takes as known (every live one from radius 2 up, the
-  ones a drone detected this tick below it), both found here by brute
+- after every tick, the map's cells equal `clearance_margin` of the cells
+  of the obstacles the engine takes as known (every static and every live
+  moving one from radius 2 up; below it the statics a drone has detected
+  and the moving ones a drone detected this tick), found here by brute
   force, and each cell counts the obstacles whose margin holds it;
 - every hazard answer the decisions take equals the 27-probe test the
   engine used before (`reference_in_hazard_margin` below) against the margin
@@ -21,8 +21,8 @@ replace:
 - every `ctx.blocked_cells` membership a decision reads equals membership
   in the cells of those same brute-force known obstacles.
 
-The last two are what show that skipping moving-obstacle detection from
-radius 2 up changes no decision.
+The last two are what show that skipping obstacle detection from radius 2
+up changes no decision.
 """
 
 import dataclasses
@@ -145,7 +145,8 @@ def fly_with_oracle(cfg: SimConfig, monkeypatch) -> dict:
         sim.run_tick()
         known = known_moving(drone_cells, tick)
         in_margin = live_moving(tick) if r >= 2 else known
-        cells = list(seen_static.values()) + list(in_margin.values())
+        statics = [so.cell for so in sim.statics] if r >= 2 else list(seen_static.values())
+        cells = statics + list(in_margin.values())
         want = clearance_margin(set(cells))
         assert {c for c, n in sim._margin.items() if n > 0} == want, tick
         assert sim._margin == Counter(c for o in cells for c in clearance_margin({o})), tick
@@ -185,8 +186,9 @@ def test_dense_grid_matches_the_oracle(seed, monkeypatch):
 
 @pytest.mark.parametrize("radius", [0, 1, 2, 3])
 def test_other_detection_radii_match_the_oracle(radius, monkeypatch):
-    """Detection and the hazard test read one bucket side for any radius, and
-    the blocked cells a decision reads are the known obstacles' at each."""
+    """The hazard test reads one bucket side for any radius, and the hazard
+    and blocked-cell answers a decision reads are the detected obstacles' at
+    each radius."""
     cfg = dataclasses.replace(build_experiment(EXPERIMENTS[3], 0), detection_radius=radius)
     seen = fly_with_oracle(cfg, monkeypatch)
     assert seen["hazard_checks"] > 0

@@ -1,21 +1,18 @@
 """Oracle for the per-drone state the simulation keeps across ticks.
 
-The engine keeps the flying drones, the set of drone cells, the parked
-drones' cells and buckets, and the static obstacles not yet detected from
-one tick to the next, instead of rebuilding them from every drone each
+The engine keeps the flying drones, the set of drone cells and their
+buckets, the parked drones' cells, and the static obstacles not yet known
+from one tick to the next, instead of rebuilding them from every drone each
 tick. These tests fly seeded missions tick by tick and check that state
-against the drones themselves:
-
-- before the first tick and after every tick, the flying list is the
-  drones not yet arrived in id order, the parked map is the arrived drones'
-  cells to their ids, the drone-cell set is every drone's current cell, the
-  parked buckets are `_drone_blocks` of the parked cells, and the
-  undetected statics are those not in `known_static`, in id order,
-  the lock table holds each drone's current cell and nothing else, and the
-  kept blocked cells are the known statics' cells and the last tick's live
-  moving obstacles' cells (at the default `detection_radius` of 2);
-- every bucket map a tick hands to detection or to a decision equals
-  `_drone_blocks` over all the drones' cells at the start of that tick.
+against the drones themselves before the first tick and after every tick:
+the flying list is the drones not yet arrived in id order, the parked map
+is the arrived drones' cells to their ids, the drone-cell set is every
+drone's current cell, the kept buckets are `_drone_blocks` of every drone's
+current cell (so the map the next tick's decisions read is right), the
+statics not yet known are those not in `known_static`, in id order, the
+lock table holds each drone's current cell and nothing else, and the kept
+blocked cells are the known statics' cells and the last tick's live moving
+obstacles' cells (at the default `detection_radius` of 2).
 """
 
 import dataclasses
@@ -43,82 +40,55 @@ def check_kept_state(sim: Simulation) -> None:
     # Between ticks each drone holds exactly its own cell's lock; the
     # conflict test relies on it to keep drones out of each other's cells.
     assert sim.locks._holders == {d.current: d.id for d in sim.drones}
-    assert _as_sorted(sim._parked_blocks) == _as_sorted(
-        sim._drone_blocks([d.current for d in arrived])
+    assert _as_sorted(sim._blocks) == _as_sorted(
+        sim._drone_blocks([d.current for d in sim.drones])
     )
     assert [so.id for so in sim._undetected] == [
         so.id for so in sim.statics if so.id not in sim.known_static
     ]
-    # From radius 2 up the decisions take every live moving obstacle as
-    # known. The obstacles have not moved since the last tick's phase 1.
+    # From radius 2 up the decisions take every static obstacle as known
+    # from the first tick on, and every live moving obstacle. The obstacles
+    # have not moved since the last tick's phase 1.
     assert sim.cfg.detection_radius >= 2
+    if sim.tick:
+        assert sim.known_static == {so.id: so.cell for so in sim.statics}
     moving = {mo.cell for mo in sim.movings if mo.alive and sim.tick - 1 >= mo.spawn_tick}
     assert sim._blocked == {*sim.known_static.values(), *moving}
 
 
-def fly_with_oracle(cfg: SimConfig, monkeypatch) -> dict:
-    """Fly cfg to its end, checking the kept state after every tick and
-    every bucket map the tick reads. Returns counts of what was checked."""
+def fly_with_oracle(cfg: SimConfig) -> int:
+    """Fly cfg to its end, checking the kept state after every tick.
+    Returns the number of ticks that started with a parked drone."""
     sim = Simulation(cfg)
-    seen = {"ticks": 0, "bucket_maps": 0, "parked_ticks": 0}
-    tick_blocks: dict = {}
-
-    def checked(blocks):
-        if id(blocks) not in tick_blocks:
-            tick_blocks[id(blocks)] = blocks
-            want = sim._drone_blocks([d.current for d in sim.drones])
-            assert _as_sorted(blocks) == _as_sorted(want), sim.tick
-            seen["bucket_maps"] += 1
-
-    detected = Simulation._detected
-    normal_decision = Simulation._normal_decision
-
-    def checked_detected(self, cell, drone_blocks):
-        checked(drone_blocks)
-        return detected(self, cell, drone_blocks)
-
-    def checked_decision(self, d, ctx, drone_blocks):
-        checked(drone_blocks)
-        return normal_decision(self, d, ctx, drone_blocks)
-
-    monkeypatch.setattr(Simulation, "_detected", checked_detected)
-    monkeypatch.setattr(Simulation, "_normal_decision", checked_decision)
-
+    parked_ticks = 0
     check_kept_state(sim)
     max_ticks = cfg.effective_max_ticks()
     while not sim.all_arrived() and sim.tick < max_ticks:
-        tick_blocks.clear()
-        seen["parked_ticks"] += bool(sim._parked)
+        parked_ticks += bool(sim._parked)
         sim.run_tick()
         check_kept_state(sim)
-        seen["ticks"] += 1
     assert sim.all_arrived() == all(d.arrived for d in sim.drones)
-    return seen
+    return parked_ticks
 
 
 @pytest.mark.parametrize("avoid_drones", [True, False])
 @pytest.mark.parametrize("exp", [1, 2, 3, 4])
-def test_experiments_keep_their_state(exp, avoid_drones, monkeypatch):
+def test_experiments_keep_their_state(exp, avoid_drones):
     cfg = dataclasses.replace(
         build_experiment(EXPERIMENTS[exp], 0), obstacles_avoid_drones=avoid_drones
     )
-    seen = fly_with_oracle(cfg, monkeypatch)
-    assert seen["parked_ticks"] > 0
-    assert seen["bucket_maps"] >= seen["ticks"]
+    assert fly_with_oracle(cfg) > 0
 
 
 @pytest.mark.parametrize("seed", [0, 2])
-def test_dense_grid_keeps_its_state(seed, monkeypatch):
+def test_dense_grid_keeps_its_state(seed):
     """Seed 2 livelocks until max_ticks with most drones parked around it."""
     cfg = dataclasses.replace(build_experiment(DENSE, seed), max_ticks=300)
-    seen = fly_with_oracle(cfg, monkeypatch)
-    assert seen["parked_ticks"] > 0
+    assert fly_with_oracle(cfg) > 0
 
 
-def test_dense_swarm_keeps_its_state(monkeypatch):
-    seen = fly_with_oracle(build_experiment(SWARM, 0), monkeypatch)
-    assert seen["parked_ticks"] > 0
-    assert seen["bucket_maps"] >= seen["ticks"]
+def test_dense_swarm_keeps_its_state():
+    assert fly_with_oracle(build_experiment(SWARM, 0)) > 0
 
 
 def test_a_drone_following_into_a_cell_vacated_this_tick_keeps_its_cell(monkeypatch):
@@ -130,7 +100,7 @@ def test_a_drone_following_into_a_cell_vacated_this_tick_keeps_its_cell(monkeypa
     sim = Simulation(cfg)
     monkeypatch.setattr(
         Simulation, "_normal_decision",
-        lambda self, d, ctx, near: ((d.current[0] + 1, 0, 0), "advance"),
+        lambda self, d, ctx: ((d.current[0] + 1, 0, 0), "advance"),
     )
 
     def hand_over(self, drone_id, cell):
@@ -149,7 +119,7 @@ def test_a_drone_following_into_a_cell_vacated_this_tick_keeps_its_cell(monkeypa
     check_kept_state(sim)
 
 
-def test_drones_starting_on_their_dest_are_parked_from_the_start(monkeypatch):
+def test_drones_starting_on_their_dest_are_parked_from_the_start():
     cfg = SimConfig(
         dims=(6, 6, 6),
         drones=[((2, 2, 2), (2, 2, 2)), ((0, 0, 0), (4, 4, 4)), ((5, 5, 5), (5, 5, 5))],
@@ -159,4 +129,4 @@ def test_drones_starting_on_their_dest_are_parked_from_the_start(monkeypatch):
     sim = Simulation(cfg)
     assert sim._parked == {(2, 2, 2): 0, (5, 5, 5): 2}
     assert [d.id for d in sim._flying] == [1]
-    assert fly_with_oracle(cfg, monkeypatch)["parked_ticks"] > 0
+    assert fly_with_oracle(cfg) > 0
