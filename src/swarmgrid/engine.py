@@ -23,32 +23,39 @@ decision is within Chebyshev 2 of that cell, where the drone detects it
 this tick. Below radius 2 each obstacle not yet known probes the drone
 cells around it.
 
-The known obstacles' clearance margin is one cell -> count map kept across
-ticks: a static obstacle adds its 27 cells once, when it becomes known; a
-known moving obstacle's axis step moves only the 9 cells of its cube's
-trailing face and the 9 of its new leading face, and a spawn, death, or
-entry to or exit from detection moves all 27. The decisions' blocked cells
-are one set, rebuilt only on a tick where a known obstacle changed. A
-deciding drone collects the other drones within two cells of it once and
-tests its candidate cells against that short list. The scan costs
-O(flying drones + obstacles) per tick plus sorting the records it finds.
+The hazard margin, the cells within Chebyshev 1 of a known obstacle or of
+another drone, is read from one grid of counts kept across ticks over the
+area padded by one cell on each side (`HazardGrid`): each known obstacle
+adds 2 and each drone, flying or parked, 1 over its 27-cell cube. The
+deciding drone adds 1 to every cell next to its own, so a candidate cell is
+in the margin exactly when its count is at least 2, one array read. The
+counts move where what they count moves. In phase 2 a static obstacle adds
+its cube once, when it becomes known, and a known moving obstacle's axis
+step moves only its cube's trailing and leading 9-cell faces, while a
+spawn, death, or entry to or exit from detection moves all 27; in phase 4 a
+drone's step moves two faces. A count takes 4 bytes, since obstacles may
+share a cell, and `SimConfig.validate` caps the grid at GRID_CELLS_MAX
+cells. The decisions' blocked cells are one set, rebuilt only on a tick
+where a known obstacle changed. The scan costs O(flying drones + obstacles)
+per tick plus sorting the records it finds.
 
 A drone that has arrived parks on its destination for good. The flying
-drones, the drone cells (as a set and as buckets), the parked drones' cells
-and the static obstacles not yet known are kept across ticks, and a drone's
-entries move only when it moves. So a parked drone costs a tick its draw in
-the shuffle of all drones (the draw order is part of the routes) and, with
-a trace on, one trace line built from a suffix kept since it parked. It
-still detects obstacles, blocks cells and can be hit.
+drones, the drone cells (as a set and in the grid), the parked drones'
+cells and the static obstacles not yet known are kept across ticks, and a
+drone's entries move only when it moves. So a parked drone costs a tick its
+draw in the shuffle of all drones (the draw order is part of the routes)
+and, with a trace on, one trace line built from a suffix kept since it
+parked. It still detects obstacles, blocks cells and can be hit.
 """
 
 from __future__ import annotations
 
 import random
 import time
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 from .avoidance import (
     BacktrackConfig,
@@ -117,91 +124,88 @@ _FACE = {
     for step in DIRECTIONS
 }
 
+# What a known obstacle and a drone add over their cube in the hazard grid.
+_OBSTACLE, _DRONE = 2, 1
 
-def _shift_margin(
-    margin: dict[Cell, int], cell: Cell, delta: int, offsets: tuple[Cell, ...] = _CUBE,
-) -> None:
-    """Add delta to the count of each cell at the offsets from `cell` (by
-    default its clearance margin), dropping cells whose count reaches zero."""
-    x, y, z = cell
-    for dx, dy, dz in offsets:
-        c = (x + dx, y + dy, z + dz)
-        n = margin.get(c, 0) + delta
-        if n:
-            margin[c] = n
-        else:
-            del margin[c]
+# The most cells `validate` lets the hazard grid have: 64 MiB at 4 bytes a
+# count.
+GRID_CELLS_MAX = 2**24
 
 
-def _move_margin(
-    margin: dict[Cell, int], last: dict[int, Cell], now: dict[int, Cell],
-) -> None:
-    """Move the margin counts of the obstacles in `last` (id -> cell) to
-    those of the obstacles in `now`, one tick later.
+def _grid_cells(dims: Cell) -> int:
+    """Cells of the hazard grid over an area of `dims`, padded by one cell
+    on each side."""
+    return (dims[0] + 2) * (dims[1] + 2) * (dims[2] + 2)
 
-    An obstacle in both is on the same cell or one axis step away, since an
-    obstacle steps at most once a tick. A step moves only the two faces its
-    cube changes: the old cube's trailing 9 cells lose a count and the new
-    cube's leading 9 cells gain one. An obstacle in only one of them moves
-    all 27 cells.
+
+class HazardGrid:
+    """Weights added over the 27-cell cubes of cells in an area of
+    `(X, Y, Z)`, counted over the area padded by one cell on each side at
+    flat index `(x+1)·(Y+2)(Z+2) + (y+1)·(Z+2) + (z+1)`.
+
+    `cube` holds the cube's 27 flat offsets, and `faces`, by the flat delta
+    of each unit axis step, the 9 flat offsets of the cube's face the step
+    points at.
     """
-    for i, cell in last.items():
-        new = now.get(i)
-        if new is None:
-            _shift_margin(margin, cell, -1)
-        elif new != cell:
-            step = (new[0] - cell[0], new[1] - cell[1], new[2] - cell[2])
-            _shift_margin(margin, cell, -1, _FACE[(-step[0], -step[1], -step[2])])
-            _shift_margin(margin, new, 1, _FACE[step])
-    for i, cell in now.items():
-        if i not in last:
-            _shift_margin(margin, cell, 1)
+
+    def __init__(self, dims: Cell):
+        self.sy = dims[2] + 2
+        self.sx = (dims[1] + 2) * self.sy
+        self.base = self.sx + self.sy + 1
+        self.counts = array("I", [0]) * _grid_cells(dims)
+
+        def flat(o: Cell) -> int:
+            return o[0] * self.sx + o[1] * self.sy + o[2]
+
+        self.cube = tuple(map(flat, _CUBE))
+        self.faces = {flat(step): tuple(map(flat, _FACE[step])) for step in DIRECTIONS}
+
+    def at(self, cell: Cell) -> int:
+        """The flat index of a cell of the padded area."""
+        return cell[0] * self.sx + cell[1] * self.sy + cell[2] + self.base
+
+    def add(self, cell: Cell, weight: int) -> None:
+        """Add `weight` (or take it, if negative) over the cell's cube."""
+        counts = self.counts
+        i = self.at(cell)
+        for o in self.cube:
+            counts[i + o] += weight
+
+    def step(self, old: Cell, new: Cell, weight: int) -> None:
+        """Move `weight` from the cube of `old` to that of `new`, one axis
+        step away: only the old cube's trailing face and the new cube's
+        leading face change."""
+        counts = self.counts
+        p = self.at(old)
+        q = self.at(new)
+        for o in self.faces[q - p]:
+            counts[p - o] -= weight
+            counts[q + o] += weight
+
+    def move(self, last: dict[int, Cell], now: dict[int, Cell], weight: int) -> None:
+        """Move the weights of the obstacles in `last` (id -> cell) to those
+        of the obstacles in `now`, one tick later.
+
+        An obstacle in both is on the same cell or one axis step away, since
+        an obstacle steps at most once a tick, and an obstacle that steps
+        off the area dies there. An obstacle in only one of them moves its
+        whole cube.
+        """
+        for i, cell in last.items():
+            new = now.get(i)
+            if new is None:
+                self.add(cell, -weight)
+            elif new != cell:
+                self.step(cell, new, weight)
+        for i, cell in now.items():
+            if i not in last:
+                self.add(cell, weight)
 
 
-# Side of the cubes the drone cells are bucketed into for the hazard test;
-# the cube of Chebyshev radius 2 around a cell spans at most two of them per
-# axis.
-_BLOCK_SIDE = 5
-
-
-def _block_of(cell: Cell) -> Cell:
-    """The key of the side-_BLOCK_SIDE bucket holding the cell."""
-    return (cell[0] // _BLOCK_SIDE, cell[1] // _BLOCK_SIDE, cell[2] // _BLOCK_SIDE)
-
-
-def _drones_near(cell: Cell, blocks: dict[Cell, list[Cell]]) -> list[Cell]:
-    """The drone cells other than `cell` within Chebyshev 2 of it.
-
-    `blocks` buckets the drone cells with side _BLOCK_SIDE. Every drone
-    within Chebyshev 1 of a neighbour of `cell` is on this list.
-    """
-    x, y, z = cell
-    bys = {(y - 2) // _BLOCK_SIDE, (y + 2) // _BLOCK_SIDE}
-    bzs = {(z - 2) // _BLOCK_SIDE, (z + 2) // _BLOCK_SIDE}
-    out = []
-    for bx in {(x - 2) // _BLOCK_SIDE, (x + 2) // _BLOCK_SIDE}:
-        for by in bys:
-            for bz in bzs:
-                for q in blocks.get((bx, by, bz), ()):
-                    qx, qy, qz = q
-                    if (
-                        -2 <= qx - x <= 2 and -2 <= qy - y <= 2 and -2 <= qz - z <= 2
-                        and q != cell
-                    ):
-                        out.append(q)
-    return out
-
-
-def _in_hazard_margin(cell: Cell, margin: dict[Cell, int], near: list[Cell]) -> bool:
-    """Is the cell within Chebyshev 1 of a known obstacle or of a drone on
-    `near`?"""
-    if cell in margin:
-        return True
-    x, y, z = cell
-    for qx, qy, qz in near:
-        if -1 <= qx - x <= 1 and -1 <= qy - y <= 1 and -1 <= qz - z <= 1:
-            return True
-    return False
+def _in_hazard_margin(counts: array, i: int) -> bool:
+    """Is the cell at flat index `i`, next to the deciding drone, within
+    Chebyshev 1 of a known obstacle or of another drone?"""
+    return counts[i] >= 2
 
 
 def _shuffle(rng: random.Random, xs: list) -> None:
@@ -267,6 +271,12 @@ class SimConfig:
             if not ok(v):
                 raise ConfigError(f"{name} must be {rule}, got {v!r}")
         area = self.area()
+        cells = _grid_cells(area.dims)
+        if cells > GRID_CELLS_MAX:
+            raise ConfigError(
+                f"dims {area.dims} padded by one cell on each side make a hazard grid of "
+                f"{cells} cells, over the cap of 2**24 = {GRID_CELLS_MAX}"
+            )
         starts = [s for s, _ in self.drones]
         dests = [d for _, d in self.drones]
         # Each field's path, with {} for the index, is formatted only to raise.
@@ -400,12 +410,10 @@ class Simulation:
             if not self.locks.try_acquire(d.id, d.current):
                 raise EngineInvariantViolation(f"start cell {d.current} already locked")
         self.known_static: dict[int, Cell] = {}
-        # The moving obstacles the decisions took as known last tick, the
-        # clearance margin of those and the known statics as cell -> number
-        # of obstacles it is near, and the cells of both as the decisions'
+        # The moving obstacles the decisions took as known last tick, and
+        # the cells of those and of the known statics as the decisions'
         # blocked cells.
         self._moving_in_margin: dict[int, Cell] = {}
-        self._margin: dict[Cell, int] = {}
         self._blocked: set[Cell] = set()
         # The scan's obstacle labels, built once.
         self._static_labels = {f"s{so.id}": so.cell for so in self.statics}
@@ -421,13 +429,16 @@ class Simulation:
             if d.current == d.dest:
                 d.arrived = True
         # Per-drone state kept across ticks: the flying drones in id order,
-        # every drone's cell, as a set and as side-_BLOCK_SIDE buckets, and
-        # the parked drones' cells as cell -> id. With a trace on, each
-        # parked drone's trace line after its tick number. The static
-        # obstacles not yet known are the only ones phase 2 still tests.
+        # every drone's cell, and the parked drones' cells as cell -> id.
+        # With a trace on, each parked drone's trace line after its tick
+        # number. The static obstacles not yet known are the only ones
+        # phase 2 still tests. The hazard grid holds every drone's cube
+        # and, from phase 2 on, the known obstacles'.
         self._flying = [d for d in self.drones if not d.arrived]
         self._drone_cells: set[Cell] = {d.current for d in self.drones}
-        self._blocks = self._drone_blocks(self._drone_cells)
+        self._grid = HazardGrid(cfg.dims)
+        for c in self._drone_cells:
+            self._grid.add(c, _DRONE)
         self._parked: dict[Cell, int] = {}
         self._parked_lines: dict[int, str] = {}
         self._park([d for d in self.drones if d.arrived])
@@ -464,12 +475,12 @@ class Simulation:
         # From radius 2 up it tests no drone: every static becomes known on
         # the first tick and every live moving obstacle is known.
         sees_all = cfg.detection_radius >= 2
-        margin = self._margin
+        grid = self._grid
         undetected = []
         for so in self._undetected:
             if sees_all or self._detected(so.cell):
                 self.known_static[so.id] = so.cell
-                _shift_margin(margin, so.cell, 1)
+                grid.add(so.cell, _OBSTACLE)
             else:
                 undetected.append(so)
         changed = len(undetected) < len(self._undetected)
@@ -478,11 +489,11 @@ class Simulation:
             mo.id: mo.cell for mo in self.movings
             if mo.alive and tick >= mo.spawn_tick and (sees_all or self._detected(mo.cell))
         }
-        # Move the margin of the moving obstacles that stepped, died, spawned,
+        # Move the counts of the moving obstacles that stepped, died, spawned,
         # or entered or left detection since the last tick, and rebuild the
         # blocked cells only when a known obstacle changed.
         if moving != self._moving_in_margin:
-            _move_margin(margin, self._moving_in_margin, moving)
+            grid.move(self._moving_in_margin, moving, _OBSTACLE)
             self._moving_in_margin = moving
             changed = True
         if changed:
@@ -545,15 +556,9 @@ class Simulation:
         # move into a cell another drone left this tick.
         drone_cells.difference_update(vacated)
         drone_cells.update(entered)
-        blocks = self._blocks
-        for c in vacated:
-            key = _block_of(c)
-            cells = blocks[key]
-            cells.remove(c)
-            if not cells:
-                del blocks[key]
-        for c in entered:
-            blocks.setdefault(_block_of(c), []).append(c)
+        step = grid.step
+        for prev, nxt in zip(vacated, entered):
+            step(prev, nxt, _DRONE)
 
         # Phase 5: ground-truth collision scan, independent of the decisions.
         after = {d.id: d.current for d in flying}
@@ -582,13 +587,6 @@ class Simulation:
             self._park(landed)
             self._flying = [d for d in flying if not d.arrived]
         self.tick += 1
-
-    def _drone_blocks(self, drone_cells: Iterable[Cell]) -> dict[Cell, list[Cell]]:
-        """Drone cells bucketed into cubes of side _BLOCK_SIDE."""
-        blocks: dict[Cell, list[Cell]] = {}
-        for c in drone_cells:
-            blocks.setdefault(_block_of(c), []).append(c)
-        return blocks
 
     def _detected(self, cell: Cell) -> bool:
         """Is a drone within Chebyshev detection_radius of the cell?
@@ -644,11 +642,12 @@ class Simulation:
         if cool:
             d.sidestep_cooldown = cool - 1
         if reducing:
-            margin = self._margin
-            near = _drones_near(cur, self._blocks)
+            # The flat index of each candidate, as `HazardGrid.at` finds it.
+            grid = self._grid
+            counts, sx, sy, base = grid.counts, grid.sx, grid.sy, grid.base
             clear = [
                 n for n in reducing
-                if n == dest or not _in_hazard_margin(n, margin, near)
+                if n == dest or not _in_hazard_margin(counts, n[0] * sx + n[1] * sy + n[2] + base)
             ]
             if clear:
                 intent = self.rng.choice(clear)
@@ -656,7 +655,8 @@ class Simulation:
                 # Sidestep only off cooldown and not nearly home.
                 sidesteps = [] if cool or abs(gx - x) + abs(gy - y) + abs(gz - z) <= 2 else [
                     n for n in neighbors(self.area, cur)
-                    if cell_is_safe(ctx, d.id, n) and not _in_hazard_margin(n, margin, near)
+                    if cell_is_safe(ctx, d.id, n)
+                    and not _in_hazard_margin(counts, n[0] * sx + n[1] * sy + n[2] + base)
                 ]
                 if sidesteps:
                     intent = self.rng.choice(sidesteps)

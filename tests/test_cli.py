@@ -120,6 +120,16 @@ def test_run_rejects_bad_settings_in_one_line(scenario, change, capsys):
     assert any(key in err for key in _leaf_keys(change)), err
 
 
+@pytest.mark.parametrize("dims", [[2, 2, 2**20 - 1], [10**6, 10**6, 10**6]])
+def test_run_rejects_an_area_past_the_grid_cap_in_one_line(dims, tmp_path, capsys):
+    p = tmp_path / "huge.json"
+    p.write_text(json.dumps({"dims": dims, "drones": [{"start": [0, 0, 0], "dest": [1, 1, 1]}]}))
+    assert main(["run", "--scenario", str(p)]) == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "dims" in err and "2**24" in err, err
+
+
 def _leaf_keys(value) -> list[str]:
     """The keys of a settings change whose values hold no further object."""
     if isinstance(value, list):

@@ -15,11 +15,12 @@ from swarmgrid.cep import WindowStore
 from swarmgrid.cli import EXIT_OK, main
 from swarmgrid.coordination import LockTable
 from swarmgrid.engine import (
+    GRID_CELLS_MAX,
     ConfigError,
     EngineInvariantViolation,
+    HazardGrid,
     SimConfig,
     Simulation,
-    _move_margin,
     _shuffle,
     clearance_margin,
     detect_collisions_ground_truth,
@@ -101,6 +102,27 @@ class TestConfigValidation:
     def test_edge_values_accepted(self):
         simple_cfg(detection_radius=0, max_ticks=1).validate()
 
+    def test_an_area_padding_to_the_grid_cap_is_accepted(self):
+        """Padded by one cell on each side, these dims make a hazard grid
+        of exactly GRID_CELLS_MAX cells."""
+        dims = (2, 2, 2**20 - 2)
+        assert (2 + 2) * (2 + 2) * (dims[2] + 2) == GRID_CELLS_MAX == 2**24
+        simple_cfg(dims=dims, drones=[((0, 0, 0), (1, 1, 2**20 - 3))]).validate()
+
+    @pytest.mark.parametrize("dims", [(2, 2, 2**20 - 1), (10**6, 10**6, 10**6)])
+    def test_an_area_padding_past_the_grid_cap_is_rejected_before_allocating(
+        self, dims, monkeypatch,
+    ):
+        def no_grid(self, dims):
+            raise AssertionError("allocated a hazard grid")
+
+        monkeypatch.setattr(HazardGrid, "__init__", no_grid)
+        cfg = simple_cfg(dims=dims, drones=[((0, 0, 0), (1, 1, 1))])
+        with pytest.raises(ConfigError, match=r"^dims .* over the cap of 2\*\*24 = 16777216$"):
+            cfg.validate()
+        with pytest.raises(ConfigError, match="dims"):
+            Simulation(cfg)
+
     def test_default_tick_budget(self):
         assert simple_cfg().effective_max_ticks() == 50 * 24
         assert simple_cfg(max_ticks=77).effective_max_ticks() == 77
@@ -121,6 +143,45 @@ def test_a_radius_past_the_area_flies_as_its_longest_side():
         assert digests[0] != digests[2] and digests[1] != digests[2], exp
 
 
+def _stacked_cfg(radius: int) -> SimConfig:
+    """130 static and 40 moving obstacles start on one cell, with five
+    drones flying through or past it."""
+    return SimConfig(
+        dims=(8, 8, 8),
+        drones=[
+            ((0, 4, 4), (7, 4, 4)), ((4, 0, 4), (4, 7, 4)), ((4, 4, 0), (4, 4, 7)),
+            ((0, 0, 0), (7, 7, 7)), ((3, 3, 3), (5, 5, 5)),
+        ],
+        static_obstacles=[(4, 4, 4)] * 130,
+        moving_obstacles=[((4, 4, 4), 1 + i % 3, i % 4) for i in range(40)],
+        detection_radius=radius,
+    )
+
+
+# `mission_digest` of `_stacked_cfg` by detection radius, taken before the
+# hazard-count grid replaced the obstacle-margin map and the drone buckets.
+STACKED_DIGESTS = {
+    0: "e658e47336ba02dd9ff6ab2b3c1b2a7d68defe8f0f7c933bed361aab37a6fe9e",
+    1: "d9aac5685e92025b60a3d60b5b15e61ab18c7e65a3d8c43d1eb4696f30b76173",
+    2: "196c18030fc80cdfb54f57d326ddd798dc0f8557dd3e93cf17a216e9dd460759",
+}
+
+
+@pytest.mark.parametrize("radius", sorted(STACKED_DIGESTS))
+def test_hazard_counts_past_one_byte_keep_the_mission(radius):
+    """Each known obstacle adds 2 to the counts of its cube, so once the
+    stack is known the counts around it pass 255, which a one-byte cell
+    would wrap."""
+    cfg = _stacked_cfg(radius)
+    sim = Simulation(cfg)
+    peak = 0
+    while not sim.all_arrived():
+        sim.run_tick()
+        peak = max(peak, max(sim._grid.counts))
+    assert peak > 255
+    assert mission_digest(cfg) == STACKED_DIGESTS[radius]
+
+
 def test_clearance_margin_size():
     assert len(clearance_margin({(5, 5, 5)})) == 27
     assert (4, 4, 4) in clearance_margin({(5, 5, 5)})
@@ -129,11 +190,13 @@ def test_clearance_margin_size():
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_moving_the_margin_keeps_the_counts_of_random_walks(seed):
-    """Obstacles take random walks in a small area, many off its edge, some
-    spawning late and some sharing cells. Each tick a random fifth is left
-    out, as detection would. After every move from the last tick's cells,
-    the margin map is the count of the present obstacles' cubes, whether an
-    obstacle stepped (two faces), died, left or came back (all 27 cells)."""
+    """Obstacles take random walks in a small area, some spawning late and
+    some sharing cells. An obstacle that steps off the area dies there, as
+    `step_moving_obstacle` does, so many die. Each tick a random fifth is
+    left out, as detection would. After every move from the last tick's
+    cells, each cell of the padded grid counts twice the present obstacles
+    whose cube holds it, whether an obstacle stepped (two faces), died, left
+    or came back (all 27 cells)."""
     rng = random.Random(seed)
     area = new_area((5, 5, 5), 10.0, 30.0, SafetyParams())
     obstacles = [
@@ -143,7 +206,7 @@ def test_moving_the_margin_keeps_the_counts_of_random_walks(seed):
         )
         for i in range(40)
     ]
-    margin: dict = {}
+    grid = HazardGrid(area.dims)
     last: dict = {}
     steps = 0
     for tick in range(60):
@@ -154,8 +217,11 @@ def test_moving_the_margin_keeps_the_counts_of_random_walks(seed):
             if o.alive and tick >= o.spawn_tick and rng.random() < 0.8
         }
         steps += sum(now[i] != last[i] for i in now.keys() & last.keys())
-        _move_margin(margin, last, now)
-        assert margin == Counter(c for cell in now.values() for c in clearance_margin({cell}))
+        grid.move(last, now, 2)
+        want = Counter(c for cell in now.values() for c in clearance_margin({cell}))
+        assert list(grid.counts) == [
+            2 * want[(x, y, z)] for x in range(-1, 6) for y in range(-1, 6) for z in range(-1, 6)
+        ]
         last = now
     assert steps > 20
     assert sum(not o.alive for o in obstacles) > 20

@@ -1,19 +1,22 @@
-"""Oracle for the tick's obstacle-margin map, its hazard test and its
-blocked cells.
+"""Oracle for the tick's hazard-count grid, its hazard test and its blocked
+cells.
 
-The engine keeps the clearance margin of the known obstacles as one
-cell -> count map across ticks, keeps the blocked cells as one set across
-ticks, and tests a deciding drone's candidate cells against the other drones
-within two cells of it. From `detection_radius` 2 up it takes every static
-and every live moving obstacle as known without a detection test. These
-tests fly seeded missions tick by tick and check all three against the
-definitions they replace:
+The engine keeps one grid of counts across ticks, in which each known
+obstacle adds 2 and each drone 1 over its 27-cell cube, keeps the blocked
+cells as one set across ticks, and takes a deciding drone's candidate cell
+as in the hazard margin when its count is at least 2. From
+`detection_radius` 2 up it takes every static and every live moving
+obstacle as known without a detection test. These tests fly seeded
+missions tick by tick and check all three against the definitions they
+replace:
 
-- after every tick, the map's cells equal `clearance_margin` of the cells
-  of the obstacles the engine takes as known (every static and every live
-  moving one from radius 2 up; below it the statics a drone has detected
-  and the moving ones a drone detected this tick), found here by brute
-  force, and each cell counts the obstacles whose margin holds it;
+- after every tick, the grid's obstacle part (each count less the drones
+  whose cube holds the cell, halved) is nonzero exactly on
+  `clearance_margin` of the cells of the obstacles the engine takes as
+  known (every static and every live moving one from radius 2 up; below it
+  the statics a drone has detected and the moving ones a drone detected
+  this tick), found here by brute force, and each cell counts the
+  obstacles whose margin holds it;
 - every hazard answer the decisions take equals the 27-probe test the
   engine used before (`reference_in_hazard_margin` below) against the margin
   of the known statics and of the moving obstacles a drone detected this
@@ -59,13 +62,13 @@ def _near_a_drone(cell, drone_cells, r) -> bool:
 
 
 def fly_with_oracle(cfg: SimConfig, monkeypatch) -> dict:
-    """Fly cfg to its end, checking the margin map, every hazard answer and
+    """Fly cfg to its end, checking the grid, every hazard answer and
     every blocked-cell answer.
 
     Returns counts of the cases the oracle saw: hazard and blocked-cell
     answers checked, known moving obstacles that died, ticks where two known
     moving obstacles shared a cell, and ticks where a live moving obstacle
-    no drone detected was in the margin map.
+    no drone detected was in the grid.
     """
     sim = Simulation(cfg)
     r = cfg.detection_radius
@@ -117,9 +120,16 @@ def fly_with_oracle(cfg: SimConfig, monkeypatch) -> dict:
         return recording_decision
 
     in_hazard_margin = engine._in_hazard_margin
+    sy = cfg.dims[2] + 2
+    sx = (cfg.dims[1] + 2) * sy
 
-    def checked_in_hazard_margin(cell, margin, near):
-        got = in_hazard_margin(cell, margin, near)
+    def padded_cell(i):
+        """The cell at flat index i of the grid over the padded area."""
+        return (i // sx - 1, i % sx // sy - 1, i % sy - 1)
+
+    def checked_in_hazard_margin(counts, i):
+        got = in_hazard_margin(counts, i)
+        cell = padded_cell(i)
         want = reference_in_hazard_margin(
             cell, deciding[-1].current, tick_ref["margin"], tick_ref["drone_cells"]
         )
@@ -148,8 +158,16 @@ def fly_with_oracle(cfg: SimConfig, monkeypatch) -> dict:
         statics = [so.cell for so in sim.statics] if r >= 2 else list(seen_static.values())
         cells = statics + list(in_margin.values())
         want = clearance_margin(set(cells))
-        assert {c for c, n in sim._margin.items() if n > 0} == want, tick
-        assert sim._margin == Counter(c for o in cells for c in clearance_margin({o})), tick
+        drones = Counter(c for d in sim.drones for c in clearance_margin({d.current}))
+        obstacle_part = Counter()
+        for i, n in enumerate(sim._grid.counts):
+            cell = padded_cell(i)
+            assert (n - drones[cell]) % 2 == 0, (tick, cell)
+            obstacle_part[cell] = (n - drones[cell]) // 2
+        assert {c for c, n in obstacle_part.items() if n > 0} == want, tick
+        assert {c: n for c, n in obstacle_part.items() if n} == Counter(
+            c for o in cells for c in clearance_margin({o})
+        ), tick
         dead = {mo.id for mo in sim.movings if not mo.alive}
         seen["known_died"] += len(dead & last_known.keys())
         seen["shared_cell"] += len(set(known.values())) < len(known)
@@ -186,9 +204,8 @@ def test_dense_grid_matches_the_oracle(seed, monkeypatch):
 
 @pytest.mark.parametrize("radius", [0, 1, 2, 3])
 def test_other_detection_radii_match_the_oracle(radius, monkeypatch):
-    """The hazard test reads one bucket side for any radius, and the hazard
-    and blocked-cell answers a decision reads are the detected obstacles' at
-    each radius."""
+    """The hazard and blocked-cell answers a decision reads are the detected
+    obstacles' at each radius."""
     cfg = dataclasses.replace(build_experiment(EXPERIMENTS[3], 0), detection_radius=radius)
     seen = fly_with_oracle(cfg, monkeypatch)
     assert seen["hazard_checks"] > 0

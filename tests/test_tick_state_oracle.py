@@ -1,21 +1,22 @@
 """Oracle for the per-drone state the simulation keeps across ticks.
 
-The engine keeps the flying drones, the set of drone cells and their
-buckets, the parked drones' cells, and the static obstacles not yet known
+The engine keeps the flying drones, the set of drone cells, the parked
+drones' cells, the static obstacles not yet known and the hazard-count grid
 from one tick to the next, instead of rebuilding them from every drone each
 tick. These tests fly seeded missions tick by tick and check that state
 against the drones themselves before the first tick and after every tick:
 the flying list is the drones not yet arrived in id order, the parked map
 is the arrived drones' cells to their ids, the drone-cell set is every
-drone's current cell, the kept buckets are `_drone_blocks` of every drone's
-current cell (so the map the next tick's decisions read is right), the
-statics not yet known are those not in `known_static`, in id order, the
-lock table holds each drone's current cell and nothing else, and the kept
-blocked cells are the known statics' cells and the last tick's live moving
-obstacles' cells (at the default `detection_radius` of 2).
+drone's current cell, the kept grid equals one rebuilt from scratch (so the
+counts the next tick's decisions read are right), the statics not yet known
+are those not in `known_static`, in id order, the lock table holds each
+drone's current cell and nothing else, and the kept blocked cells are the
+known statics' cells and the last tick's live moving obstacles' cells (at
+the default `detection_radius` of 2).
 """
 
 import dataclasses
+from itertools import product
 
 import pytest
 
@@ -28,8 +29,24 @@ SWARM = ExperimentSpec(0, (20, 20, 20), 300, 50, 50)
 DENSE = ExperimentSpec(0, (6, 6, 6), 30, 5, 5)
 
 
-def _as_sorted(blocks) -> dict:
-    return {key: sorted(cells) for key, cells in blocks.items()}
+def rebuilt_grid(sim: Simulation) -> list[int]:
+    """The hazard grid from scratch: over the area padded by one cell on each
+    side, at flat index (x+1)(Y+2)(Z+2) + (y+1)(Z+2) + (z+1), each cell
+    counts 2 per known static and per moving obstacle in the margin, and 1
+    per drone, whose cell is within Chebyshev 1 of it."""
+    dim_x, dim_y, dim_z = sim.cfg.dims
+    sy = dim_z + 2
+    sx = (dim_y + 2) * sy
+    counts = [0] * ((dim_x + 2) * sx)
+    weighted = (
+        [(c, 2) for c in sim.known_static.values()]
+        + [(c, 2) for c in sim._moving_in_margin.values()]
+        + [(d.current, 1) for d in sim.drones]
+    )
+    for (x, y, z), weight in weighted:
+        for dx, dy, dz in product((-1, 0, 1), repeat=3):
+            counts[(x + dx + 1) * sx + (y + dy + 1) * sy + z + dz + 1] += weight
+    return counts
 
 
 def check_kept_state(sim: Simulation) -> None:
@@ -40,9 +57,7 @@ def check_kept_state(sim: Simulation) -> None:
     # Between ticks each drone holds exactly its own cell's lock; the
     # conflict test relies on it to keep drones out of each other's cells.
     assert sim.locks._holders == {d.current: d.id for d in sim.drones}
-    assert _as_sorted(sim._blocks) == _as_sorted(
-        sim._drone_blocks([d.current for d in sim.drones])
-    )
+    assert list(sim._grid.counts) == rebuilt_grid(sim)
     assert [so.id for so in sim._undetected] == [
         so.id for so in sim.statics if so.id not in sim.known_static
     ]
