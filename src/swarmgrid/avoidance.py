@@ -1,8 +1,10 @@
 """Collision avoidance: redirect, hover-in-place, and backtracking.
 
 The cascade is ordered: try redirecting into another direction first, hover
-when no safe direction exists, and switch to backtrack mode once the drone
-has hovered or stalled for too long.
+when no safe direction exists, and start backtracking once the drone has
+hovered or stalled for too long. A drone backtracks while its `bt_attempts`
+is nonzero: the first `backtrack_step` sets it, and only
+`backtrack_exit_check` resets it.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ import random
 from dataclasses import dataclass, fields
 
 from .coordination import LockTable
-from .entities import Drone, Mode
+from .entities import Drone
 from .world import Area, Cell, is_int, manhattan, neighbors
 
 
@@ -71,7 +73,7 @@ def avoid(
     Preference: distance-reducing safe neighbors, then any other safe
     neighbor (a sidestep or retreat beats standing in a moving crowd), then
     hover. Returns `(cell, "redirect")` or `(drone.current, "hover")`, or
-    None when persistent hovering or stalling escalates to backtrack mode.
+    None when persistent hovering or stalling escalates to a backtrack.
     """
     if drone.hover_streak >= cfg.hover_threshold or drone.stall_ticks >= cfg.stall_threshold:
         return None
@@ -91,14 +93,13 @@ def backtrack_step(
     ctx: DecisionContext,
     rng: random.Random,
 ) -> Cell | None:
-    """One backtrack-mode iteration; None means hover-in-place.
+    """One backtracking iteration; None means hover-in-place. Calling it
+    counts an attempt, so the first call starts the backtrack.
 
     Picks a random dimension and the one-step move that increases distance
     to the destination. Already-aligned dimensions have no away direction
     and count as a failed attempt.
     """
-    if drone.mode is not Mode.BACKTRACK:
-        raise ValueError("backtrack_step requires backtrack mode")
     drone.bt_attempts += 1
     dim = rng.randrange(3)
     if drone.current[dim] == drone.dest[dim]:
@@ -114,12 +115,11 @@ def backtrack_step(
 
 
 def backtrack_exit_check(drone: Drone, cfg: BacktrackConfig) -> bool:
-    """Leave backtrack mode once enough steps are done or attempts exhausted."""
+    """End the backtrack once enough steps are done or attempts exhausted."""
     if drone.bt_steps_done >= cfg.required_steps or drone.bt_attempts >= cfg.max_attempts:
         drone.bt_steps_done = 0
         drone.bt_attempts = 0
         drone.hover_streak = 0
         drone.stall_ticks = 0
-        drone.mode = Mode.NORMAL
         return True
     return False

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from pathlib import Path
 
@@ -37,11 +38,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
             return EXIT_CONFIG_ERROR
         write = trace_file.write
         trace_fn = lambda line: write(line + "\n")
+    # A full disk fails a write mid-mission or the flush on closing.
     try:
-        result = run_mission(cfg, trace=trace_fn)
-    finally:
-        if trace_file:
-            trace_file.close()
+        with trace_file or contextlib.nullcontext():
+            result = run_mission(cfg, trace=trace_fn)
+    except OSError as exc:
+        print(f"error: cannot write the trace: {exc}", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
     metrics = compute_metrics(result, result.wall_ms)
     print(f"ticks={result.ticks} arrived={sum(result.arrived.values())}/{len(result.arrived)}")
     print(f"ARL={metrics.arl:.2f} LLR={metrics.llr} NC={metrics.nc} T_ms={metrics.t_ms:.1f}")
@@ -62,14 +65,15 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
             print(f"error: cannot write the CSV: {exc}", file=sys.stderr)
             return EXIT_CONFIG_ERROR
     try:
-        aggregate, rows = run_batch(
-            spec, args.algorithm, n_runs=args.runs, base_seed=args.seed
-        )
-        if out_file:
-            out_file.write(rows_to_csv(rows, deterministic_timing=args.no_timing))
-    finally:
-        if out_file:
-            out_file.close()
+        with out_file or contextlib.nullcontext():
+            aggregate, rows = run_batch(
+                spec, args.algorithm, n_runs=args.runs, base_seed=args.seed
+            )
+            if out_file:
+                out_file.write(rows_to_csv(rows, deterministic_timing=args.no_timing))
+    except OSError as exc:
+        print(f"error: cannot write the CSV: {exc}", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
     if aggregate is None:
         print("error: every run timed out or failed to plan", file=sys.stderr)
         return EXIT_TIMEOUT
@@ -86,11 +90,13 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 def _parse_trace(lines: list[str]) -> tuple[tuple[int, ...], dict[int, dict[int, tuple]]]:
     """The area dims and each tick's drone cells of a v1 trace. Raises
     ValueError naming the first line that is malformed (the area header
-    needs three ints of at least 2), or a row before the area header or
-    outside the area."""
+    needs three ints of at least 2), a second area header, or a row before
+    the area header or outside the area."""
     dims = None
     ticks: dict[int, dict[int, tuple]] = {}
     for lineno, line in enumerate(lines, 1):
+        if dims is not None and line.startswith("# area"):
+            raise ValueError(f"line {lineno} is a second area header: {line!r}")
         try:
             if line.startswith("# area"):
                 dims = tuple(int(v) for v in line.split()[2:])

@@ -68,7 +68,6 @@ from .avoidance import (
 from .coordination import LockTable
 from .entities import (
     Drone,
-    Mode,
     MovingObstacle,
     StaticObstacle,
     record_move,
@@ -452,7 +451,8 @@ class Simulation:
         if self.trace is not None:
             for d in drones:
                 x, y, z = d.current
-                self._parked_lines[d.id] = f"\t{d.id}\t{d.mode.value}\t{x}\t{y}\t{z}\tparked\t0"
+                mode = "backtrack" if d.bt_attempts else "hover" if d.hover_streak else "normal"
+                self._parked_lines[d.id] = f"\t{d.id}\t{mode}\t{x}\t{y}\t{z}\tparked\t0"
 
     # -- per-tick pipeline -------------------------------------------------
 
@@ -509,7 +509,7 @@ class Simulation:
         for d in order:
             if d.arrived:
                 continue
-            if d.mode is Mode.BACKTRACK:
+            if d.bt_attempts:
                 intent, action = self._backtrack_decision(d, ctx)
             else:
                 intent, action = self._normal_decision(d, ctx)
@@ -538,11 +538,7 @@ class Simulation:
                 self.locks.release(d.id, prev)
                 vacated.append(prev)
                 entered.append(nxt)
-                if d.mode is Mode.HOVER:
-                    d.mode = Mode.NORMAL
-            elif d.mode is Mode.NORMAL:
-                d.mode = Mode.HOVER
-            if nxt == d.dest and d.mode is not Mode.BACKTRACK:
+            if nxt == d.dest and not d.bt_attempts:
                 d.arrived = True
                 landed.append(d)
             gx, gy, gz = d.dest
@@ -561,13 +557,12 @@ class Simulation:
             step(prev, nxt, _DRONE)
 
         # Phase 5: ground-truth collision scan, independent of the decisions.
-        after = {d.id: d.current for d in flying}
         obstacle_cells = dict(self._static_labels)
         for label, mo in self._moving_labels:
             if mo.alive and tick >= mo.spawn_tick:
                 obstacle_cells[label] = mo.cell
         self.collisions += detect_collisions_ground_truth(
-            before, after, obstacle_cells, tick, parked
+            before, committed, obstacle_cells, tick, parked
         )
 
         if self.trace is not None:
@@ -579,8 +574,9 @@ class Simulation:
                     self.trace(f"{tick}{parked_lines[d.id]}")
                     continue
                 x, y, z = d.current
+                mode = "backtrack" if d.bt_attempts else "hover" if d.hover_streak else "normal"
                 self.trace(
-                    f"{tick}\t{d.id}\t{d.mode.value}\t{x}\t{y}\t{z}"
+                    f"{tick}\t{d.id}\t{mode}\t{x}\t{y}\t{z}"
                     f"\t{action}\t{_NPRED.get(action, 0)}"
                 )
         if landed:
@@ -666,15 +662,8 @@ class Simulation:
         else:
             intent = cur
         if intent == cur or not cell_is_safe(ctx, d.id, intent):
-            return self._apply_avoidance(d, ctx)
+            return avoid(d, ctx, self.rng, self.cfg.backtrack) or self._backtrack_decision(d, ctx)
         return intent, "advance"
-
-    def _apply_avoidance(self, d: Drone, ctx: DecisionContext) -> tuple[Cell, str]:
-        act = avoid(d, ctx, self.rng, self.cfg.backtrack)
-        if act is not None:
-            return act
-        d.mode = Mode.BACKTRACK
-        return self._backtrack_decision(d, ctx)
 
     def _backtrack_decision(self, d: Drone, ctx: DecisionContext) -> tuple[Cell, str]:
         cell = backtrack_step(d, ctx, self.rng)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import enum
 import random
 from dataclasses import dataclass, field
 
@@ -13,25 +12,20 @@ class IllegalMove(ValueError):
     """A drone move that is neither a hover nor an axis-adjacent step."""
 
 
-class Mode(enum.Enum):
-    NORMAL = "normal"
-    HOVER = "hover"
-    BACKTRACK = "backtrack"
-
-
 @dataclass
 class Drone:
     """A swarm member and its accumulated route.
 
     The route starts at the start cell and records every tick's position,
     including hovers (repeated cells). `current` is always the last entry.
+    The counters decide the drone's mode: it is backtracking while
+    `bt_attempts` is nonzero, and otherwise hovering while `hover_streak` is.
     """
 
     id: int
     start: Cell
     dest: Cell
     current: Cell = None  # type: ignore[assignment]
-    mode: Mode = Mode.NORMAL
     route: list[Cell] = field(default_factory=list)
     hover_streak: int = 0
     sidestep_cooldown: int = 0  # greedy steps left before the next clearance sidestep

@@ -13,7 +13,7 @@ from swarmgrid.avoidance import (
     cell_is_safe,
 )
 from swarmgrid.coordination import LockTable
-from swarmgrid.entities import Drone, Mode
+from swarmgrid.entities import Drone
 from swarmgrid.world import Area, manhattan
 
 AREA = Area(8, 8, 8, 10.0, 30.0, 9.0)
@@ -88,13 +88,10 @@ def test_stalling_escalates_to_backtrack():
     assert avoid(d, ctx(), random.Random(0), CFG) is None
 
 
-def test_backtrack_step_requires_mode():
-    with pytest.raises(ValueError):
-        backtrack_step(drone(), ctx(), random.Random(0))
-
-
 def test_backtrack_step_moves_away_from_dest():
-    d = drone(cur=(4, 4, 4), dest=(0, 0, 0), mode=Mode.BACKTRACK)
+    # A fresh drone: each call counts an attempt, so the first one starts
+    # the backtrack.
+    d = drone(cur=(4, 4, 4), dest=(0, 0, 0))
     moved = 0
     for seed in range(30):
         d.current = (4, 4, 4)
@@ -110,7 +107,7 @@ def test_backtrack_step_moves_away_from_dest():
 
 def test_backtrack_aligned_dimension_is_a_failed_attempt():
     # x and z already match the destination; only dimension 1 can retreat.
-    d = drone(cur=(4, 2, 4), dest=(4, 0, 4), mode=Mode.BACKTRACK)
+    d = drone(cur=(4, 2, 4), dest=(4, 0, 4))
     rng = random.Random(1)
     results = {backtrack_step(d, ctx(), rng) for _ in range(40)}
     assert None in results
@@ -119,7 +116,7 @@ def test_backtrack_aligned_dimension_is_a_failed_attempt():
 
 
 def test_backtrack_blocked_target_fails_attempt():
-    d = drone(cur=(4, 0, 0), dest=(0, 0, 0), mode=Mode.BACKTRACK)
+    d = drone(cur=(4, 0, 0), dest=(0, 0, 0))
     # the only away cell on x is blocked; y and z are aligned
     cell = None
     c = ctx(blocked=[(5, 0, 0)])
@@ -130,21 +127,21 @@ def test_backtrack_blocked_target_fails_attempt():
 
 
 def test_backtrack_exit_after_required_steps():
-    d = drone(mode=Mode.BACKTRACK, bt_steps_done=CFG.required_steps,
+    d = drone(bt_steps_done=CFG.required_steps, bt_attempts=CFG.required_steps,
               hover_streak=7, stall_ticks=20)
     assert backtrack_exit_check(d, CFG)
-    assert d.mode is Mode.NORMAL
     assert d.bt_steps_done == 0 and d.bt_attempts == 0
     assert d.hover_streak == 0 and d.stall_ticks == 0
 
 
 def test_backtrack_exit_after_attempt_budget():
-    d = drone(mode=Mode.BACKTRACK, bt_attempts=CFG.max_attempts)
+    d = drone(bt_attempts=CFG.max_attempts)
     assert backtrack_exit_check(d, CFG)
-    assert d.mode is Mode.NORMAL
+    # A zero attempt count is what ends the backtrack.
+    assert d.bt_attempts == 0
 
 
 def test_backtrack_keeps_going_otherwise():
-    d = drone(mode=Mode.BACKTRACK, bt_steps_done=1, bt_attempts=2)
+    d = drone(bt_steps_done=1, bt_attempts=2)
     assert not backtrack_exit_check(d, CFG)
-    assert d.mode is Mode.BACKTRACK
+    assert (d.bt_steps_done, d.bt_attempts) == (1, 2)

@@ -7,6 +7,7 @@ import functools
 import io
 import json
 import operator
+import os
 
 import pytest
 from hypothesis import given, settings
@@ -265,9 +266,11 @@ def test_replay_missing_trace(tmp_path, capsys):
     ("0\t0\tnormal\t0\t0\t0\tadvance\t0", 2),
     ("0\t0\tnormal\t99\t99\t99\tadvance\t0", 4),
     ("0\t0\tnormal\t0\t-1\t0\tadvance\t0", 5),
+    ("# area 8 8 8", 5),
 ], ids=[
     "two-fields", "short-row", "non-int-x", "bad-area-header", "negative-area-dim",
     "area-dim-below-two", "row-before-area-header", "cell-past-the-area", "negative-cell",
+    "second-area-header",
 ])
 def test_replay_malformed_trace_names_the_line(scenario, tmp_path, capsys, bad, lineno):
     trace = tmp_path / "r.trace"
@@ -342,3 +345,39 @@ def test_run_rejects_a_directory_as_scenario(tmp_path, capsys):
     assert main(["run", "--scenario", str(tmp_path)]) == EXIT_CONFIG_ERROR
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# Every write to this device fails with ENOSPC, as on a full disk.
+FULL = "/dev/full"
+needs_full = pytest.mark.skipif(not os.path.exists(FULL), reason=f"no {FULL}")
+
+# 20 drones crossing a 10^3 area: a trace longer than one write buffer.
+LONG_SCENARIO = {
+    "dims": [10, 10, 10],
+    "drones": [{"start": [0, i // 4, i % 4], "dest": [9, 9 - i // 4, 9 - i % 4]} for i in range(20)],
+}
+
+
+@needs_full
+@pytest.mark.parametrize("doc", [SCENARIO, LONG_SCENARIO], ids=["on-close", "mid-mission"])
+def test_run_reports_a_full_disk_in_one_line(doc, tmp_path, capsys):
+    p = tmp_path / "scenario.json"
+    p.write_text(json.dumps(doc))
+    emitted: list[str] = []
+    run_mission(load_scenario(p), trace=emitted.append)
+    # The short trace fails only when the file is closed, the long one when
+    # the buffer is flushed during the mission.
+    size = sum(len(line) + 1 for line in emitted)
+    assert (size > io.DEFAULT_BUFFER_SIZE) == (doc is LONG_SCENARIO)
+    assert main(["run", "--scenario", str(p), "--trace", FULL]) == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write the trace: ") and err.count("\n") == 1
+    assert "[Errno 28]" in err
+
+
+@needs_full
+def test_experiment_reports_a_full_disk_in_one_line(capsys):
+    assert main(["experiment", "--id", "1", "--runs", "1", "--out", FULL]) == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write the CSV: ") and err.count("\n") == 1
+    assert "[Errno 28]" in err

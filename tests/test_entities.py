@@ -9,7 +9,6 @@ from swarmgrid.engine import ConfigError, SimConfig
 from swarmgrid.entities import (
     Drone,
     IllegalMove,
-    Mode,
     MovingObstacle,
     record_move,
     step_moving_obstacle,
@@ -30,7 +29,7 @@ def test_drone_initial_state():
     assert d.current == d.start
     assert d.route == [d.start]
     assert d.best_dist == 3
-    assert d.mode is Mode.NORMAL
+    assert d.bt_attempts == d.bt_steps_done == d.hover_streak == 0
     assert not d.arrived
 
 

@@ -27,11 +27,19 @@ moving obstacles, seed 0.
 It was computed at commit 416c0df, before the tick kept one obstacle-margin
 map across ticks, one decision context per tick and a bucketed hazard test
 for other drones, so any change to a dense swarm's decisions changes it.
+
+`DENSE_SHA256` holds the `mission_digest` of two congested missions, 30
+drones in 6^3 with `max_ticks` 300, at seeds where drones enter and leave
+backtracking: a backtrack dispatched on the wrong counter changes both. They
+were taken while the engine still stored each drone's mode beside its
+counters.
 """
 
 import dataclasses
 import hashlib
 import random
+
+import pytest
 
 from swarmgrid.baselines import execute_open_loop, rrt_plan, rrt_star_plan
 from swarmgrid.cep import DroneLocEvent, MObsEvent, SObsEvent, WindowStore
@@ -44,6 +52,10 @@ GOLDEN_SHA256 = "8266e06d44896c0b71a95333d96547e055c7b0e0a087cfb159e42897366cbd1
 MATCH_STREAM_SHA256 = "fbf196fcea8fea4028d2a4b47590ed32ebea787bdb81cf06efd6781868652a22"
 PLANNER_SHA256 = "54d8f98e549c4348bef3a8fbd14474f5f0364d3f14d3530d610b56e8251f44b1"
 SWARM_SHA256 = "6795e7f39c893855842cabc84c994b71c566f02eaf1dc7ac883f7b5c1e541a6f"
+DENSE_SHA256 = {
+    5: "d495e33db520ab87f64f83ee47bf9e72a8772dd753bd6ecec714179fe7a21e17",
+    35: "17577c0f9d488449da0f0f306581f0d89d68ed90ced532423e390f8ab61c8293",
+}
 
 # The tick length in ms that timestamped the CEP events when
 # MATCH_STREAM_SHA256 was taken; the event times are tick * TICK_LEN_MS.
@@ -86,6 +98,12 @@ def test_golden_digest_matches():
 
 def test_swarm_digest_matches():
     assert mission_digest(build_experiment(SWARM, 0)) == SWARM_SHA256
+
+
+@pytest.mark.parametrize("seed", sorted(DENSE_SHA256))
+def test_dense_digest_matches(seed):
+    cfg = dataclasses.replace(build_experiment(CONGESTED, seed), max_ticks=300)
+    assert mission_digest(cfg) == DENSE_SHA256[seed]
 
 
 def planner_digest() -> str:

@@ -11,8 +11,15 @@ drone's current cell, the kept grid equals one rebuilt from scratch (so the
 counts the next tick's decisions read are right), the statics not yet known
 are those not in `known_static`, in id order, the lock table holds each
 drone's current cell and nothing else, and the kept blocked cells are the
-known statics' cells and the last tick's live moving obstacles' cells (at
-the default `detection_radius` of 2).
+known statics' cells and those of the moving obstacles known last tick. From
+`detection_radius` 2 up those are every static after the first tick and
+every live moving obstacle; below 2 they are the moving obstacles within the
+radius of a drone's cell at the start of the tick, and no static still
+unknown is within it.
+
+The drone's mode is read from its backtrack counters, so after every tick
+each drone's counters stay in the range the backtrack exit keeps them in,
+and a parked drone is not backtracking.
 """
 
 import dataclasses
@@ -49,8 +56,20 @@ def rebuilt_grid(sim: Simulation) -> list[int]:
     return counts
 
 
-def check_kept_state(sim: Simulation) -> None:
+def _near(cell, cells, r) -> bool:
+    """Is one of `cells` within Chebyshev r of the cell?"""
+    return any(max(abs(a - b) for a, b in zip(cell, c)) <= r for c in cells)
+
+
+def check_kept_state(sim: Simulation, start_cells=None) -> None:
+    """Check the kept state after a tick whose drones started on
+    `start_cells`, or before the first tick when that is None."""
     arrived = [d for d in sim.drones if d.arrived]
+    bt = sim.cfg.backtrack
+    for d in sim.drones:
+        assert 0 <= d.bt_steps_done <= d.bt_attempts < bt.max_attempts
+        assert d.bt_steps_done < bt.required_steps
+    assert all(d.bt_attempts == 0 for d in arrived)
     assert [d.id for d in sim._flying] == [d.id for d in sim.drones if not d.arrived]
     assert sim._parked == {d.current: d.id for d in arrived}
     assert sim._drone_cells == {d.current for d in sim.drones}
@@ -61,14 +80,21 @@ def check_kept_state(sim: Simulation) -> None:
     assert [so.id for so in sim._undetected] == [
         so.id for so in sim.statics if so.id not in sim.known_static
     ]
+    assert sim._blocked == {*sim.known_static.values(), *sim._moving_in_margin.values()}
     # From radius 2 up the decisions take every static obstacle as known
     # from the first tick on, and every live moving obstacle. The obstacles
     # have not moved since the last tick's phase 1.
-    assert sim.cfg.detection_radius >= 2
-    if sim.tick:
-        assert sim.known_static == {so.id: so.cell for so in sim.statics}
-    moving = {mo.cell for mo in sim.movings if mo.alive and sim.tick - 1 >= mo.spawn_tick}
-    assert sim._blocked == {*sim.known_static.values(), *moving}
+    r = sim.cfg.detection_radius
+    live = {mo.id: mo.cell for mo in sim.movings if mo.alive and sim.tick - 1 >= mo.spawn_tick}
+    if r >= 2:
+        if sim.tick:
+            assert sim.known_static == {so.id: so.cell for so in sim.statics}
+        assert sim._moving_in_margin == live
+    elif start_cells is not None:
+        assert sim._moving_in_margin == {
+            i: cell for i, cell in live.items() if _near(cell, start_cells, r)
+        }
+        assert not any(_near(so.cell, start_cells, r) for so in sim._undetected)
 
 
 def fly_with_oracle(cfg: SimConfig) -> int:
@@ -80,8 +106,9 @@ def fly_with_oracle(cfg: SimConfig) -> int:
     max_ticks = cfg.effective_max_ticks()
     while not sim.all_arrived() and sim.tick < max_ticks:
         parked_ticks += bool(sim._parked)
+        start_cells = [d.current for d in sim.drones]
         sim.run_tick()
-        check_kept_state(sim)
+        check_kept_state(sim, start_cells)
     assert sim.all_arrived() == all(d.arrived for d in sim.drones)
     return parked_ticks
 
@@ -92,6 +119,13 @@ def test_experiments_keep_their_state(exp, avoid_drones):
     cfg = dataclasses.replace(
         build_experiment(EXPERIMENTS[exp], 0), obstacles_avoid_drones=avoid_drones
     )
+    assert fly_with_oracle(cfg) > 0
+
+
+@pytest.mark.parametrize("radius", [0, 1])
+def test_detection_below_radius_two_keeps_its_state(radius):
+    """Below radius 2 the obstacles are known by detection, tick by tick."""
+    cfg = dataclasses.replace(build_experiment(EXPERIMENTS[3], 0), detection_radius=radius)
     assert fly_with_oracle(cfg) > 0
 
 
