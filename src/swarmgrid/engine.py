@@ -32,12 +32,24 @@ in the margin exactly when its count is at least 2, one array read. The
 counts move where what they count moves. In phase 2 a static obstacle adds
 its cube once, when it becomes known, and a known moving obstacle's axis
 step moves only its cube's trailing and leading 9-cell faces, while a
-spawn, death, or entry to or exit from detection moves all 27; in phase 4 a
-drone's step moves two faces. A count takes 4 bytes, since obstacles may
-share a cell, and `SimConfig.validate` caps the grid at GRID_CELLS_MAX
-cells. The decisions' blocked cells are one set, rebuilt only on a tick
-where a known obstacle changed. The scan costs O(flying drones + obstacles)
-per tick plus sorting the records it finds.
+spawn, death, or entry to or exit from detection moves all 27; in phase 4
+every drone's step moves two faces, in one `HazardGrid.steps` call. A count
+takes 4 bytes, since obstacles may share a cell, and `SimConfig.validate`
+caps the grid at GRID_CELLS_MAX cells. The decisions' blocked cells are one
+set, rebuilt only on a tick where a known obstacle changed. The scan costs
+O(flying drones + obstacles) per tick plus sorting the records it finds.
+
+A moving obstacle moves, spawns or dies only on a tick of its cadence, so
+the simulation keeps a calendar of obstacle steps, tick -> the ids of the
+moving obstacles due to step on it (after the calendar queue of Brown,
+CACM 31(10), 1988). Each obstacle is filed under its spawn tick and, while
+it lives, again one cadence after each step. Phase 1 steps only the due
+bucket, in id order so that the draws keep their order when cadences are
+mixed. On a tick with no obstacle due, phase 2 from radius 2 up keeps its
+known moving obstacles without rebuilding them (below radius 2 they depend
+on where the drones are, so it rebuilds them every tick), and the scan
+keeps its obstacle map. So on a common cadence of 5, four ticks in five pay
+nothing per moving obstacle.
 
 A drone that has arrived parks on its destination for good. The flying
 drones, the drone cells (as a set and in the grid), the parked drones'
@@ -170,16 +182,17 @@ class HazardGrid:
         for o in self.cube:
             counts[i + o] += weight
 
-    def step(self, old: Cell, new: Cell, weight: int) -> None:
-        """Move `weight` from the cube of `old` to that of `new`, one axis
-        step away: only the old cube's trailing face and the new cube's
-        leading face change."""
-        counts = self.counts
-        p = self.at(old)
-        q = self.at(new)
-        for o in self.faces[q - p]:
-            counts[p - o] -= weight
-            counts[q + o] += weight
+    def steps(self, olds: list[Cell], news: list[Cell], weight: int) -> None:
+        """Move `weight` from the cube of each cell of `olds` to that of the
+        cell of `news` at the same place, one axis step away: only the old
+        cube's trailing face and the new cube's leading face change."""
+        counts, faces, sx, sy, base = self.counts, self.faces, self.sx, self.sy, self.base
+        for old, new in zip(olds, news):
+            p = old[0] * sx + old[1] * sy + old[2] + base
+            q = new[0] * sx + new[1] * sy + new[2] + base
+            for o in faces[q - p]:
+                counts[p - o] -= weight
+                counts[q + o] += weight
 
     def move(self, last: dict[int, Cell], now: dict[int, Cell], weight: int) -> None:
         """Move the weights of the obstacles in `last` (id -> cell) to those
@@ -190,12 +203,16 @@ class HazardGrid:
         off the area dies there. An obstacle in only one of them moves its
         whole cube.
         """
+        olds = []
+        news = []
         for i, cell in last.items():
             new = now.get(i)
             if new is None:
                 self.add(cell, -weight)
             elif new != cell:
-                self.step(cell, new, weight)
+                olds.append(cell)
+                news.append(new)
+        self.steps(olds, news, weight)
         for i, cell in now.items():
             if i not in last:
                 self.add(cell, weight)
@@ -205,6 +222,19 @@ def _in_hazard_margin(counts: array, i: int) -> bool:
     """Is the cell at flat index `i`, next to the deciding drone, within
     Chebyshev 1 of a known obstacle or of another drone?"""
     return counts[i] >= 2
+
+
+def _choice(rng: random.Random, xs: list):
+    """Pick an element of the non-empty list xs exactly as CPython's
+    rng.choice(xs) does: draw j below len(xs) with getrandbits of its bit
+    length until the value is below it. So the element and the generator's
+    state match rng.choice's, without its two nested method calls."""
+    n = len(xs)
+    k = n.bit_length()
+    j = rng.getrandbits(k)
+    while j >= n:
+        j = rng.getrandbits(k)
+    return xs[j]
 
 
 def _shuffle(rng: random.Random, xs: list) -> None:
@@ -414,9 +444,18 @@ class Simulation:
         # blocked cells.
         self._moving_in_margin: dict[int, Cell] = {}
         self._blocked: set[Cell] = set()
-        # The scan's obstacle labels, built once.
+        # The calendar of obstacle steps: tick -> ids of the moving
+        # obstacles due to step on it. Each is filed under its spawn tick
+        # and, while it lives, again one cadence after each step.
+        self._due: dict[int, list[int]] = {}
+        for mo in self.movings:
+            self._due.setdefault(mo.spawn_tick, []).append(mo.id)
+        # The scan's obstacle labels, built once, and its obstacle map (label
+        # -> cell of every static and every live spawned moving obstacle),
+        # kept across ticks and rebuilt only on a tick an obstacle was due.
         self._static_labels = {f"s{so.id}": so.cell for so in self.statics}
         self._moving_labels = [(f"m{mo.id}", mo) for mo in self.movings]
+        self._obstacle_cells = dict(self._static_labels)
         self.collisions: list[CollisionRecord] = []
         self.tick = 0
         self.trace = trace
@@ -464,16 +503,24 @@ class Simulation:
         drone_cells = self._drone_cells
         before = {d.id: d.current for d in flying}
 
-        # Phase 1: obstacle motion on cadence.
-        for o in self.movings:
+        # Phase 1: the moving obstacles due this tick step, in id order so
+        # that the draws keep their order when cadences are mixed, and each
+        # one still alive is filed again one cadence on. No other obstacle
+        # moves, spawns or dies this tick.
+        due = self._due.pop(tick, ())
+        for i in sorted(due):
+            o = self.movings[i]
             step_moving_obstacle(
                 o, tick, self.rng, self.area, drone_cells,
                 avoid_drones=cfg.obstacles_avoid_drones,
             )
+            if o.alive:
+                self._due.setdefault(tick + o.cadence, []).append(i)
 
         # Phase 2: obstacle detection, by the rule in the module docstring.
         # From radius 2 up it tests no drone: every static becomes known on
-        # the first tick and every live moving obstacle is known.
+        # the first tick and every live moving obstacle is known, so the
+        # known moving obstacles change only on a tick one was due.
         sees_all = cfg.detection_radius >= 2
         grid = self._grid
         undetected = []
@@ -485,19 +532,20 @@ class Simulation:
                 undetected.append(so)
         changed = len(undetected) < len(self._undetected)
         self._undetected = undetected
-        moving = {
-            mo.id: mo.cell for mo in self.movings
-            if mo.alive and tick >= mo.spawn_tick and (sees_all or self._detected(mo.cell))
-        }
-        # Move the counts of the moving obstacles that stepped, died, spawned,
-        # or entered or left detection since the last tick, and rebuild the
-        # blocked cells only when a known obstacle changed.
-        if moving != self._moving_in_margin:
-            grid.move(self._moving_in_margin, moving, _OBSTACLE)
-            self._moving_in_margin = moving
-            changed = True
+        if due or not sees_all:
+            moving = {
+                mo.id: mo.cell for mo in self.movings
+                if mo.alive and tick >= mo.spawn_tick and (sees_all or self._detected(mo.cell))
+            }
+            # Move the counts of the moving obstacles that stepped, died,
+            # spawned, or entered or left detection since the last tick.
+            if moving != self._moving_in_margin:
+                grid.move(self._moving_in_margin, moving, _OBSTACLE)
+                self._moving_in_margin = moving
+                changed = True
+        # Rebuild the blocked cells only when a known obstacle changed.
         if changed:
-            self._blocked = {*self.known_static.values(), *moving.values()}
+            self._blocked = {*self.known_static.values(), *self._moving_in_margin.values()}
 
         # Phase 3: decisions in a fresh seeded-random order.
         order = list(self.drones)
@@ -552,17 +600,17 @@ class Simulation:
         # move into a cell another drone left this tick.
         drone_cells.difference_update(vacated)
         drone_cells.update(entered)
-        step = grid.step
-        for prev, nxt in zip(vacated, entered):
-            step(prev, nxt, _DRONE)
+        grid.steps(vacated, entered, _DRONE)
 
         # Phase 5: ground-truth collision scan, independent of the decisions.
-        obstacle_cells = dict(self._static_labels)
-        for label, mo in self._moving_labels:
-            if mo.alive and tick >= mo.spawn_tick:
-                obstacle_cells[label] = mo.cell
+        if due:
+            obstacle_cells = dict(self._static_labels)
+            for label, mo in self._moving_labels:
+                if mo.alive and tick >= mo.spawn_tick:
+                    obstacle_cells[label] = mo.cell
+            self._obstacle_cells = obstacle_cells
         self.collisions += detect_collisions_ground_truth(
-            before, committed, obstacle_cells, tick, parked
+            before, committed, self._obstacle_cells, tick, parked
         )
 
         if self.trace is not None:
@@ -646,19 +694,19 @@ class Simulation:
                 if n == dest or not _in_hazard_margin(counts, n[0] * sx + n[1] * sy + n[2] + base)
             ]
             if clear:
-                intent = self.rng.choice(clear)
+                intent = _choice(self.rng, clear)
             else:
                 # Sidestep only off cooldown and not nearly home.
                 sidesteps = [] if cool or abs(gx - x) + abs(gy - y) + abs(gz - z) <= 2 else [
                     n for n in neighbors(self.area, cur)
-                    if cell_is_safe(ctx, d.id, n)
-                    and not _in_hazard_margin(counts, n[0] * sx + n[1] * sy + n[2] + base)
+                    if not _in_hazard_margin(counts, n[0] * sx + n[1] * sy + n[2] + base)
+                    and cell_is_safe(ctx, d.id, n)
                 ]
                 if sidesteps:
-                    intent = self.rng.choice(sidesteps)
+                    intent = _choice(self.rng, sidesteps)
                     d.sidestep_cooldown = SIDESTEP_COOLDOWN
                 else:
-                    intent = self.rng.choice(reducing)
+                    intent = _choice(self.rng, reducing)
         else:
             intent = cur
         if intent == cur or not cell_is_safe(ctx, d.id, intent):

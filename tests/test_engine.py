@@ -21,6 +21,7 @@ from swarmgrid.engine import (
     HazardGrid,
     SimConfig,
     Simulation,
+    _choice,
     _shuffle,
     clearance_margin,
     detect_collisions_ground_truth,
@@ -225,6 +226,23 @@ def test_moving_the_margin_keeps_the_counts_of_random_walks(seed):
         last = now
     assert steps > 20
     assert sum(not o.alive for o in obstacles) > 20
+
+
+# Sizes 1-9 and each side of every power of two up to 1024, where the bit
+# length, and so the rejection rate, changes.
+CHOICE_SIZES = sorted({*range(1, 10), *(2**k + s for k in range(2, 11) for s in (-1, 1))})
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**40 + 3])
+def test_choice_draws_as_random_choice(seed):
+    """The decisions' inline choice picks rng.choice's element and leaves
+    the generator in the same state, so every later draw matches too."""
+    ours, theirs = random.Random(seed), random.Random(seed)
+    for n in CHOICE_SIZES:
+        xs = [(n, i) for i in range(n)]
+        for _ in range(50):
+            assert _choice(ours, xs) == theirs.choice(xs)
+            assert ours.getstate() == theirs.getstate()
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 2**40 + 3])

@@ -33,6 +33,15 @@ drones in 6^3 with `max_ticks` 300, at seeds where drones enter and leave
 backtracking: a backtrack dispatched on the wrong counter changes both. They
 were taken while the engine still stored each drone's mode beside its
 counters.
+
+`MIXED_SHA256` is the `mission_parts` digest of the missions
+`mixed_missions` builds: small seeded areas whose moving obstacles have
+cadences 1-5 and spawn ticks 0-40, at detection radii 0-2, each flown with
+`obstacles_avoid_drones` on and off. Every other digest flies cadence 5 from
+tick 0, where all moving obstacles step on the same ticks in id order. It
+was taken while phase 1 still called `step_moving_obstacle` for every
+moving obstacle every tick, so obstacles that step on a tick in any order
+but their ids', or on a tick off their cadence, change it.
 """
 
 import dataclasses
@@ -56,6 +65,7 @@ DENSE_SHA256 = {
     5: "d495e33db520ab87f64f83ee47bf9e72a8772dd753bd6ecec714179fe7a21e17",
     35: "17577c0f9d488449da0f0f306581f0d89d68ed90ced532423e390f8ab61c8293",
 }
+MIXED_SHA256 = "d47b60f793011a24ac5317e81629dd0dfce1b51045d0e52cdcd3dfa165333ecc"
 
 # The tick length in ms that timestamped the CEP events when
 # MATCH_STREAM_SHA256 was taken; the event times are tick * TICK_LEN_MS.
@@ -104,6 +114,38 @@ def test_swarm_digest_matches():
 def test_dense_digest_matches(seed):
     cfg = dataclasses.replace(build_experiment(CONGESTED, seed), max_ticks=300)
     assert mission_digest(cfg) == DENSE_SHA256[seed]
+
+
+def mixed_missions():
+    """Thirty seeded missions with mixed obstacle cadences and spawn ticks,
+    each with `obstacles_avoid_drones` on, then off.
+
+    Areas are 4-8 by 4-8 by 12-20 cells, so most missions fly past tick 20
+    and many obstacles spawn mid-mission; many walk off the area and die.
+    """
+    for seed in range(30):
+        rng = random.Random(seed)
+        dims = (rng.randint(4, 8), rng.randint(4, 8), rng.randint(12, 20))
+        cells = dims[0] * dims[1] * dims[2]
+        spec = ExperimentSpec(
+            0, dims, rng.randint(4, cells // 16), rng.randint(0, cells // 20),
+            rng.randint(cells // 20, cells // 8),
+        )
+        cfg = build_experiment(spec, seed)
+        moving = [(c, rng.randint(1, 5), rng.randint(0, 40)) for c, _, _ in cfg.moving_obstacles]
+        cfg = dataclasses.replace(
+            cfg, moving_obstacles=moving, detection_radius=seed % 3, max_ticks=200
+        )
+        for avoid in (True, False):
+            yield dataclasses.replace(cfg, obstacles_avoid_drones=avoid)
+
+
+def test_mixed_cadence_digest_matches():
+    h = hashlib.sha256()
+    for cfg in mixed_missions():
+        for part in mission_parts(cfg):
+            h.update(part.encode())
+    assert h.hexdigest() == MIXED_SHA256
 
 
 def planner_digest() -> str:

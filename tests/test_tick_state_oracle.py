@@ -17,6 +17,13 @@ every live moving obstacle; below 2 they are the moving obstacles within the
 radius of a drone's cell at the start of the tick, and no static still
 unknown is within it.
 
+The engine also keeps a calendar of obstacle steps and the scan's obstacle
+map. After every tick each live moving obstacle sits in the calendar exactly
+once, under the next tick on its cadence (the first tick from now on `t`
+with `t >= spawn_tick` and `(t - spawn_tick) % cadence == 0`), and no dead
+obstacle sits there; the kept obstacle map equals one rebuilt from every
+static and every moving obstacle live and spawned at the last tick.
+
 The drone's mode is read from its backtrack counters, so after every tick
 each drone's counters stay in the range the backtrack exit keeps them in,
 and a parked drone is not backtracking.
@@ -30,6 +37,7 @@ import pytest
 from swarmgrid.coordination import LockTable
 from swarmgrid.engine import SimConfig, Simulation
 from swarmgrid.harness import EXPERIMENTS, ExperimentSpec, build_experiment
+from test_golden import mixed_missions
 
 # 300 drones in 20^3 and 30 drones in 6^3, as the benchmark flies them.
 SWARM = ExperimentSpec(0, (20, 20, 20), 300, 50, 50)
@@ -61,6 +69,13 @@ def _near(cell, cells, r) -> bool:
     return any(max(abs(a - b) for a, b in zip(cell, c)) <= r for c in cells)
 
 
+def next_step_tick(mo, tick: int) -> int:
+    """The first tick from `tick` on at which the obstacle steps."""
+    if tick <= mo.spawn_tick:
+        return mo.spawn_tick
+    return tick + -(tick - mo.spawn_tick) % mo.cadence
+
+
 def check_kept_state(sim: Simulation, start_cells=None) -> None:
     """Check the kept state after a tick whose drones started on
     `start_cells`, or before the first tick when that is None."""
@@ -81,6 +96,17 @@ def check_kept_state(sim: Simulation, start_cells=None) -> None:
         so.id for so in sim.statics if so.id not in sim.known_static
     ]
     assert sim._blocked == {*sim.known_static.values(), *sim._moving_in_margin.values()}
+    filed = [(t, i) for t, ids in sim._due.items() for i in ids]
+    assert sorted(filed) == sorted(
+        (next_step_tick(mo, sim.tick), mo.id) for mo in sim.movings if mo.alive
+    )
+    assert sim._obstacle_cells == {
+        **{f"s{so.id}": so.cell for so in sim.statics},
+        **{
+            f"m{mo.id}": mo.cell for mo in sim.movings
+            if mo.alive and sim.tick - 1 >= mo.spawn_tick
+        },
+    }
     # From radius 2 up the decisions take every static obstacle as known
     # from the first tick on, and every live moving obstacle. The obstacles
     # have not moved since the last tick's phase 1.
@@ -120,6 +146,13 @@ def test_experiments_keep_their_state(exp, avoid_drones):
         build_experiment(EXPERIMENTS[exp], 0), obstacles_avoid_drones=avoid_drones
     )
     assert fly_with_oracle(cfg) > 0
+
+
+def test_mixed_cadences_keep_their_state():
+    """Cadences 1-5 and late spawns file the obstacles under many ticks,
+    at radii 0-2, and obstacles die on and off the ticks of others."""
+    for cfg in mixed_missions():
+        fly_with_oracle(cfg)
 
 
 @pytest.mark.parametrize("radius", [0, 1])
