@@ -1,31 +1,41 @@
-"""Fly one large navigator mission on two swarmgrid trees in lockstep and compare their tick times.
+"""Fly navigator missions on two swarmgrid trees in lockstep and compare their tick times.
 
-    python3 scripts/lockstep_ab.py SRC_A SRC_B [--size {40,60,80}] [--rounds N]
+    python3 scripts/lockstep_ab.py SRC_A SRC_B [--size {40,60,80} | --workload W] [--rounds N]
 
 SRC_A and SRC_B are `src` directories, each holding a `swarmgrid` package.
 Both load into this one process, SRC_A first, as the packages `swarmgrid_a`
-and `swarmgrid_b`. Each side builds the same mission with its own
-`harness.build_experiment`: SIZE^3 cells holding SPECS[SIZE] drones, static
-and moving obstacles, seed 0, with a trace on. The two sides then fly it
-tick by tick, with one side first on even ticks and the other on odd
-ticks, so a slow spell of the host hits both sides within milliseconds of
-each other. After every tick the two sides' trace lines must be equal; at
-the first tick where they are not, the script prints one `error:` line
-naming the tick to standard error and exits 1.
+and `swarmgrid_b`. Each side builds the same missions with its own
+`SimConfig`:
 
-The mission is flown N times (`--rounds`, default 1). Each round builds
+- `--size N` (the default, 40): one mission, `harness.build_experiment` of
+  N^3 cells holding SPECS[N] drones, static and moving obstacles, seed 0,
+  with a trace on.
+- `--workload W`, W one of `missions`, `swarm-scale` and `congested`: each
+  fixed scenario of that `swarmbench/run.py` workload, from
+  `swarmbench.scenarios`, untraced as `run.py --trace 0` flies it. The
+  `congested` scenarios fly through the engine with their `max_ticks`, as
+  `run_mission` would, not through the CLI.
+
+The two sides fly each mission tick by tick, with one side first on even
+ticks and the other on odd ticks, so a slow spell of the host hits both
+sides within milliseconds of each other. After every tick the two sides'
+trace lines must be equal, and at the end of each mission their routes; at
+the first difference the script prints one `error:` line to standard error
+and exits 1.
+
+The missions are flown N times (`--rounds`, default 1). Each round builds
 both sides afresh, and odd rounds swap which side goes first on even ticks
 (and builds first), so neither side keeps the first slot.
 
-It prints one JSON line: the ticks of one flight, each round's total time
-ratio B/A over all `run_tick` calls and their median, and the median and
-quartiles of the per-tick ratio B/A, pooled over the rounds, in three bands
-of the share of drones flying at the start of the tick. Run it in both load
-orders, and beside it an A/A run (a tree against a copy of itself, in both
-orders too), which shows how far from 1 the ratios read with no change. On
-a shared 2-core VM the A/A total ratios read 0.98-1.01 at every size, with
-one 40^3 run at 1.041; without `gc.freeze()` they read 0.96-1.07, depending
-on the load order.
+It prints one JSON line: each round's total time ratio B/A over all
+`run_tick` calls and their median; the median and quartiles of the
+per-mission ratio B/A, pooled over the rounds; and those of the per-tick
+ratio B/A, over all ticks and in three bands of the share of drones flying
+at the start of the tick. Run it in both load orders, and beside it an A/A
+run (a tree against a copy of itself, in both orders too), which shows how
+far from 1 the ratios read with no change. On a shared 2-core VM the A/A
+total ratios read 0.98-1.01 at every size, with one 40^3 run at 1.041;
+without `gc.freeze()` they read 0.96-1.07, depending on the load order.
 """
 
 from __future__ import annotations
@@ -43,6 +53,8 @@ from pathlib import Path
 # Drones, static and moving obstacles by area side, as `scripts/scale_mission.py`
 # flies them at 40 and 60.
 SPECS = {40: (1000, 500, 500), 60: (3000, 1500, 1500), 80: (10000, 5000, 5000)}
+# The `swarmbench/run.py` workloads that fly navigator missions.
+WORKLOADS = ("missions", "swarm-scale", "congested")
 # Bands of the share of drones flying at the start of a tick: (name, lowest share).
 BANDS = (("over_half", 0.5), ("5pct_to_half", 0.05), ("under_5pct", 0.0))
 
@@ -61,6 +73,20 @@ def load(src: str, name: str):
     return importlib.import_module(f"{name}.engine"), importlib.import_module(f"{name}.harness")
 
 
+def workload_scenarios(workload: str) -> list:
+    """The scenarios of one round of a `swarmbench/run.py` workload, read
+    from this checkout's `swarmbench/scenarios.py` without writing bytecode
+    there; returns them with the benchmark's cadence and spawn tick."""
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+    sys.dont_write_bytecode = True
+    try:
+        from swarmbench.scenarios import CADENCE, SPAWN_TICK, workload_ops
+    finally:
+        sys.dont_write_bytecode = False
+        del sys.path[0]
+    return [(op.scenario, CADENCE, SPAWN_TICK) for op in workload_ops(workload)]
+
+
 def quartiles(xs: list[float]) -> dict:
     if len(xs) < 2:
         return {"n": len(xs), "median": xs[0] if xs else None}
@@ -69,23 +95,39 @@ def quartiles(xs: list[float]) -> dict:
             "iqr": round(q3 - q1, 4)}
 
 
-def build(packages: list, size: int, order: tuple[int, int]) -> list:
-    """Build the mission on each side, in `order`, with a trace collecting
-    its lines; returns (simulation, lines) per side."""
+def build(packages: list, size: int, scenarios: list | None, order: tuple[int, int]) -> list:
+    """Build the missions on each side, in `order`: the `size` mission, or
+    one per workload scenario of `scenarios`. Returns per side a list of
+    (simulation, trace lines), one per mission."""
     sides: list = [None, None]
     for k in order:
         engine, harness = packages[k]
-        spec = harness.ExperimentSpec(0, (size,) * 3, *SPECS[size])
-        lines: list[str] = []
-        sides[k] = (engine.Simulation(harness.build_experiment(spec, 0), trace=lines.append), lines)
+        if scenarios is None:
+            spec = harness.ExperimentSpec(0, (size,) * 3, *SPECS[size])
+            lines: list[str] = []
+            sim = engine.Simulation(harness.build_experiment(spec, 0), trace=lines.append)
+            sides[k] = [(sim, lines)]
+            continue
+        sides[k] = [
+            (engine.Simulation(engine.SimConfig(
+                dims=s.dims,
+                drones=list(s.drones),
+                static_obstacles=list(s.static_obstacles),
+                moving_obstacles=[(c, cadence, spawn) for c in s.moving_obstacles],
+                seed=s.seed,
+                max_ticks=s.max_ticks,
+            )), [])
+            for s, cadence, spawn in scenarios
+        ]
     return sides
 
 
-def fly(sides: list, first: int, ratios: dict[str, list[float]]) -> tuple[int, list[float]]:
-    """Fly both sides to the end in lockstep, side `first` first on even
-    ticks, appending each tick's ratio B/A to its band in `ratios`; returns
-    the ticks flown and each side's total seconds in `run_tick`."""
-    (sim_a, lines_a), (sim_b, lines_b) = sides
+def fly(pair: list, first: int, ratios: dict[str, list[float]]) -> tuple[int, list[float]]:
+    """Fly one mission on both sides to the end in lockstep, side `first`
+    first on even ticks, appending each tick's ratio B/A to its band in
+    `ratios`; returns the ticks flown and each side's total seconds in
+    `run_tick`."""
+    (sim_a, lines_a), (sim_b, lines_b) = pair
     n_drones = len(sim_a.drones)
     max_ticks = sim_a.cfg.effective_max_ticks()
     total = [0.0, 0.0]
@@ -96,7 +138,7 @@ def fly(sides: list, first: int, ratios: dict[str, list[float]]) -> tuple[int, l
         tick = sim_a.tick
         spent = [0.0, 0.0]
         for k in orders[tick % 2]:
-            sim = sides[k][0]
+            sim = pair[k][0]
             start = clock()
             sim.run_tick()
             spent[k] = clock() - start
@@ -108,6 +150,8 @@ def fly(sides: list, first: int, ratios: dict[str, list[float]]) -> tuple[int, l
         total[1] += spent[1]
         band = next(name for name, low in BANDS if flying >= low)
         ratios[band].append(spent[1] / spent[0])
+    if [d.route for d in sim_a.drones] != [d.route for d in sim_b.drones]:
+        sys.exit(f"error: the routes differ after {sim_a.tick} ticks")
     return sim_a.tick, total
 
 
@@ -115,40 +159,60 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("src_a")
     parser.add_argument("src_b")
-    parser.add_argument("--size", type=int, choices=sorted(SPECS), default=40)
+    scope = parser.add_mutually_exclusive_group()
+    scope.add_argument("--size", type=int, choices=sorted(SPECS), default=40)
+    scope.add_argument("--workload", choices=WORKLOADS)
     parser.add_argument("--rounds", type=int, default=1)
     args = parser.parse_args()
     if args.rounds < 1:
         sys.exit(f"error: --rounds must be at least 1, got {args.rounds}")
+    scenarios = workload_scenarios(args.workload) if args.workload else None
     packages = [load(args.src_a, "swarmgrid_a"), load(args.src_b, "swarmgrid_b")]
     ratios: dict[str, list[float]] = {band: [] for band, _ in BANDS}
     round_ratios = []
+    mission_ratios = []
     totals = [0.0, 0.0]
+    ticks = 0
     for r in range(args.rounds):
         first = r % 2
-        sides = build(packages, args.size, (first, 1 - first))
-        # Keep the collector off the two missions' set-up objects: a full
+        sides = build(packages, args.size, scenarios, (first, 1 - first))
+        # Keep the collector off the missions' set-up objects: a full
         # collection walks both sides' objects and lands on whichever
         # side's tick set it off.
         gc.freeze()
-        ticks, total = fly(sides, first, ratios)
-        n_drones = len(sides[0][0].drones)
-        round_ratios.append(round(total[1] / total[0], 4))
-        totals[0] += total[0]
-        totals[1] += total[1]
+        round_total = [0.0, 0.0]
+        for pair in zip(*sides):
+            n, total = fly(list(pair), first, ratios)
+            mission_ratios.append(total[1] / total[0])
+            round_total[0] += total[0]
+            round_total[1] += total[1]
+            ticks += n
+        round_ratios.append(round(round_total[1] / round_total[0], 4))
+        totals[0] += round_total[0]
+        totals[1] += round_total[1]
         # Let the collector free this round's missions before the next.
-        del sides
+        del sides, pair
         gc.unfreeze()
         gc.collect()
-    flights = ticks * args.rounds
+    ticks //= args.rounds
+    tick_ratios = [x for xs in ratios.values() for x in xs]
+    flown = (
+        {"workload": args.workload} if args.workload
+        else {"size": args.size, "drones": SPECS[args.size][0]}
+    )
     print(json.dumps({
-        "a": args.src_a, "b": args.src_b, "size": args.size, "drones": n_drones,
+        "a": args.src_a, "b": args.src_b, **flown,
+        "missions": len(mission_ratios) // args.rounds,
         "ticks": ticks, "rounds": args.rounds,
-        "a_ms_per_tick": round(totals[0] * 1000 / max(flights, 1), 2),
-        "b_ms_per_tick": round(totals[1] * 1000 / max(flights, 1), 2),
+        "a_ms_per_tick": round(totals[0] * 1000 / max(ticks * args.rounds, 1), 4),
+        "b_ms_per_tick": round(totals[1] * 1000 / max(ticks * args.rounds, 1), 4),
         "total_ratio_b_over_a": round_ratios,
         "total_ratio_median": statistics.median(round_ratios),
-        "per_tick_ratio_b_over_a": {band: quartiles(xs) for band, xs in ratios.items()},
+        "per_mission_ratio_b_over_a": quartiles(mission_ratios),
+        "per_tick_ratio_b_over_a": {
+            "all": quartiles(tick_ratios),
+            **{band: quartiles(xs) for band, xs in ratios.items()},
+        },
     }))
 
 

@@ -66,9 +66,10 @@ class MovingObstacle:
 
 def record_move(d: Drone, nxt: Cell) -> None:
     """Append the next cell to the drone's route and update hover bookkeeping."""
-    if nxt == d.current:
+    cur = d.current
+    if nxt == cur:
         d.hover_streak += 1
-    elif manhattan(nxt, d.current) == 1:
+    elif abs(nxt[0] - cur[0]) + abs(nxt[1] - cur[1]) + abs(nxt[2] - cur[2]) == 1:
         d.hover_streak = 0
     else:
         raise IllegalMove(f"drone {d.id}: {d.current} -> {nxt}")

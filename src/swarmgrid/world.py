@@ -92,15 +92,28 @@ def new_area(dims: Cell, spacing: float, sensing_range: float, params: SafetyPar
 
 
 def neighbors(area: Area, c: Cell) -> list[Cell]:
-    """In-bounds axis-adjacent cells of c, in a fixed deterministic order."""
-    if c not in area:
-        raise OutOfBounds(f"{c} outside {area.dims}")
+    """In-bounds axis-adjacent cells of c, in the order of DIRECTIONS.
+
+    The bounds are compared inline, without `Area.__contains__` calls,
+    since the per-drone decisions (sidesteps and `avoid`) call it.
+    """
     x, y, z = c
+    dim_x, dim_y, dim_z = area.dim_x, area.dim_y, area.dim_z
+    if not (0 <= x < dim_x and 0 <= y < dim_y and 0 <= z < dim_z):
+        raise OutOfBounds(f"{c} outside {area.dims}")
     out = []
-    for dx, dy, dz in DIRECTIONS:
-        n = (x + dx, y + dy, z + dz)
-        if n in area:
-            out.append(n)
+    if x > 0:
+        out.append((x - 1, y, z))
+    if x + 1 < dim_x:
+        out.append((x + 1, y, z))
+    if y > 0:
+        out.append((x, y - 1, z))
+    if y + 1 < dim_y:
+        out.append((x, y + 1, z))
+    if z > 0:
+        out.append((x, y, z - 1))
+    if z + 1 < dim_z:
+        out.append((x, y, z + 1))
     return out
 
 

@@ -87,3 +87,30 @@ def test_randomized_operations_never_double_hold():
                 with pytest.raises(NotHolder):
                     t.release(drone, cell)
         assert t.holder(cell) == model.get(cell)
+
+
+def test_holder_follows_acquire_and_release():
+    t = LockTable()
+    cells = [(0, 0, 0), (1, 0, 0), (2, 0, 0)]
+    assert [t.holder(c) for c in cells] == [None] * 3
+    assert t.try_acquire(1, cells[0]) and t.try_acquire(2, cells[1])
+    assert [t.holder(c) for c in cells] == [1, 2, None]
+    t.release(1, cells[0])
+    assert t.try_acquire(3, cells[2])
+    assert [t.holder(c) for c in cells] == [None, 2, 3]
+
+
+def test_holder_reads_what_a_patched_acquire_writes(monkeypatch):
+    """`holder` is the table's dict's own `get`, so it must see what any
+    `try_acquire` writes there, such as the hand-over patch in
+    `test_tick_state_oracle.py`."""
+
+    def hand_over(self, drone_id, cell):
+        self._holders[cell] = drone_id
+        return True
+
+    t = LockTable()
+    assert t.try_acquire(1, (0, 0, 0))
+    monkeypatch.setattr(LockTable, "try_acquire", hand_over)
+    assert t.try_acquire(2, (0, 0, 0))
+    assert t.holder((0, 0, 0)) == 2

@@ -111,3 +111,37 @@ def test_neighbors_are_adjacent_and_inside(c):
     for n in ns:
         assert n in area
         assert manhattan(n, c) == 1
+
+
+def _coordinate(n: int):
+    """A coordinate on an axis of n cells, drawn mostly from its two ends so
+    that cells on faces, edges and corners come up often."""
+    return st.one_of(st.sampled_from([0, n - 1]), st.integers(0, n - 1))
+
+
+@st.composite
+def area_and_cell(draw):
+    """An area of 2-9 cells per axis and a cell inside it."""
+    dims = [draw(st.integers(2, 9)) for _ in range(3)]
+    return Area(*dims, 10.0, 30.0, 9.0), tuple(draw(_coordinate(n)) for n in dims)
+
+
+@given(area_and_cell())
+def test_neighbors_keep_the_order_of_directions(case):
+    """The sidestep and `avoid` draw from this list by index, so the routes
+    depend on its order, not only on its cells."""
+    area, c = case
+    expected = [
+        n for n in ((c[0] + dx, c[1] + dy, c[2] + dz) for dx, dy, dz in DIRECTIONS) if n in area
+    ]
+    assert neighbors(area, c) == expected
+
+
+@given(area_and_cell(), st.integers(0, 2), st.sampled_from([-2, -1, 1, 2]))
+def test_neighbors_of_a_cell_outside_raise(case, axis, off):
+    """Move one coordinate of a cell just past either end of its axis."""
+    area, c = case
+    cell = list(c)
+    cell[axis] = -off if off > 0 else area.dims[axis] - 1 - off
+    with pytest.raises(OutOfBounds):
+        neighbors(area, tuple(cell))
