@@ -1,4 +1,4 @@
-"""Fly navigator missions on two swarmgrid trees in lockstep and compare their tick times.
+"""Fly navigator missions, or plan baseline fleets, on two swarmgrid trees in lockstep and compare their times.
 
     python3 scripts/lockstep_ab.py SRC_A SRC_B [--size {40,60,80} | --workload W] [--rounds N]
 
@@ -15,6 +15,10 @@ and `swarmgrid_b`. Each side builds the same missions with its own
   `swarmbench.scenarios`, untraced as `run.py --trace 0` flies it. The
   `congested` scenarios fly through the engine with their `max_ticks`, as
   `run_mission` would, not through the CLI.
+- `--workload baselines`: each RRT and RRT* fleet of that workload, from
+  `swarmbench.scenarios`, planned drone by drone with one generator per
+  fleet and side, then flown open loop, as `run.py` plans and flies it.
+  This mode is described at the end.
 
 The two sides fly each mission tick by tick, with one side first on even
 ticks and the other on odd ticks, so a slow spell of the host hits both
@@ -36,6 +40,17 @@ run (a tree against a copy of itself, in both orders too), which shows how
 far from 1 the ratios read with no change. On a shared 2-core VM the A/A
 total ratios read 0.98-1.01 at every size, with one 40^3 run at 1.041;
 without `gc.freeze()` they read 0.96-1.07, depending on the load order.
+
+With `--workload baselines` the two sides plan each fleet drone by drone,
+and the side that plans first alternates per drone and per round. After
+every plan the two routes (or plan failures) and the generators'
+`getstate()` must be equal, and after each fleet's open-loop flight its
+collisions and ticks; at the first difference the script prints one
+`error:` line and exits 1. It prints one JSON line: each round's total
+time ratio B/A over all plans and flights, their median, and per fleet the
+ratio B/A of each round. On a shared 2-core VM its A/A round totals read
+0.99-1.02 and their medians 0.998-1.012, in both load orders; single
+fleets spread about 5%.
 """
 
 from __future__ import annotations
@@ -45,16 +60,19 @@ import gc
 import importlib
 import importlib.util
 import json
+import random
 import statistics
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 # Drones, static and moving obstacles by area side, as `scripts/scale_mission.py`
 # flies them at 40 and 60.
 SPECS = {40: (1000, 500, 500), 60: (3000, 1500, 1500), 80: (10000, 5000, 5000)}
-# The `swarmbench/run.py` workloads that fly navigator missions.
-WORKLOADS = ("missions", "swarm-scale", "congested")
+# The `swarmbench/run.py` workloads that fly navigator missions, and the one
+# that plans baseline fleets.
+WORKLOADS = ("missions", "swarm-scale", "congested", "baselines")
 # Bands of the share of drones flying at the start of a tick: (name, lowest share).
 BANDS = (("over_half", 0.5), ("5pct_to_half", 0.05), ("under_5pct", 0.0))
 
@@ -70,21 +88,24 @@ def load(src: str, name: str):
     package = importlib.util.module_from_spec(spec)
     sys.modules[name] = package
     spec.loader.exec_module(package)
-    return importlib.import_module(f"{name}.engine"), importlib.import_module(f"{name}.harness")
+    return SimpleNamespace(**{
+        m: importlib.import_module(f"{name}.{m}") for m in ("engine", "harness", "baselines")
+    })
 
 
 def workload_scenarios(workload: str) -> list:
-    """The scenarios of one round of a `swarmbench/run.py` workload, read
-    from this checkout's `swarmbench/scenarios.py` without writing bytecode
+    """The ops of one round of a `swarmbench/run.py` workload, read from
+    this checkout's `swarmbench/scenarios.py` without writing bytecode
     there; returns them with the benchmark's cadence and spawn tick."""
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+    write_bytecode = not sys.dont_write_bytecode
     sys.dont_write_bytecode = True
     try:
         from swarmbench.scenarios import CADENCE, SPAWN_TICK, workload_ops
     finally:
-        sys.dont_write_bytecode = False
+        sys.dont_write_bytecode = not write_bytecode
         del sys.path[0]
-    return [(op.scenario, CADENCE, SPAWN_TICK) for op in workload_ops(workload)]
+    return [(op, CADENCE, SPAWN_TICK) for op in workload_ops(workload)]
 
 
 def quartiles(xs: list[float]) -> dict:
@@ -101,7 +122,7 @@ def build(packages: list, size: int, scenarios: list | None, order: tuple[int, i
     (simulation, trace lines), one per mission."""
     sides: list = [None, None]
     for k in order:
-        engine, harness = packages[k]
+        engine, harness = packages[k].engine, packages[k].harness
         if scenarios is None:
             spec = harness.ExperimentSpec(0, (size,) * 3, *SPECS[size])
             lines: list[str] = []
@@ -109,17 +130,22 @@ def build(packages: list, size: int, scenarios: list | None, order: tuple[int, i
             sides[k] = [(sim, lines)]
             continue
         sides[k] = [
-            (engine.Simulation(engine.SimConfig(
-                dims=s.dims,
-                drones=list(s.drones),
-                static_obstacles=list(s.static_obstacles),
-                moving_obstacles=[(c, cadence, spawn) for c in s.moving_obstacles],
-                seed=s.seed,
-                max_ticks=s.max_ticks,
-            )), [])
-            for s, cadence, spawn in scenarios
+            (engine.Simulation(config(engine, op.scenario, cadence, spawn)), [])
+            for op, cadence, spawn in scenarios
         ]
     return sides
+
+
+def config(engine, s, cadence: int, spawn: int):
+    """The `SimConfig` of one workload scenario, as `swarmbench/run.py` builds it."""
+    return engine.SimConfig(
+        dims=s.dims,
+        drones=list(s.drones),
+        static_obstacles=list(s.static_obstacles),
+        moving_obstacles=[(c, cadence, spawn) for c in s.moving_obstacles],
+        seed=s.seed,
+        max_ticks=s.max_ticks,
+    )
 
 
 def fly(pair: list, first: int, ratios: dict[str, list[float]]) -> tuple[int, list[float]]:
@@ -155,6 +181,73 @@ def fly(pair: list, first: int, ratios: dict[str, list[float]]) -> tuple[int, li
     return sim_a.tick, total
 
 
+def plan_fleet(packages: list, op, cadence: int, spawn: int, rnd: int) -> list[float]:
+    """Plan one baselines fleet on both sides drone by drone, then fly it
+    open loop on each; returns each side's total seconds."""
+    s = op.scenario
+    cfgs = [config(pkg.engine, s, cadence, spawn) for pkg in packages]
+    areas = [cfg.area() for cfg in cfgs]
+    planners = [pkg.baselines.rrt_plan if op.kind == "rrt" else pkg.baselines.rrt_star_plan
+                for pkg in packages]
+    rngs = [random.Random(s.seed), random.Random(s.seed)]
+    routes: list[list] = [[], []]
+    statics = list(s.static_obstacles)
+    spent = [0.0, 0.0]
+    clock = time.perf_counter
+    for j, (start, dest) in enumerate(s.drones):
+        first = (j + rnd) % 2
+        for k in (first, 1 - first):
+            begin = clock()
+            try:
+                route = planners[k](start, dest, statics, areas[k], rngs[k])
+            except packages[k].baselines.PlanFailure as exc:
+                route = f"plan failure: {exc}"
+            spent[k] += clock() - begin
+            routes[k].append(route)
+        if routes[0][-1] != routes[1][-1]:
+            sys.exit(f"error: {op.kind} {s.label} drone {j}: the routes differ")
+        if rngs[0].getstate() != rngs[1].getstate():
+            sys.exit(f"error: {op.kind} {s.label} drone {j}: the generator states differ")
+        if isinstance(route, str):
+            # Both sides failed alike: run.py counts the fleet failed and flies nothing.
+            return spent
+    flown: list = [None, None]
+    for k in (rnd % 2, 1 - rnd % 2):
+        begin = clock()
+        result = packages[k].baselines.execute_open_loop(dict(enumerate(routes[k])), cfgs[k])
+        spent[k] += clock() - begin
+        flown[k] = (result.ticks, [(c.tick, c.kind, c.ids, c.cell) for c in result.collisions])
+    if flown[0] != flown[1]:
+        sys.exit(f"error: {op.kind} {s.label}: the open-loop collisions or ticks differ")
+    return spent
+
+
+def baselines_main(args, packages: list, scenarios: list) -> None:
+    """Plan and fly the baselines fleets in lockstep for `args.rounds` rounds."""
+    fleet_ratios: dict[str, list[float]] = {
+        f"{op.kind} {op.scenario.label}": [] for op, _, _ in scenarios
+    }
+    round_ratios = []
+    for rnd in range(args.rounds):
+        gc.freeze()
+        round_total = [0.0, 0.0]
+        for op, cadence, spawn in scenarios:
+            spent = plan_fleet(packages, op, cadence, spawn, rnd)
+            fleet_ratios[f"{op.kind} {op.scenario.label}"].append(round(spent[1] / spent[0], 4))
+            round_total[0] += spent[0]
+            round_total[1] += spent[1]
+        round_ratios.append(round(round_total[1] / round_total[0], 4))
+        gc.unfreeze()
+        gc.collect()
+    print(json.dumps({
+        "a": args.src_a, "b": args.src_b, "workload": args.workload,
+        "fleets": len(scenarios), "rounds": args.rounds,
+        "total_ratio_b_over_a": round_ratios,
+        "total_ratio_median": statistics.median(round_ratios),
+        "per_fleet_ratio_b_over_a": fleet_ratios,
+    }))
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("src_a")
@@ -168,6 +261,9 @@ def main() -> None:
         sys.exit(f"error: --rounds must be at least 1, got {args.rounds}")
     scenarios = workload_scenarios(args.workload) if args.workload else None
     packages = [load(args.src_a, "swarmgrid_a"), load(args.src_b, "swarmgrid_b")]
+    if args.workload == "baselines":
+        baselines_main(args, packages, scenarios)
+        return
     ratios: dict[str, list[float]] = {band: [] for band, _ in BANDS}
     round_ratios = []
     mission_ratios = []

@@ -71,24 +71,44 @@ def _sample(
 # key a probe makes lies in (-radix**3, radix**3). So keys stay distinct
 # while the indexed cells lie in the area and probes reach at most _REACH
 # beyond it, and they stay one-digit ints (below 2**30) while the radix is
-# at most 2**10. Queries outside the area, or probes farther out, go to the
-# numpy scan instead.
+# at most 2**10. Queries outside the area go to the scan instead.
 _REACH = 16
 # nearest() probes shells while their cells total at most n / _PROBE_SHARE
 # for n indexed cells, plus _SCAN_PROBES once the cells fill 1 / _SCAN_PROBES
-# of the area, and otherwise scans them all with numpy. A scan costs about
-# _SCAN_PROBES probes plus one per 30 cells, so a query that finds nothing in
-# its budget costs at most about two scans. In a sparser tree the first hit
+# of the area, and otherwise scans them all. Under timeit at 20^3 a table
+# scan costs about 17 probes plus one per 70 cells (1.5 us at 200 cells and
+# 5.1 us at 4000, a probe 0.07 us), so a query that finds nothing in its
+# budget costs at most about three scans. In a sparser tree the first hit
 # lies more than _SCAN_PROBES probes out on average, so the scan goes first.
 # RRT*'s queries mostly hit within two cells; plain RRT's mostly lie farther.
+# _SCAN_PROBES was 48 while a scan cost about 100 probes; at 16, in-process
+# A/Bs planned the `baselines` RRT fleets 8-18% faster and the RRT* fleets
+# 2-4% faster. At 8 or 4 the fleets took within about 1.5% of 16 in total
+# (up to 5% less on the 10^3 RRT fleets), too close to tell apart.
 _PROBE_SHARE = 32
-_SCAN_PROBES = 48
+_SCAN_PROBES = 16
 # Per radix: the offset keys at each Manhattan distance 0.._REACH, and for
 # each radius the key and distance of every offset within it.
 _SHELLS: dict[int, list[list[int]]] = {}
 _BALLS: dict[tuple[int, int], list[tuple[int, int]]] = {}
 # Sorting (index, distance) pairs by the index alone compares ints, not tuples.
 _first = operator.itemgetter(0)
+# The scan keys a cell (x, y, z) of an X x Y x Z area as
+# key = (x * (2Y - 1) + y) * (2Z - 1) + z. The difference of two area cells'
+# keys then decodes into their per-axis differences alone, so one table per
+# area dims, indexed by the key of (X - 1, Y - 1, Z - 1) plus that
+# difference, holds their Manhattan distance. The index stores each cell c as
+# its offset, that corner's key minus key(c), so the distances from a query
+# cell q to all cells are one take of the offsets from the table's view
+# starting at key(q). A query outside the area scans from its nearest area
+# cell q', and adds |q - q'| to every distance. The table has
+# (2X - 1)(2Y - 1)(2Z - 1) entries of the narrowest of _TABLE_DTYPES that
+# holds X + Y + Z - 3. An area whose table would pass _TABLE_ENTRIES_MAX
+# entries (a 64^3 area is exactly at it), or whose distances no such dtype
+# holds, scans coordinates decoded from the offsets instead.
+_TABLE_ENTRIES_MAX = 127**3
+_TABLE_DTYPES = (np.int8, np.int16)
+_TABLES: dict[tuple[int, int, int], np.ndarray | None] = {}
 
 
 def _shells(radix: int) -> list[list[int]]:
@@ -114,12 +134,26 @@ def _ball(radix: int, radius: int) -> list[tuple[int, int]]:
     return _BALLS[radix, radius]
 
 
+def _distance_table(dims: tuple[int, int, int]) -> np.ndarray | None:
+    """The scan's distance table for an area, built once per dims; None over the cap."""
+    if dims not in _TABLES:
+        table = None
+        farthest = sum(dims) - 3
+        dtype = next((t for t in _TABLE_DTYPES if farthest <= np.iinfo(t).max), None)
+        entries = (2 * dims[0] - 1) * (2 * dims[1] - 1) * (2 * dims[2] - 1)
+        if dtype is not None and entries <= _TABLE_ENTRIES_MAX:
+            ax, ay, az = (abs(np.arange(1 - d, d, dtype=dtype)) for d in dims)
+            table = (ax[:, None, None] + ay[:, None] + az).ravel()
+        _TABLES[dims] = table
+    return _TABLES[dims]
+
+
 class _NearestIndex:
     """Manhattan nearest-neighbor over a growing set of distinct area cells.
 
     A cell-key -> index dict answers queries by probing Manhattan shells
-    around the query cell; one coordinate array per axis backs the linear
-    scan for queries the probes cannot answer. Ties go to the lowest index.
+    around the query cell; one array of table offsets backs the linear scan
+    for queries the probes cannot answer. Ties go to the lowest index.
     """
 
     def __init__(self, dims: tuple[int, int, int], capacity: int = 1024):
@@ -130,7 +164,11 @@ class _NearestIndex:
         # The ball of the radius within() was last asked for.
         self._ball_radius = -1
         self._ball: list[tuple[int, int]] = []
-        self._axes = [np.empty(capacity, dtype=np.int64) for _ in range(3)]
+        self._ry = 2 * dims[1] - 1
+        self._rz = 2 * dims[2] - 1
+        self._table = _distance_table(dims)
+        self._corner = ((dims[0] - 1) * self._ry + dims[1] - 1) * self._rz + dims[2] - 1
+        self._offsets = np.empty(capacity, dtype=np.int64)
         self._n = 0
         self._index: dict[int, int] = {}
 
@@ -141,22 +179,38 @@ class _NearestIndex:
         if not (0 <= x < dx and 0 <= y < dy and 0 <= z < dz):
             raise ValueError(f"cell {cell!r} lies outside the area {self._dims!r}")
         n = self._n
-        if n == len(self._axes[0]):
-            self._axes = [np.concatenate([a, np.empty_like(a)]) for a in self._axes]
-        xs, ys, zs = self._axes
-        xs[n] = x
-        ys[n] = y
-        zs[n] = z
+        if n == len(self._offsets):
+            self._offsets = np.concatenate([self._offsets, np.empty_like(self._offsets)])
+        self._offsets[n] = self._corner - (x * self._ry + y) * self._rz - z
         r = self._radix
         self._index.setdefault((x * r + y) * r + z, n)
         self._n = n + 1
         return n
 
-    def _distances(self, cell: Cell) -> np.ndarray:
-        n = self._n
-        xs, ys, zs = self._axes
-        x, y, z = cell
-        return abs(xs[:n] - x) + abs(ys[:n] - y) + abs(zs[:n] - z)
+    def _clamped(self, cell: Cell) -> tuple[int, int]:
+        """Scan key of the area cell nearest to cell, and its distance from cell.
+
+        For every area cell c that distance plus the one from the key's cell
+        to c is the distance from cell to c.
+        """
+        key = excess = 0
+        for v, d, radix in zip(cell, self._dims, (1, self._ry, self._rz)):
+            c = min(max(v, 0), d - 1)
+            excess += abs(v - c)
+            key = key * radix + c
+        return key, excess
+
+    def _distances(self, key: int) -> np.ndarray:
+        """Distance from the area cell with scan key `key` to every indexed cell."""
+        offsets = self._offsets[: self._n]
+        if self._table is not None:
+            return self._table[key:].take(offsets)
+        ry, rz = self._ry, self._rz
+        rows, zs = np.divmod(self._corner - offsets, rz)
+        xs, ys = np.divmod(rows, ry)
+        row, z = divmod(key, rz)
+        x, y = divmod(row, ry)
+        return abs(xs - x) + abs(ys - y) + abs(zs - z)
 
     def nearest(self, cell: Cell) -> int:
         """Lowest index among the closest cells."""
@@ -181,7 +235,8 @@ class _NearestIndex:
                 hits = [i for o in shell if (i := get(key + o)) is not None]
                 if hits:
                     return min(hits)
-        return int(self._distances(cell).argmin())
+            return int(self._distances((x * self._ry + y) * self._rz + z).argmin())
+        return int(self._distances(self._clamped(cell)[0]).argmin())
 
     def within(self, cell: Cell, radius: int) -> list[tuple[int, int]]:
         """(index, distance) of the cells within Manhattan radius, by index."""
@@ -197,9 +252,10 @@ class _NearestIndex:
             out = [(i, d) for o, d in self._ball if (i := get(key + o)) is not None]
             out.sort(key=_first)
             return out
-        dist = self._distances(cell)
-        found = np.flatnonzero(dist <= radius)
-        return list(zip(found.tolist(), dist[found].tolist()))
+        key, excess = self._clamped(cell)
+        dist = self._distances(key)
+        found = np.flatnonzero(dist <= radius - excess)
+        return [(i, d + excess) for i, d in zip(found.tolist(), dist[found].tolist())]
 
 
 class PlannerTree(_NearestIndex):
@@ -426,10 +482,12 @@ def execute_open_loop(routes: dict[int, list[Cell]], cfg: SimConfig) -> SimResul
     total_ticks = max((len(r) - 1 for r in routes.values()), default=0)
     collisions: list[CollisionRecord] = []
     positions = {i: r[0] for i, r in routes.items()}
+    # Obstacles that do not dodge drones read no drone cells.
+    no_drones: frozenset[Cell] = frozenset()
     for tick in range(total_ticks):
         before = dict(positions)
         for o in movings:
-            step_moving_obstacle(o, tick, rng, area, set(), avoid_drones=False)
+            step_moving_obstacle(o, tick, rng, area, no_drones, avoid_drones=False)
         for i, r in routes.items():
             positions[i] = r[min(tick + 1, len(r) - 1)]
         obstacle_cells = dict(statics)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections.abc import Set as AbstractSet
 from dataclasses import dataclass, field
 
 from .world import Area, Cell, DIRECTIONS, manhattan
@@ -82,7 +83,7 @@ def step_moving_obstacle(
     tick: int,
     rng: random.Random,
     area: Area,
-    occupied_drone_cells: set[Cell],
+    occupied_drone_cells: AbstractSet[Cell],
     avoid_drones: bool = True,
 ) -> None:
     """Advance a moving obstacle for one tick.

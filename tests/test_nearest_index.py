@@ -4,6 +4,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from swarmgrid import baselines
 from swarmgrid.baselines import _PROBE_SHARE, _REACH, _NearestIndex
@@ -167,3 +168,69 @@ def test_cells_outside_the_area_are_refused():
         with pytest.raises(ValueError, match="outside the area"):
             nn.add(bad)
     assert nn.within((4, 4, 4), 3) == [(0, 0)]
+
+
+def _coordinate(n):
+    """A coordinate on an axis of n cells, drawn mostly from its two ends."""
+    return st.one_of(st.sampled_from([0, n - 1]), st.integers(0, n - 1))
+
+
+def _query_coordinate(n):
+    """A coordinate inside an axis of n cells, on its ends, or up to 10**9 past them."""
+    return st.one_of(
+        _coordinate(n),
+        st.sampled_from([-1, n, -(10**9), n - 1 + 10**9]),
+        st.integers(-(10**9), -1),
+        st.integers(n, n - 1 + 10**9),
+    )
+
+
+@st.composite
+def small_area_case(draw):
+    """An area of 2-9 cells per axis, distinct cells in it mostly on its
+    faces and corners, and queries inside, on and outside it."""
+    dims = tuple(draw(st.integers(2, 9)) for _ in range(3))
+    cell = st.tuples(*(_coordinate(n) for n in dims))
+    cells = draw(st.lists(cell, min_size=1, max_size=40, unique=True))
+    query = st.tuples(*(_query_coordinate(n) for n in dims))
+    return dims, cells, draw(st.lists(query, min_size=1, max_size=8))
+
+
+@given(small_area_case(), st.lists(st.integers(0, _REACH + 4), min_size=1, max_size=4))
+def test_table_keys_at_the_smallest_radices(case, radii):
+    # Axes of 2 and 3 cells give the key radices 3 and 5.
+    dims, cells, queries = case
+    nn = build(cells, dims)
+    assert nn._table is not None and nn._table.dtype == np.int8
+    agrees(nn, cells, queries, radii)
+
+
+def test_a_64_cube_table_is_exactly_at_the_cap():
+    assert baselines._TABLE_ENTRIES_MAX == (2 * 64 - 1) ** 3
+
+
+@pytest.mark.parametrize("dims, dtype", [
+    ((64, 64, 64), np.int16),  # the table holds exactly _TABLE_ENTRIES_MAX entries
+    ((65, 64, 64), None),  # one cell more along x passes the cap
+    ((2, 2, 126), np.int8),  # farthest distance 127
+    ((2, 2, 127), np.int16),  # farthest distance 128
+    ((2, 2, 32766), np.int16),  # farthest distance 32767
+    ((2, 2, 32767), None),  # farthest distance 32768
+    ((2, 2, 40000), None),  # farthest distance 40001
+])
+def test_the_table_or_the_coordinate_scan_answers_exactly(dims, dtype):
+    nn = _NearestIndex(dims)
+    if dtype is None:
+        assert nn._table is None
+    else:
+        assert nn._table.dtype == dtype
+        assert nn._table.size == (2 * dims[0] - 1) * (2 * dims[1] - 1) * (2 * dims[2] - 1)
+    ends = [(0, n // 2, n - 2, n - 1) for n in dims]
+    cells = sorted({(x, y, z) for x in ends[0] for y in ends[1] for z in ends[2]})
+    for c in cells:
+        nn.add(c)
+    far = [tuple(n - 1 - v for v, n in zip(c, dims)) for c in cells]
+    outside = [(-1, 0, 0), (dims[0], dims[1] + 3, -5), (-(10**9), 10**9, dims[2] + 10**9)]
+    # Few cells in a large area: nearest() scans unless the query is a cell,
+    # and within() scans past _REACH.
+    agrees(nn, cells, far + outside, radii=(0, 2, _REACH + 1, sum(dims) - 3, 10**6))
