@@ -67,12 +67,23 @@ def _sample(
 # The index keys a cell (x, y, z) as (x * radix + y) * radix + z, with the
 # radix derived from the area: its largest dimension plus _REACH. Probing a
 # cell at an offset is then one addition of the offset's key. Two cells whose
-# y and z each differ by less than the radix never share a key, and every
-# key a probe makes lies in (-radix**3, radix**3). So keys stay distinct
-# while the indexed cells lie in the area and probes reach at most _REACH
-# beyond it, and they stay one-digit ints (below 2**30) while the radix is
-# at most 2**10. Queries outside the area go to the scan instead.
+# y and z each differ by less than the radix never share a key, so keys stay
+# distinct while the indexed cells lie in the area and probes reach at most
+# _REACH beyond it. Queries outside the area go to the scan instead.
+# Each cell's probe slot is its key plus a base. Where the area padded by
+# _REACH on every side spans at most _PROBE_SLOTS_MAX keys, the slots are a
+# list over that span, holding each indexed cell's index and -1 elsewhere;
+# the base makes the padded corner (-_REACH, -_REACH, -_REACH) slot 0, and a
+# probe is one list read. The list has 28,824 slots (231 KB) at 10^3 and
+# 67,984 (544 KB) at 20^3; a 64^3 area is exactly at the cap (4.9 MB).
+# Larger areas keep the slots in a dict with base 0. Every key a probe
+# makes lies in (-radix**3, radix**3), so the dict's keys stay one-digit
+# ints (below 2**30) while the radix is at most 2**10. Lists are
+# pooled per area dims: a planner gives its tree's list back, cleared, when
+# it returns or fails, and the next tree of those dims takes it instead of
+# building one.
 _REACH = 16
+_PROBE_SLOTS_MAX = 615_696
 # nearest() probes shells while their cells total at most n / _PROBE_SHARE
 # for n indexed cells, plus _SCAN_PROBES once the cells fill 1 / _SCAN_PROBES
 # of the area, and otherwise scans them all. Under timeit at 20^3 a table
@@ -91,6 +102,8 @@ _SCAN_PROBES = 16
 # each radius the key and distance of every offset within it.
 _SHELLS: dict[int, list[list[int]]] = {}
 _BALLS: dict[tuple[int, int], list[tuple[int, int]]] = {}
+# Cleared probe-slot lists by area dims, waiting for the next tree.
+_SLOT_POOLS: dict[tuple[int, int, int], list[list[int]]] = {}
 # Sorting (index, distance) pairs by the index alone compares ints, not tuples.
 _first = operator.itemgetter(0)
 # The scan keys a cell (x, y, z) of an X x Y x Z area as
@@ -148,12 +161,36 @@ def _distance_table(dims: tuple[int, int, int]) -> np.ndarray | None:
     return _TABLES[dims]
 
 
+class _SparseSlots(dict):
+    """Probe slots of an area too large for a list: an empty slot reads -1."""
+
+    def __missing__(self, key: int) -> int:
+        return -1
+
+
+def _probe_slots(
+    dims: tuple[int, int, int], radix: int
+) -> tuple[list[int] | _SparseSlots, int]:
+    """Empty probe slots for an area, and their base.
+
+    A list from the pool of these dims, or a fresh one when the pool is
+    empty; a dict for an area over _PROBE_SLOTS_MAX.
+    """
+    base = (_REACH * radix + _REACH) * radix + _REACH
+    top = ((dims[0] - 1 + _REACH) * radix + dims[1] - 1 + _REACH) * radix + dims[2] - 1 + _REACH
+    if top + base + 1 > _PROBE_SLOTS_MAX:
+        return _SparseSlots(), 0
+    pool = _SLOT_POOLS.get(dims)
+    return (pool.pop() if pool else [-1] * (top + base + 1)), base
+
+
 class _NearestIndex:
     """Manhattan nearest-neighbor over a growing set of distinct area cells.
 
-    A cell-key -> index dict answers queries by probing Manhattan shells
-    around the query cell; one array of table offsets backs the linear scan
-    for queries the probes cannot answer. Ties go to the lowest index.
+    Probe slots indexed by cell key answer queries by probing Manhattan
+    shells around the query cell; one array of table offsets backs the
+    linear scan for queries the probes cannot answer. Ties go to the lowest
+    index.
     """
 
     def __init__(self, dims: tuple[int, int, int], capacity: int = 1024):
@@ -170,20 +207,26 @@ class _NearestIndex:
         self._corner = ((dims[0] - 1) * self._ry + dims[1] - 1) * self._rz + dims[2] - 1
         self._offsets = np.empty(capacity, dtype=np.int64)
         self._n = 0
-        self._index: dict[int, int] = {}
+        self._slots, self._base = _probe_slots(dims, self._radix)
 
     def add(self, cell: Cell) -> int:
-        """Index cell as the next index, and return that index."""
+        """Index cell as the next index, and return that index.
+
+        PlannerTree.add repeats this in its own frame.
+        """
         x, y, z = cell
         dx, dy, dz = self._dims
         if not (0 <= x < dx and 0 <= y < dy and 0 <= z < dz):
             raise ValueError(f"cell {cell!r} lies outside the area {self._dims!r}")
+        r = self._radix
+        k = (x * r + y) * r + z + self._base
+        if self._slots[k] >= 0:
+            raise ValueError(f"cell {cell!r} is already indexed")
         n = self._n
         if n == len(self._offsets):
             self._offsets = np.concatenate([self._offsets, np.empty_like(self._offsets)])
         self._offsets[n] = self._corner - (x * self._ry + y) * self._rz - z
-        r = self._radix
-        self._index.setdefault((x * r + y) * r + z, n)
+        self._slots[k] = n
         self._n = n + 1
         return n
 
@@ -218,10 +261,10 @@ class _NearestIndex:
         dx, dy, dz = self._dims
         if 0 <= x < dx and 0 <= y < dy and 0 <= z < dz:
             r = self._radix
-            key = (x * r + y) * r + z
-            get = self._index.get
-            i = get(key)
-            if i is not None:
+            k = (x * r + y) * r + z + self._base
+            slots = self._slots
+            i = slots[k]
+            if i >= 0:
                 return i
             n = self._n
             budget = n // _PROBE_SHARE
@@ -232,7 +275,7 @@ class _NearestIndex:
                 probed += len(shell)
                 if probed > budget:
                     break
-                hits = [i for o in shell if (i := get(key + o)) is not None]
+                hits = [i for o in shell if (i := slots[k + o]) >= 0]
                 if hits:
                     return min(hits)
             return int(self._distances((x * self._ry + y) * self._rz + z).argmin())
@@ -244,12 +287,12 @@ class _NearestIndex:
         dx, dy, dz = self._dims
         if 0 <= x < dx and 0 <= y < dy and 0 <= z < dz and radius <= _REACH:
             r = self._radix
-            key = (x * r + y) * r + z
-            get = self._index.get
+            k = (x * r + y) * r + z + self._base
+            slots = self._slots
             if radius != self._ball_radius:
                 self._ball_radius = radius
                 self._ball = _ball(r, radius)
-            out = [(i, d) for o, d in self._ball if (i := get(key + o)) is not None]
+            out = [(i, d) for o, d in self._ball if (i := slots[k + o]) >= 0]
             out.sort(key=_first)
             return out
         key, excess = self._clamped(cell)
@@ -261,41 +304,60 @@ class _NearestIndex:
 class PlannerTree(_NearestIndex):
     """Search tree over distinct area cells, indexed for nearest-node queries.
 
-    The root is the first cell added. One add() per node records its tree
-    links and indexes its cell for nearest() and within().
+    The root is the first cell added. Each node keeps its cell and its
+    parent's index; a planner that needs more per node keeps it itself.
+    release() hands the probe slots back once the planner is done.
     """
 
     def __init__(self, dims: tuple[int, int, int]):
         super().__init__(dims)
         self.cells: list[Cell] = []
         self.parent: list[int] = []
-        self.cost: list[int] = []
-        # Axis-step expansion of the edge from parent[i] to i (excludes parent cell).
-        self.edge: list[list[Cell]] = []
         self.index: dict[Cell, int] = {}
-        self.children: list[set[int]] = []
 
-    def add(self, cell: Cell, parent: int, cost: int, edge: list[Cell]) -> int:
-        i = _NearestIndex.add(self, cell)
+    def add(self, cell: Cell, parent: int) -> int:
+        """Add cell as a child of node parent (-1 for the root), and return its index."""
+        x, y, z = cell
+        dx, dy, dz = self._dims
+        if not (0 <= x < dx and 0 <= y < dy and 0 <= z < dz):
+            raise ValueError(f"cell {cell!r} lies outside the area {self._dims!r}")
+        r = self._radix
+        k = (x * r + y) * r + z + self._base
+        slots = self._slots
+        if slots[k] >= 0:
+            raise ValueError(f"cell {cell!r} is already indexed")
+        n = self._n
+        if n == len(self._offsets):
+            self._offsets = np.concatenate([self._offsets, np.empty_like(self._offsets)])
+        self._offsets[n] = self._corner - (x * self._ry + y) * self._rz - z
+        slots[k] = n
+        self._n = n + 1
         self.cells.append(cell)
         self.parent.append(parent)
-        self.cost.append(cost)
-        self.edge.append(edge)
-        self.children.append(set())
-        self.index[cell] = i
-        if parent >= 0:
-            self.children[parent].add(i)
-        return i
+        self.index[cell] = n
+        return n
 
     def path_to(self, i: int) -> list[Cell]:
-        chunks: list[list[Cell]] = []
-        while i >= 0:
-            chunks.append(self.edge[i])
-            i = self.parent[i]
+        """The cells from the root to node i along the parent links."""
         route: list[Cell] = []
-        for chunk in reversed(chunks):
-            route.extend(chunk)
+        cells, parent = self.cells, self.parent
+        while i >= 0:
+            route.append(cells[i])
+            i = parent[i]
+        route.reverse()
         return route
+
+    def release(self) -> None:
+        """Clear a list of probe slots and pool it for the next tree of these dims.
+
+        The tree answers no query after this.
+        """
+        slots, self._slots = self._slots, None
+        if type(slots) is list:
+            r, base = self._radix, self._base
+            for x, y, z in self.cells:
+                slots[(x * r + y) * r + z + base] = -1
+            _SLOT_POOLS.setdefault(self._dims, []).append(slots)
 
 
 def _step_toward(frm: Cell, to: Cell, rng: random.Random) -> Cell:
@@ -362,32 +424,51 @@ def rrt_plan(
     if start not in area or dest not in area:
         raise ValueError("start and dest must lie in the area")
     tree = PlannerTree(area.dims)
-    tree.add(start, -1, 0, [start])
-    bounds = _sample_bounds(area)
-    index = tree.index
-    for _ in range(max_iters):
-        sample = _sample(bounds, dest, obstacles, rng)
-        # A sample on the tree is its own nearest cell: no step to take.
-        if sample in index:
-            continue
-        near = tree.nearest(sample)
-        # One step from a tree cell toward an area cell stays in the area.
-        new = _step_toward(tree.cells[near], sample, rng)
-        if new in obstacles or new in index:
-            continue
-        i = tree.add(new, near, tree.cost[near] + 1, [new])
-        if new == dest:
-            return tree.path_to(i)
-    raise PlanFailure(f"no route to {dest} within {max_iters} iterations")
+    try:
+        tree.add(start, -1)
+        bounds = _sample_bounds(area)
+        cells, index = tree.cells, tree.index
+        for _ in range(max_iters):
+            sample = _sample(bounds, dest, obstacles, rng)
+            # A sample on the tree is its own nearest cell: no step to take.
+            if sample in index:
+                continue
+            near = tree.nearest(sample)
+            # One step from a tree cell toward an area cell stays in the area.
+            new = _step_toward(cells[near], sample, rng)
+            if new in obstacles or new in index:
+                continue
+            i = tree.add(new, near)
+            if new == dest:
+                # Every edge is one step, so the nodes to i are the route.
+                return tree.path_to(i)
+        raise PlanFailure(f"no route to {dest} within {max_iters} iterations")
+    finally:
+        tree.release()
 
 
-def _propagate_cost(tree: PlannerTree, root: int) -> None:
+def _propagate_cost(
+    children: list[set[int]], cost: list[int], edge: list[list[Cell]], root: int
+) -> None:
+    """Recompute the cost of every node below root from its edge's length."""
     stack = [root]
     while stack:
         i = stack.pop()
-        for c in tree.children[i]:
-            tree.cost[c] = tree.cost[i] + len(tree.edge[c])
+        for c in children[i]:
+            cost[c] = cost[i] + len(edge[c])
             stack.append(c)
+
+
+def _joined_edges(parent: list[int], edge: list[list[Cell]], i: int) -> list[Cell]:
+    """The route from the root to node i: the edges along the parent links, joined."""
+    chunks: list[list[Cell]] = []
+    while i >= 0:
+        chunks.append(edge[i])
+        i = parent[i]
+    route: list[Cell] = []
+    for chunk in reversed(chunks):
+        route.extend(chunk)
+    return route
 
 
 def rrt_star_plan(
@@ -410,58 +491,70 @@ def rrt_star_plan(
     if start not in area or dest not in area:
         raise ValueError("start and dest must lie in the area")
     tree = PlannerTree(area.dims)
-    tree.add(start, -1, 0, [start])
-    bounds = _sample_bounds(area)
-    cells, cost, index = tree.cells, tree.cost, tree.index
-    goal_index = -1
-    budget = max_iters
-    it = 0
-    while it < budget:
-        it += 1
-        sample = _sample(bounds, dest, obstacles, rng)
-        if sample in index:
-            continue
-        near = tree.nearest(sample)
-        new = _step_toward(cells[near], sample, rng)
-        if new in obstacles or new in index:
-            continue
+    try:
+        tree.add(start, -1)
+        bounds = _sample_bounds(area)
+        cells, parent, index = tree.cells, tree.parent, tree.index
+        # Per node: its cost from the root, the axis-step expansion of the
+        # edge from its parent (without the parent's cell), and its children.
+        cost = [0]
+        edge = [[start]]
+        children: list[set[int]] = [set()]
+        goal_index = -1
+        budget = max_iters
+        it = 0
+        while it < budget:
+            it += 1
+            sample = _sample(bounds, dest, obstacles, rng)
+            if sample in index:
+                continue
+            near = tree.nearest(sample)
+            new = _step_toward(cells[near], sample, rng)
+            if new in obstacles or new in index:
+                continue
 
-        # Choose-parent: the neighbour with the least cost through it and an
-        # obstacle-free edge, ties to the lower own cost and then the lower
-        # index. near is one step away, so it never beats its own cost + 1.
-        neighborhood = tree.within(new, REWIRE_RADIUS)
-        best_parent, best_cost, best_edge = near, cost[near] + 1, [new]
-        better = [
-            (c + d, c, j) for j, d in neighborhood if (c := cost[j]) + d < best_cost
-        ]
-        better.sort()
-        for through, _, j in better:
-            edge = _straight_edge(cells[j], new, obstacles)
-            if edge is not None:
-                best_parent, best_cost, best_edge = j, through, edge
-                break
-        i = tree.add(new, best_parent, best_cost, best_edge)
+            # Choose-parent: the neighbour with the least cost through it and
+            # an obstacle-free edge, ties to the lower own cost and then the
+            # lower index. near is one step away, so it never beats its own
+            # cost + 1.
+            neighborhood = tree.within(new, REWIRE_RADIUS)
+            best_parent, best_cost, best_edge = near, cost[near] + 1, [new]
+            better = [
+                (c + d, c, j) for j, d in neighborhood if (c := cost[j]) + d < best_cost
+            ]
+            better.sort()
+            for through, _, j in better:
+                path = _straight_edge(cells[j], new, obstacles)
+                if path is not None:
+                    best_parent, best_cost, best_edge = j, through, path
+                    break
+            i = tree.add(new, best_parent)
+            cost.append(best_cost)
+            edge.append(best_edge)
+            children.append(set())
+            children[best_parent].add(i)
 
-        for j, d in neighborhood:
-            if best_cost + d < cost[j] and j != near:
-                edge = _straight_edge(new, cells[j], obstacles)
-                if edge is None:
-                    continue
-                old_parent = tree.parent[j]
-                if old_parent >= 0:
-                    tree.children[old_parent].discard(j)
-                tree.parent[j] = i
-                tree.children[i].add(j)
-                tree.edge[j] = edge
-                cost[j] = best_cost + d
-                _propagate_cost(tree, j)
+            # The root costs 0, so it is never rewired and always has a parent here.
+            for j, d in neighborhood:
+                if best_cost + d < cost[j] and j != near:
+                    path = _straight_edge(new, cells[j], obstacles)
+                    if path is None:
+                        continue
+                    children[parent[j]].discard(j)
+                    parent[j] = i
+                    children[i].add(j)
+                    edge[j] = path
+                    cost[j] = best_cost + d
+                    _propagate_cost(children, cost, edge, j)
 
-        if new == dest and goal_index < 0:
-            goal_index = i
-            budget = min(max_iters, it + refine_iters)
-    if goal_index < 0:
-        raise PlanFailure(f"no route to {dest} within {max_iters} iterations")
-    return tree.path_to(goal_index)
+            if new == dest and goal_index < 0:
+                goal_index = i
+                budget = min(max_iters, it + refine_iters)
+        if goal_index < 0:
+            raise PlanFailure(f"no route to {dest} within {max_iters} iterations")
+        return _joined_edges(parent, edge, goal_index)
+    finally:
+        tree.release()
 
 
 def execute_open_loop(routes: dict[int, list[Cell]], cfg: SimConfig) -> SimResult:

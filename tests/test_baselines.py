@@ -10,6 +10,7 @@ from swarmgrid.baselines import (
     GOAL_BIAS,
     PlanFailure,
     PlannerTree,
+    _joined_edges,
     _sample,
     _sample_bounds,
     _step_toward,
@@ -59,11 +60,21 @@ def test_straight_edge_fully_blocked():
 
 
 def test_planner_tree_path_concatenation():
+    # RRT's route is the parent walk: one cell per node, root first.
     t = PlannerTree((8, 8, 8))
-    r = t.add((0, 0, 0), -1, 0, [(0, 0, 0)])
-    a = t.add((1, 0, 0), r, 1, [(1, 0, 0)])
-    b = t.add((3, 0, 0), a, 3, [(2, 0, 0), (3, 0, 0)])
-    assert t.path_to(b) == [(0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0)]
+    r = t.add((0, 0, 0), -1)
+    a = t.add((1, 0, 0), r)
+    t.add((1, 1, 0), a)
+    b = t.add((2, 0, 0), a)
+    c = t.add((3, 0, 0), b)
+    assert t.path_to(c) == [(0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0)]
+    assert t.path_to(r) == [(0, 0, 0)]
+    # RRT*'s route joins the edges along the parent links, each edge without
+    # its parent's cell.
+    parent = [-1, 0, 1]
+    edge = [[(0, 0, 0)], [(1, 0, 0)], [(2, 0, 0), (3, 0, 0)]]
+    assert _joined_edges(parent, edge, 2) == [(0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0)]
+    assert _joined_edges(parent, edge, 0) == [(0, 0, 0)]
 
 
 @pytest.mark.parametrize("planner", [rrt_plan, rrt_star_plan])
@@ -159,9 +170,22 @@ def test_open_loop_clean_run_has_no_collisions():
     assert res.ticks == 3
 
 
-def test_planner_layers_are_looked_up_by_name_when_called(monkeypatch):
+TREE_LAYERS = [
+    (baselines, "_sample"), (baselines.PlannerTree, "add"), (baselines._NearestIndex, "nearest"),
+]
+STAR_LAYERS = TREE_LAYERS + [
+    (baselines, "_straight_edge"), (baselines, "_propagate_cost"),
+    (baselines._NearestIndex, "within"),
+]
+
+
+@pytest.mark.parametrize(
+    "planner, layers", [(rrt_plan, TREE_LAYERS), (rrt_star_plan, STAR_LAYERS)]
+)
+def test_planner_layers_are_looked_up_by_name_when_called(monkeypatch, planner, layers):
     # Wrapping a layer by name, as a tracer does, sees every call of it.
     counts = Counter()
+    nodes = []
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -169,20 +193,82 @@ def test_planner_layers_are_looked_up_by_name_when_called(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    layers = [
-        (baselines, "_sample"), (baselines, "_straight_edge"),
-        (baselines, "_propagate_cost"), (baselines.PlannerTree, "add"),
-        (baselines._NearestIndex, "nearest"), (baselines._NearestIndex, "within"),
-    ]
     for owner, name in layers:
         monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
+    release = PlannerTree.release
+
+    def counting_nodes(tree):
+        nodes.append(len(tree.cells))
+        release(tree)
+
+    monkeypatch.setattr(PlannerTree, "release", counting_nodes)
     obstacles = [(3, y, z) for y in range(8) for z in range(8) if y < 5]
-    rrt_star_plan((0, 0, 0), (7, 7, 7), obstacles, AREA, random.Random(2))
+    planner((0, 0, 0), (7, 7, 7), obstacles, AREA, random.Random(2))
     assert all(counts[name] for _, name in layers), counts
-    # Every node but the root asked for its rewiring neighbourhood, and
-    # samples already on the tree skipped the nearest-node query.
-    assert counts["within"] == counts["add"] - 1
+    # Every node of the planner's one tree went through add(), and samples
+    # already on the tree skipped the nearest-node query.
+    assert [counts["add"]] == nodes
     assert counts["nearest"] < counts["_sample"]
+    if planner is rrt_star_plan:
+        # Every node but the root asked for its rewiring neighbourhood.
+        assert counts["within"] == counts["add"] - 1
+
+
+def _pooled(dims):
+    return baselines._SLOT_POOLS.get(dims, [])
+
+
+@pytest.mark.parametrize("planner", [rrt_plan, rrt_star_plan])
+def test_a_failed_plan_leaves_its_pooled_slots_clean(monkeypatch, planner):
+    monkeypatch.setattr(baselines, "_SLOT_POOLS", {})
+    obstacles = [(3, y, z) for y in range(8) for z in range(8) if (y, z) != (4, 4)]
+    args = ((0, 4, 4), (7, 4, 4), obstacles, AREA)
+    # On fresh slots, as every plan had them before they were pooled.
+    fresh_rng = random.Random(4)
+    fresh = planner(*args, fresh_rng)
+    baselines._SLOT_POOLS.clear()
+    with pytest.raises(PlanFailure):
+        planner(*args, random.Random(9), max_iters=40)
+    assert len(_pooled(AREA.dims)) == 1
+    pooled_rng = random.Random(4)
+    assert planner(*args, pooled_rng) == fresh
+    assert pooled_rng.getstate() == fresh_rng.getstate()
+
+
+@pytest.mark.parametrize("planner", [rrt_plan, rrt_star_plan])
+def test_a_returned_plan_pools_one_cleared_list(monkeypatch, planner):
+    monkeypatch.setattr(baselines, "_SLOT_POOLS", {})
+    for seed in range(3):
+        planner((0, 0, 0), (7, 7, 7), [(3, 3, 3)], AREA, random.Random(seed))
+        (slots,) = _pooled(AREA.dims)
+        assert set(slots) == {-1}
+
+
+def test_live_trees_of_the_same_dims_answer_independently(monkeypatch):
+    monkeypatch.setattr(baselines, "_SLOT_POOLS", {})
+    rng = random.Random(6)
+    every = [(x, y, z) for x in range(8) for y in range(8) for z in range(8)]
+
+    def grown(n):
+        tree = PlannerTree(AREA.dims)
+        for i, cell in enumerate(rng.sample(every, n)):
+            tree.add(cell, i - 1)
+        return tree
+
+    # Two lists in the pool, each cleared after a tree that held cells.
+    used = [grown(60), grown(60)]
+    for tree in used:
+        tree.release()
+    assert len(_pooled(AREA.dims)) == 2
+    live = [grown(40), grown(90)]
+    assert live[0]._slots is not live[1]._slots
+    assert not _pooled(AREA.dims)
+    for tree in live:
+        cells = tree.cells
+        for q in every:
+            dist = [manhattan(c, q) for c in cells]
+            assert tree.nearest(q) == dist.index(min(dist))
+            assert tree.within(q, 2) == [(i, d) for i, d in enumerate(dist) if d <= 2]
 
 
 # The planners' draws before they took getrandbits directly, kept verbatim:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from swarmgrid import baselines
-from swarmgrid.baselines import _PROBE_SHARE, _REACH, _NearestIndex
+from swarmgrid.baselines import _PROBE_SHARE, _PROBE_SLOTS_MAX, _REACH, PlannerTree, _NearestIndex
 
 # Keys are one-digit CPython ints (below 2**30) while the radix is at most this.
 RADIX_LIMIT = 1 << 10
@@ -129,7 +129,9 @@ def test_dims_at_the_radix_limit_keep_keys_distinct():
     for c in cells:
         nn.add(c)
     offsets = [o for shell in baselines._shells(nn._radix) for o in shell]
-    keys = list(nn._index)
+    # An area this large keeps its probe slots in a dict keyed by the cell keys.
+    assert isinstance(nn._slots, dict) and nn._base == 0
+    keys = list(nn._slots)
     assert -(2**30) < min(keys) + min(offsets) and max(keys) + max(offsets) < 2**30
     assert len(cells) // _PROBE_SHARE >= 25  # nearest() probes out to distance 2
     queries = [(x, y, z) for x in (0, 2, last - 2, last)
@@ -168,6 +170,45 @@ def test_cells_outside_the_area_are_refused():
         with pytest.raises(ValueError, match="outside the area"):
             nn.add(bad)
     assert nn.within((4, 4, 4), 3) == [(0, 0)]
+
+
+@pytest.mark.parametrize("index", [_NearestIndex, PlannerTree])
+@pytest.mark.parametrize("dims", [(5, 5, 5), (2, 2, 40000)])
+def test_a_cell_already_indexed_is_refused(index, dims):
+    nn = index(dims)
+    add = nn.add if index is _NearestIndex else lambda c: nn.add(c, -1)
+    add((1, 1, 1))
+    with pytest.raises(ValueError, match="already indexed"):
+        add((1, 1, 1))
+    # Probes and the scan both see the one cell.
+    assert nn.within((1, 1, 2), 1) == [(0, 1)]
+    assert nn.within((1, 1, -1), 2) == [(0, 2)]
+    assert nn.nearest((1, 1, 3)) == nn.nearest((-1, 1, 1)) == 0
+
+
+def test_a_64_cube_probe_list_is_exactly_at_the_cap():
+    nn = _NearestIndex((64, 64, 64))
+    assert type(nn._slots) is list and len(nn._slots) == _PROBE_SLOTS_MAX
+
+
+@pytest.mark.parametrize("dims, store", [
+    ((64, 64, 64), list),  # exactly _PROBE_SLOTS_MAX slots
+    ((65, 64, 64), baselines._SparseSlots),  # one cell more along x passes the cap
+])
+def test_the_probe_list_or_the_dict_answers_exactly(monkeypatch, dims, store):
+    # Probe every shell out to _REACH before scanning, from queries on the
+    # area's faces and corners, so probes reach the padding on every side.
+    monkeypatch.setattr(baselines, "_SCAN_PROBES", 10**5)
+    nn = _NearestIndex(dims)
+    assert type(nn._slots) is store
+    rng = random.Random(sum(dims))
+    ends = [(0, 1, n // 2, n - 2, n - 1) for n in dims]
+    cells = list({tuple(rng.choice(e) for e in ends) for _ in range(60)})
+    for c in cells:
+        nn.add(c)
+    corners = sorted({(x, y, z) for x in ends[0] for y in ends[1] for z in ends[2]})
+    outside = [(-1, 0, 0), (dims[0], 3, dims[2] - 1), (-(10**9), 10**9, 5)]
+    agrees(nn, cells, corners[::3] + outside, radii=(0, 2, _REACH))
 
 
 def _coordinate(n):
