@@ -348,9 +348,8 @@ class PlannerTree(_NearestIndex):
         return route
 
     def release(self) -> None:
-        """Clear a list of probe slots and pool it for the next tree of these dims.
-
-        The tree answers no query after this.
+        """Clear this tree's probe slots and, if they are a list, pool it for
+        the next tree of these dims. The tree answers no query after this.
         """
         slots, self._slots = self._slots, None
         if type(slots) is list:

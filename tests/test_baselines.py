@@ -179,11 +179,10 @@ STAR_LAYERS = TREE_LAYERS + [
 ]
 
 
-@pytest.mark.parametrize(
-    "planner, layers", [(rrt_plan, TREE_LAYERS), (rrt_star_plan, STAR_LAYERS)]
-)
-def test_planner_layers_are_looked_up_by_name_when_called(monkeypatch, planner, layers):
+@pytest.mark.parametrize("planner", [rrt_plan, rrt_star_plan])
+def test_planner_layers_are_looked_up_by_name_when_called(monkeypatch, planner):
     # Wrapping a layer by name, as a tracer does, sees every call of it.
+    layers = STAR_LAYERS if planner is rrt_star_plan else TREE_LAYERS
     counts = Counter()
     nodes = []
 
@@ -218,14 +217,23 @@ def _pooled(dims):
     return baselines._SLOT_POOLS.get(dims, [])
 
 
+# The generator's next draw after planning the wall-gap route below with
+# random.Random(4), as the planners left it before their slots were pooled.
+NEXT_DRAW = {rrt_plan: 0.3651908247451906, rrt_star_plan: 0.2157181062459823}
+
+
 @pytest.mark.parametrize("planner", [rrt_plan, rrt_star_plan])
 def test_a_failed_plan_leaves_its_pooled_slots_clean(monkeypatch, planner):
     monkeypatch.setattr(baselines, "_SLOT_POOLS", {})
     obstacles = [(3, y, z) for y in range(8) for z in range(8) if (y, z) != (4, 4)]
     args = ((0, 4, 4), (7, 4, 4), obstacles, AREA)
-    # On fresh slots, as every plan had them before they were pooled.
+    # On a fresh list, as every plan had before the lists were pooled.
     fresh_rng = random.Random(4)
     fresh = planner(*args, fresh_rng)
+    assert fresh == [(x, 4, 4) for x in range(8)]
+    check = random.Random()
+    check.setstate(fresh_rng.getstate())
+    assert check.random() == NEXT_DRAW[planner]
     baselines._SLOT_POOLS.clear()
     with pytest.raises(PlanFailure):
         planner(*args, random.Random(9), max_iters=40)
