@@ -48,9 +48,15 @@ every plan the two routes (or plan failures) and the generators'
 collisions and ticks; at the first difference the script prints one
 `error:` line and exits 1. It prints one JSON line: each round's total
 time ratio B/A over all plans and flights, their median, and per fleet the
-ratio B/A of each round. On a shared 2-core VM its A/A round totals read
-0.99-1.02 and their medians 0.998-1.012, in both load orders; single
-fleets spread about 5%.
+ratio B/A of each round. The open-loop flights are also timed apart from
+the planning, since they are only 2-5% of a fleet's time: each round's
+flight ratio B/A over all fleets, their median, each side's flight ms per
+tick over all rounds (each `execute_open_loop` call timed whole, set-up
+included), and per fleet the flight ratio B/A of each round. On a shared
+2-core VM its A/A round totals read 0.99-1.02 and their medians
+0.998-1.012, in both load orders; single fleets spread about 5%. The A/A
+flight medians read 1.015 and 1.049 over 4 rounds, and single flights
+spread 10-30%.
 """
 
 from __future__ import annotations
@@ -181,9 +187,12 @@ def fly(pair: list, first: int, ratios: dict[str, list[float]]) -> tuple[int, li
     return sim_a.tick, total
 
 
-def plan_fleet(packages: list, op, cadence: int, spawn: int, rnd: int) -> list[float]:
+def plan_fleet(
+    packages: list, op, cadence: int, spawn: int, rnd: int
+) -> tuple[list[float], list[float], int]:
     """Plan one baselines fleet on both sides drone by drone, then fly it
-    open loop on each; returns each side's total seconds."""
+    open loop on each; returns each side's seconds planning and flying,
+    and the ticks flown (no flight when the planning failed)."""
     s = op.scenario
     cfgs = [config(pkg.engine, s, cadence, spawn) for pkg in packages]
     areas = [cfg.area() for cfg in cfgs]
@@ -210,33 +219,46 @@ def plan_fleet(packages: list, op, cadence: int, spawn: int, rnd: int) -> list[f
             sys.exit(f"error: {op.kind} {s.label} drone {j}: the generator states differ")
         if isinstance(route, str):
             # Both sides failed alike: run.py counts the fleet failed and flies nothing.
-            return spent
+            return spent, [0.0, 0.0], 0
     flown: list = [None, None]
+    flight = [0.0, 0.0]
     for k in (rnd % 2, 1 - rnd % 2):
         begin = clock()
         result = packages[k].baselines.execute_open_loop(dict(enumerate(routes[k])), cfgs[k])
-        spent[k] += clock() - begin
+        flight[k] = clock() - begin
         flown[k] = (result.ticks, [(c.tick, c.kind, c.ids, c.cell) for c in result.collisions])
     if flown[0] != flown[1]:
         sys.exit(f"error: {op.kind} {s.label}: the open-loop collisions or ticks differ")
-    return spent
+    return spent, flight, result.ticks
 
 
 def baselines_main(args, packages: list, scenarios: list) -> None:
     """Plan and fly the baselines fleets in lockstep for `args.rounds` rounds."""
-    fleet_ratios: dict[str, list[float]] = {
-        f"{op.kind} {op.scenario.label}": [] for op, _, _ in scenarios
-    }
+    names = [f"{op.kind} {op.scenario.label}" for op, _, _ in scenarios]
+    fleet_ratios: dict[str, list[float]] = {name: [] for name in names}
+    fleet_flight_ratios: dict[str, list[float]] = {name: [] for name in names}
     round_ratios = []
+    round_flight_ratios = []
+    flight_totals = [0.0, 0.0]
+    ticks = 0
     for rnd in range(args.rounds):
         gc.freeze()
         round_total = [0.0, 0.0]
-        for op, cadence, spawn in scenarios:
-            spent = plan_fleet(packages, op, cadence, spawn, rnd)
-            fleet_ratios[f"{op.kind} {op.scenario.label}"].append(round(spent[1] / spent[0], 4))
-            round_total[0] += spent[0]
-            round_total[1] += spent[1]
+        round_flight = [0.0, 0.0]
+        for name, (op, cadence, spawn) in zip(names, scenarios):
+            plan, flight, flown = plan_fleet(packages, op, cadence, spawn, rnd)
+            fleet_ratios[name].append(round((plan[1] + flight[1]) / (plan[0] + flight[0]), 4))
+            if flown:
+                fleet_flight_ratios[name].append(round(flight[1] / flight[0], 4))
+            for k in (0, 1):
+                round_total[k] += plan[k] + flight[k]
+                round_flight[k] += flight[k]
+            ticks += flown
         round_ratios.append(round(round_total[1] / round_total[0], 4))
+        if round_flight[0]:
+            round_flight_ratios.append(round(round_flight[1] / round_flight[0], 4))
+        flight_totals[0] += round_flight[0]
+        flight_totals[1] += round_flight[1]
         gc.unfreeze()
         gc.collect()
     print(json.dumps({
@@ -244,7 +266,12 @@ def baselines_main(args, packages: list, scenarios: list) -> None:
         "fleets": len(scenarios), "rounds": args.rounds,
         "total_ratio_b_over_a": round_ratios,
         "total_ratio_median": statistics.median(round_ratios),
+        "flight_ratio_b_over_a": round_flight_ratios,
+        "flight_ratio_median": statistics.median(round_flight_ratios) if round_flight_ratios else None,
+        "a_flight_ms_per_tick": round(flight_totals[0] * 1000 / max(ticks, 1), 4),
+        "b_flight_ms_per_tick": round(flight_totals[1] * 1000 / max(ticks, 1), 4),
         "per_fleet_ratio_b_over_a": fleet_ratios,
+        "per_fleet_flight_ratio_b_over_a": fleet_flight_ratios,
     }))
 
 

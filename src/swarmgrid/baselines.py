@@ -98,6 +98,10 @@ _PROBE_SLOTS_MAX = 615_696
 # (up to 5% less on the 10^3 RRT fleets), too close to tell apart.
 _PROBE_SHARE = 32
 _SCAN_PROBES = 16
+# The probes of the query cell and its six neighbours at distance 1. A
+# budget below that goes straight to the scan: at 20^3, every query of a
+# tree below 224 nodes.
+_FIRST_SHELL_PROBES = 1 + 6
 # Per radix: the offset keys at each Manhattan distance 0.._REACH, and for
 # each radius the key and distance of every offset within it.
 _SHELLS: dict[int, list[list[int]]] = {}
@@ -260,24 +264,27 @@ class _NearestIndex:
         x, y, z = cell
         dx, dy, dz = self._dims
         if 0 <= x < dx and 0 <= y < dy and 0 <= z < dz:
-            r = self._radix
-            k = (x * r + y) * r + z + self._base
-            slots = self._slots
-            i = slots[k]
-            if i >= 0:
-                return i
             n = self._n
             budget = n // _PROBE_SHARE
             if n * _SCAN_PROBES >= self._volume:
                 budget += _SCAN_PROBES
-            probed = 1
-            for shell in self._outer_shells:
-                probed += len(shell)
-                if probed > budget:
-                    break
-                hits = [i for o in shell if (i := slots[k + o]) >= 0]
-                if hits:
-                    return min(hits)
+            # A budget short of the first shell probes nothing: the scan
+            # finds a query cell already in the tree at distance 0 too.
+            if budget >= _FIRST_SHELL_PROBES:
+                r = self._radix
+                k = (x * r + y) * r + z + self._base
+                slots = self._slots
+                i = slots[k]
+                if i >= 0:
+                    return i
+                probed = 1
+                for shell in self._outer_shells:
+                    probed += len(shell)
+                    if probed > budget:
+                        break
+                    hits = [i for o in shell if (i := slots[k + o]) >= 0]
+                    if hits:
+                        return min(hits)
             return int(self._distances((x * self._ry + y) * self._rz + z).argmin())
         return int(self._distances(self._clamped(cell)[0]).argmin())
 
@@ -306,7 +313,8 @@ class PlannerTree(_NearestIndex):
 
     The root is the first cell added. Each node keeps its cell and its
     parent's index; a planner that needs more per node keeps it itself.
-    release() hands the probe slots back once the planner is done.
+    release() hands the probe slots back once the planner is done, clearing
+    the slots whose keys add() kept.
     """
 
     def __init__(self, dims: tuple[int, int, int]):
@@ -314,6 +322,7 @@ class PlannerTree(_NearestIndex):
         self.cells: list[Cell] = []
         self.parent: list[int] = []
         self.index: dict[Cell, int] = {}
+        self._keys: list[int] = []
 
     def add(self, cell: Cell, parent: int) -> int:
         """Add cell as a child of node parent (-1 for the root), and return its index."""
@@ -332,6 +341,7 @@ class PlannerTree(_NearestIndex):
         self._offsets[n] = self._corner - (x * self._ry + y) * self._rz - z
         slots[k] = n
         self._n = n + 1
+        self._keys.append(k)
         self.cells.append(cell)
         self.parent.append(parent)
         self.index[cell] = n
@@ -353,9 +363,8 @@ class PlannerTree(_NearestIndex):
         """
         slots, self._slots = self._slots, None
         if type(slots) is list:
-            r, base = self._radix, self._base
-            for x, y, z in self.cells:
-                slots[(x * r + y) * r + z + base] = -1
+            for k in self._keys:
+                slots[k] = -1
             _SLOT_POOLS.setdefault(self._dims, []).append(slots)
 
 
@@ -562,6 +571,17 @@ def execute_open_loop(routes: dict[int, list[Cell]], cfg: SimConfig) -> SimResul
     Moving obstacles wander per their cadence and do not dodge drones; the
     same ground-truth collision scan as the engine's records the damage.
     Raises ConfigError for a config that fails `SimConfig.validate`.
+
+    A tick pays for the drones still flying and the obstacles due to step,
+    as the engine's does. Moving obstacles step from a calendar (tick -> ids
+    due) in id order, so the draws keep their order under mixed cadences,
+    and the scan's obstacle map changes only for the obstacles that
+    stepped. A drone whose route has ended joins the scan's parked map
+    (cell -> id); if another such drone holds that cell, it stays in
+    `before` and `after`, on its cell. The records equal those of one scan
+    over every drone. The scan and `step_moving_obstacle` are looked up in
+    this module's globals at each call, where a tracer or a tick clock may
+    wrap them.
     """
     cfg.validate()
     rng = random.Random(cfg.seed)
@@ -570,24 +590,55 @@ def execute_open_loop(routes: dict[int, list[Cell]], cfg: SimConfig) -> SimResul
         MovingObstacle(id=i, cell=c, cadence=cad, spawn_tick=sp)
         for i, (c, cad, sp) in enumerate(cfg.moving_obstacles)
     ]
-    statics = {f"s{i}": c for i, c in enumerate(cfg.static_obstacles)}
-    total_ticks = max((len(r) - 1 for r in routes.values()), default=0)
+    labels = [f"m{o.id}" for o in movings]
+    # The scan's obstacle map: label -> cell of every static and every live
+    # spawned moving obstacle.
+    obstacle_cells = {f"s{i}": c for i, c in enumerate(cfg.static_obstacles)}
+    # The calendar of obstacle steps: each moving obstacle is filed under its
+    # spawn tick and, while it lives, again one cadence after each step.
+    due: dict[int, list[int]] = {}
+    for o in movings:
+        due.setdefault(o.spawn_tick, []).append(o.id)
+    # Drones by the tick their route ends on, from which they stay put.
+    ends: dict[int, list[int]] = {}
+    for i, r in routes.items():
+        ends.setdefault(len(r) - 1, []).append(i)
+    total_ticks = max(ends, default=0)
     collisions: list[CollisionRecord] = []
+    flying = list(routes.items())
     positions = {i: r[0] for i, r in routes.items()}
+    parked: dict[Cell, int] = {}
+    # Drones whose route ended on a cell another parked drone holds.
+    stuck: dict[int, Cell] = {}
     # Obstacles that do not dodge drones read no drone cells.
     no_drones: frozenset[Cell] = frozenset()
     for tick in range(total_ticks):
-        before = dict(positions)
-        for o in movings:
-            step_moving_obstacle(o, tick, rng, area, no_drones, avoid_drones=False)
-        for i, r in routes.items():
-            positions[i] = r[min(tick + 1, len(r) - 1)]
-        obstacle_cells = dict(statics)
-        for o in movings:
-            if o.alive and tick >= o.spawn_tick:
-                obstacle_cells[f"m{o.id}"] = o.cell
+        ended = ends.pop(tick, None)
+        if ended:
+            for i in ended:
+                cell = routes[i][-1]
+                if cell in parked:
+                    stuck[i] = cell
+                else:
+                    parked[cell] = i
+                    del positions[i]
+            flying = [(i, r) for i, r in flying if len(r) - 1 > tick]
+        before = positions
+        stepping = due.pop(tick, None)
+        if stepping:
+            for j in sorted(stepping):
+                o = movings[j]
+                step_moving_obstacle(o, tick, rng, area, no_drones, avoid_drones=False)
+                if o.alive:
+                    due.setdefault(tick + o.cadence, []).append(j)
+                    obstacle_cells[labels[j]] = o.cell
+                else:
+                    obstacle_cells.pop(labels[j], None)
+        positions = {i: r[tick + 1] for i, r in flying}
+        if stuck:
+            positions.update(stuck)
         collisions += detect_collisions_ground_truth(
-            before, positions, obstacle_cells, tick
+            before, positions, obstacle_cells, tick, parked
         )
     return SimResult(
         routes={i: list(r) for i, r in routes.items()},

@@ -213,6 +213,42 @@ def test_planner_layers_are_looked_up_by_name_when_called(monkeypatch, planner):
         assert counts["within"] == counts["add"] - 1
 
 
+def test_open_loop_calls_are_looked_up_by_name_when_called(monkeypatch):
+    # A tick clock stamps each open-loop tick by the return of the scan,
+    # and a tracer wraps the scan and the obstacle step, both by their
+    # names in baselines.
+    scans = []
+    steps = []
+    scan, step = baselines.detect_collisions_ground_truth, baselines.step_moving_obstacle
+
+    def counting_scan(before, after, obstacle_cells, tick, *args):
+        scans.append(tick)
+        return scan(before, after, obstacle_cells, tick, *args)
+
+    def counting_step(o, tick, *args, **kwargs):
+        steps.append((tick, o.id))
+        return step(o, tick, *args, **kwargs)
+
+    cfg = SimConfig(
+        dims=(8, 8, 8),
+        drones=[],
+        static_obstacles=[(2, 0, 0)],
+        moving_obstacles=[((4, 4, 4), 1, 0), ((5, 5, 5), 3, 2)],
+        seed=3,
+    )
+    routes = {0: [(x, 0, 0) for x in range(8)], 1: [(0, 1, 0), (0, 2, 0)], 2: [(7, 7, 7)]}
+    unpatched = execute_open_loop(routes, cfg)
+    monkeypatch.setattr(baselines, "detect_collisions_ground_truth", counting_scan)
+    monkeypatch.setattr(baselines, "step_moving_obstacle", counting_step)
+    res = execute_open_loop(routes, cfg)
+    assert res == unpatched
+    # One scan per tick, in tick order, from the first tick to the last.
+    assert scans == list(range(res.ticks)) == list(range(7))
+    # Obstacle 0 steps every tick and needs four steps to leave the area;
+    # obstacle 1 first steps on its spawn tick, after obstacle 0.
+    assert steps[:4] == [(0, 0), (1, 0), (2, 0), (2, 1)]
+
+
 def _pooled(dims):
     return baselines._SLOT_POOLS.get(dims, [])
 

@@ -7,7 +7,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from swarmgrid import baselines
-from swarmgrid.baselines import _PROBE_SHARE, _PROBE_SLOTS_MAX, _REACH, PlannerTree, _NearestIndex
+from swarmgrid.baselines import (
+    _FIRST_SHELL_PROBES,
+    _PROBE_SHARE,
+    _PROBE_SLOTS_MAX,
+    _REACH,
+    _SCAN_PROBES,
+    PlannerTree,
+    _NearestIndex,
+)
 
 # Keys are one-digit CPython ints (below 2**30) while the radix is at most this.
 RADIX_LIMIT = 1 << 10
@@ -82,6 +90,48 @@ def test_far_samples_take_the_fallback_scan():
     # probe budget, so the answer comes from the scan.
     for q in [(30, 30, 30), (-20, 4, 4), (4, 4, 50), (7, -15, 7)]:
         assert nn.nearest(q) == brute_nearest(cells, q)
+
+
+def test_the_first_shell_budget_is_the_query_cell_and_its_neighbours():
+    assert _FIRST_SHELL_PROBES == 1 + len(baselines._shells(20 + _REACH)[1])
+
+
+# (dims, n, whether nearest() probes): at 16^3 the budget n // _PROBE_SHARE
+# first pays for the first shell at n = 7 * _PROBE_SHARE; at 8^3 and 20^3
+# n = volume / _SCAN_PROBES adds _SCAN_PROBES to it.
+FIRST_SHELL_CASES = [
+    ((16, 16, 16), _FIRST_SHELL_PROBES * _PROBE_SHARE - 1, False),
+    ((16, 16, 16), _FIRST_SHELL_PROBES * _PROBE_SHARE, True),
+    ((8, 8, 8), 8**3 // _SCAN_PROBES - 1, False),
+    ((8, 8, 8), 8**3 // _SCAN_PROBES, True),
+    ((20, 20, 20), 20**3 // _SCAN_PROBES - 1, True),
+    ((20, 20, 20), 20**3 // _SCAN_PROBES, True),
+]
+
+
+@pytest.mark.parametrize("dims, n, probes", FIRST_SHELL_CASES)
+def test_a_budget_short_of_the_first_shell_goes_straight_to_the_scan(
+    monkeypatch, dims, n, probes
+):
+    scans = []
+    distances = _NearestIndex._distances
+
+    def counting(nn, key):
+        scans.append(key)
+        return distances(nn, key)
+
+    monkeypatch.setattr(_NearestIndex, "_distances", counting)
+    rng = random.Random(n)
+    cells = distinct_cells(rng, n, dims[0])
+    nn = build(cells, dims)
+    # A query on a tree cell is answered by its slot when the budget pays
+    # for the first shell, and by the scan, at distance 0, when it does not.
+    for i, q in enumerate(cells):
+        assert nn.nearest(q) == i
+    assert len(scans) == (0 if probes else n)
+    queries = distinct_cells(rng, 300, dims[0])
+    for q in queries:
+        assert nn.nearest(q) == brute_nearest(cells, q), q
 
 
 def test_growth_past_initial_capacity():
