@@ -12,9 +12,11 @@ and `swarmgrid_b`. Each side builds the same missions with its own
   with a trace on.
 - `--workload W`, W one of `missions`, `swarm-scale` and `congested`: each
   fixed scenario of that `swarmbench/run.py` workload, from
-  `swarmbench.scenarios`, untraced as `run.py --trace 0` flies it. The
-  `congested` scenarios fly through the engine with their `max_ticks`, as
-  `run_mission` would, not through the CLI.
+  `swarmbench.scenarios`. `missions` and `swarm-scale` fly untraced, as
+  `run.py --trace 0` flies them. `congested` flies with a trace on, since
+  its `run.py` ops always write a trace file, but through the engine with
+  its `max_ticks`, as `run_mission` would, not through the CLI: each side
+  collects its lines in a list.
 - `--workload baselines`: each RRT and RRT* fleet of that workload, from
   `swarmbench.scenarios`, planned drone by drone with one generator per
   fleet and side, then flown open loop, as `run.py` plans and flies it.
@@ -23,9 +25,10 @@ and `swarmgrid_b`. Each side builds the same missions with its own
 The two sides fly each mission tick by tick, with one side first on even
 ticks and the other on odd ticks, so a slow spell of the host hits both
 sides within milliseconds of each other. After every tick the two sides'
-trace lines must be equal, and at the end of each mission their routes; at
-the first difference the script prints one `error:` line to standard error
-and exits 1.
+trace lines must be equal, each taken without a trailing newline (so trees
+that end their lines differently still compare), and at the end of each
+mission their routes; at the first difference the script prints one
+`error:` line to standard error and exits 1.
 
 The missions are flown N times (`--rounds`, default 1). Each round builds
 both sides afresh, and odd rounds swap which side goes first on even ticks
@@ -40,6 +43,8 @@ run (a tree against a copy of itself, in both orders too), which shows how
 far from 1 the ratios read with no change. On a shared 2-core VM the A/A
 total ratios read 0.98-1.01 at every size, with one 40^3 run at 1.041;
 without `gc.freeze()` they read 0.96-1.07, depending on the load order.
+With `--workload congested --rounds 20` the A/A round ratios read
+0.975-1.039, with medians of 1.005 in both load orders.
 
 With `--workload baselines` the two sides plan each fleet drone by drone,
 and the side that plans first alternates per drone and per round. After
@@ -122,23 +127,25 @@ def quartiles(xs: list[float]) -> dict:
             "iqr": round(q3 - q1, 4)}
 
 
-def build(packages: list, size: int, scenarios: list | None, order: tuple[int, int]) -> list:
+def build(
+    packages: list, size: int, scenarios: list | None, traced: bool, order: tuple[int, int]
+) -> list:
     """Build the missions on each side, in `order`: the `size` mission, or
-    one per workload scenario of `scenarios`. Returns per side a list of
-    (simulation, trace lines), one per mission."""
+    one per workload scenario of `scenarios`, each traced if `traced`.
+    Returns per side a list of (simulation, trace lines), one per mission."""
     sides: list = [None, None]
     for k in order:
         engine, harness = packages[k].engine, packages[k].harness
         if scenarios is None:
             spec = harness.ExperimentSpec(0, (size,) * 3, *SPECS[size])
+            cfgs = [harness.build_experiment(spec, 0)]
+        else:
+            cfgs = [config(engine, op.scenario, cadence, spawn) for op, cadence, spawn in scenarios]
+        sides[k] = []
+        for cfg in cfgs:
             lines: list[str] = []
-            sim = engine.Simulation(harness.build_experiment(spec, 0), trace=lines.append)
-            sides[k] = [(sim, lines)]
-            continue
-        sides[k] = [
-            (engine.Simulation(config(engine, op.scenario, cadence, spawn)), [])
-            for op, cadence, spawn in scenarios
-        ]
+            sim = engine.Simulation(cfg, trace=lines.append if traced else None)
+            sides[k].append((sim, lines))
     return sides
 
 
@@ -174,7 +181,8 @@ def fly(pair: list, first: int, ratios: dict[str, list[float]]) -> tuple[int, li
             start = clock()
             sim.run_tick()
             spent[k] = clock() - start
-        if lines_a != lines_b or sim_a.all_arrived() != sim_b.all_arrived():
+        if (sim_a.all_arrived() != sim_b.all_arrived()
+                or [s.rstrip("\n") for s in lines_a] != [s.rstrip("\n") for s in lines_b]):
             sys.exit(f"error: the trace lines of tick {tick} differ")
         lines_a.clear()
         lines_b.clear()
@@ -291,6 +299,8 @@ def main() -> None:
     if args.workload == "baselines":
         baselines_main(args, packages, scenarios)
         return
+    # The `--size` mission and the `congested` workload fly with a trace on.
+    traced = args.workload in (None, "congested")
     ratios: dict[str, list[float]] = {band: [] for band, _ in BANDS}
     round_ratios = []
     mission_ratios = []
@@ -298,7 +308,7 @@ def main() -> None:
     ticks = 0
     for r in range(args.rounds):
         first = r % 2
-        sides = build(packages, args.size, scenarios, (first, 1 - first))
+        sides = build(packages, args.size, scenarios, traced, (first, 1 - first))
         # Keep the collector off the missions' set-up objects: a full
         # collection walks both sides' objects and lands on whichever
         # side's tick set it off.

@@ -36,8 +36,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         except OSError as exc:
             print(f"error: cannot write the trace: {exc}", file=sys.stderr)
             return EXIT_CONFIG_ERROR
-        write = trace_file.write
-        trace_fn = lambda line: write(line + "\n")
+        # Every trace line ends in "\n", so the file's own write writes it.
+        trace_fn = trace_file.write
     # A full disk fails a write mid-mission or the flush on closing.
     try:
         with trace_file or contextlib.nullcontext():

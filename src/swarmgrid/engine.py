@@ -62,8 +62,13 @@ drones, the drone cells (as a set and in the grid), the parked drones'
 cells and the static obstacles not yet known are kept across ticks, and a
 drone's entries move only when it moves. So a parked drone costs a tick its
 draw in the shuffle of all drones (the draw order is part of the routes)
-and, with a trace on, one trace line built from a suffix kept since it
-parked. It still detects obstacles, blocks cells and can be hit.
+and, with a trace on, one trace line: the tick number joined to its row,
+passed to `trace` in one call. It still detects obstacles, blocks cells
+and can be hit. The simulation keeps every drone's trace row (its line
+after the tick number, newline included) in a list by drone id. A parked
+drone's row is written once, when it parks; a tick rebuilds only the rows
+of the drones that decided on it, then emits every row with no test per
+drone.
 """
 
 from __future__ import annotations
@@ -360,6 +365,8 @@ class SimResult:
     timed_out: bool
 
 
+# A trace callback takes each trace line, the three header lines too, ended
+# by one "\n", so a text file's own `write` writes the trace file.
 TraceFn = Callable[[str], None]
 
 
@@ -466,16 +473,17 @@ class Simulation:
         self.tick = 0
         self.trace = trace
         if trace is not None:
-            trace("# swarmgrid-trace v1")
-            trace(f"# area {self.area.dim_x} {self.area.dim_y} {self.area.dim_z}")
-            trace("# fields tick drone mode x y z action npred")
+            trace("# swarmgrid-trace v1\n")
+            trace(f"# area {self.area.dim_x} {self.area.dim_y} {self.area.dim_z}\n")
+            trace("# fields tick drone mode x y z action npred\n")
         for d in self.drones:
             if d.current == d.dest:
                 d.arrived = True
         # Per-drone state kept across ticks: the flying drones in id order,
         # every drone's cell, and the parked drones' cells as cell -> id.
-        # With a trace on, each parked drone's trace line after its tick
-        # number. The static obstacles not yet known are the only ones
+        # With a trace on, every drone's trace row by id: a parked drone's
+        # is written when it parks, a flying drone's each tick it decides.
+        # The static obstacles not yet known are the only ones
         # phase 2 still tests. The hazard grid holds every drone's cube
         # and, from phase 2 on, the known obstacles'.
         self._flying = [d for d in self.drones if not d.arrived]
@@ -484,7 +492,7 @@ class Simulation:
         for c in self._drone_cells:
             self._grid.add(c, _DRONE)
         self._parked: dict[Cell, int] = {}
-        self._parked_lines: dict[int, str] = {}
+        self._rows = [""] * len(self.drones)
         self._park([d for d in self.drones if d.arrived])
         self._undetected = list(self.statics)
 
@@ -494,10 +502,11 @@ class Simulation:
         for d in drones:
             self._parked[d.current] = d.id
         if self.trace is not None:
+            rows = self._rows
             for d in drones:
                 x, y, z = d.current
                 mode = "backtrack" if d.bt_attempts else "hover" if d.hover_streak else "normal"
-                self._parked_lines[d.id] = f"\t{d.id}\t{mode}\t{x}\t{y}\t{z}\tparked\t0"
+                rows[d.id] = f"\t{d.id}\t{mode}\t{x}\t{y}\t{z}\tparked\t0\n"
 
     # -- per-tick pipeline -------------------------------------------------
 
@@ -619,20 +628,19 @@ class Simulation:
             before, committed, self._obstacle_cells, tick, parked
         )
 
-        if self.trace is not None:
-            parked_lines = self._parked_lines
-            for d in self.drones:
-                # Drones that had arrived before this tick took no decision.
-                action = actions.get(d.id)
-                if action is None:
-                    self.trace(f"{tick}{parked_lines[d.id]}")
-                    continue
+        trace = self.trace
+        if trace is not None:
+            # Only the drones that decided this tick changed their rows; the
+            # parked drones' rows were written when they parked.
+            rows = self._rows
+            for d in flying:
                 x, y, z = d.current
                 mode = "backtrack" if d.bt_attempts else "hover" if d.hover_streak else "normal"
-                self.trace(
-                    f"{tick}\t{d.id}\t{mode}\t{x}\t{y}\t{z}"
-                    f"\t{action}\t{_NPRED.get(action, 0)}"
-                )
+                action = actions[d.id]
+                rows[d.id] = f"\t{d.id}\t{mode}\t{x}\t{y}\t{z}\t{action}\t{_NPRED.get(action, 0)}\n"
+            t = str(tick)
+            for row in rows:
+                trace(t + row)
         if landed:
             self._park(landed)
             self._flying = [d for d in flying if not d.arrived]

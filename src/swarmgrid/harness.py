@@ -113,9 +113,10 @@ def build_experiment(spec: ExperimentSpec, seed: int) -> SimConfig:
 def mission_parts(cfg: SimConfig) -> list[str]:
     """Fly the navigator on `cfg` with a trace and return what a mission
     digest hashes: the reprs of its routes, collisions, ticks and trace
-    lines, in that order."""
+    lines, each line without its ending newline, in that order."""
     lines: list[str] = []
     result = run_mission(cfg, trace=lines.append)
+    lines = [line[:-1] for line in lines]
     return [repr(result.routes), repr(result.collisions), repr(result.ticks), repr(lines)]
 
 

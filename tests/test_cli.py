@@ -50,10 +50,11 @@ def test_run_writes_trace(scenario, tmp_path):
     lines = trace.read_text().splitlines()
     assert lines[0] == "# swarmgrid-trace v1"
     assert any(not l.startswith("#") for l in lines)
-    # The file holds exactly the engine's trace lines, each ended by one "\n".
+    # The file holds exactly the engine's trace lines, each ending in "\n".
     emitted: list[str] = []
     run_mission(load_scenario(scenario), trace=emitted.append)
-    assert trace.read_bytes() == "".join(line + "\n" for line in emitted).encode()
+    assert all(line.endswith("\n") and line.count("\n") == 1 for line in emitted)
+    assert trace.read_bytes() == "".join(emitted).encode()
 
 
 def test_run_missing_file_is_config_error(tmp_path, capsys):
@@ -367,7 +368,7 @@ def test_run_reports_a_full_disk_in_one_line(doc, tmp_path, capsys):
     run_mission(load_scenario(p), trace=emitted.append)
     # The short trace fails only when the file is closed, the long one when
     # the buffer is flushed during the mission.
-    size = sum(len(line) + 1 for line in emitted)
+    size = sum(map(len, emitted))
     assert (size > io.DEFAULT_BUFFER_SIZE) == (doc is LONG_SCENARIO)
     assert main(["run", "--scenario", str(p), "--trace", FULL]) == EXIT_CONFIG_ERROR
     err = capsys.readouterr().err

@@ -394,13 +394,16 @@ def test_lock_table_stays_consistent_during_run():
 def test_trace_output_shape():
     lines = []
     run_mission(simple_cfg(drones=[((0, 0, 0), (3, 0, 0))]), trace=lines.append)
-    assert lines[0] == "# swarmgrid-trace v1"
-    assert lines[1] == "# area 8 8 8"
+    # Every line, the headers too, ends in exactly one newline.
+    assert all(l.endswith("\n") and l.count("\n") == 1 for l in lines)
+    assert lines[0] == "# swarmgrid-trace v1\n"
+    assert lines[1] == "# area 8 8 8\n"
+    assert lines[2] == "# fields tick drone mode x y z action npred\n"
     body = [l for l in lines if not l.startswith("#")]
     assert body, "trace has no data rows"
-    fields = body[0].split("\t")
+    fields = body[0][:-1].split("\t")
     assert len(fields) == 8
-    int(fields[0]); int(fields[1])  # tick and drone id parse
+    int(fields[0]); int(fields[1]); int(fields[7])  # tick, drone id and npred parse
 
 
 def test_drone_starting_on_dest_is_arrived():
