@@ -69,7 +69,9 @@ def _sample(
 # cell at an offset is then one addition of the offset's key. Two cells whose
 # y and z each differ by less than the radix never share a key, so keys stay
 # distinct while the indexed cells lie in the area and probes reach at most
-# _REACH beyond it. Queries outside the area go to the scan instead.
+# _REACH beyond it. Queries are area cells too: the planners query samples
+# and steps toward them, and a query outside the area raises ValueError.
+# within() returns the ball of REWIRE_RADIUS (3), the only radius it answers.
 # Each cell's probe slot is its key plus a base. Where the area padded by
 # _REACH on every side spans at most _PROBE_SLOTS_MAX keys, the slots are a
 # list over that span, holding each indexed cell's index and -1 elsewhere;
@@ -102,10 +104,10 @@ _SCAN_PROBES = 16
 # budget below that goes straight to the scan: at 20^3, every query of a
 # tree below 224 nodes.
 _FIRST_SHELL_PROBES = 1 + 6
-# Per radix: the offset keys at each Manhattan distance 0.._REACH, and for
-# each radius the key and distance of every offset within it.
+# Per radix: the offset keys at each Manhattan distance 0.._REACH, and the
+# key and distance of every offset within REWIRE_RADIUS.
 _SHELLS: dict[int, list[list[int]]] = {}
-_BALLS: dict[tuple[int, int], list[tuple[int, int]]] = {}
+_BALLS: dict[int, list[tuple[int, int]]] = {}
 # Cleared probe-slot lists by area dims, waiting for the next tree.
 _SLOT_POOLS: dict[tuple[int, int, int], list[list[int]]] = {}
 # Sorting (index, distance) pairs by the index alone compares ints, not tuples.
@@ -117,8 +119,8 @@ _first = operator.itemgetter(0)
 # difference, holds their Manhattan distance. The index stores each cell c as
 # its offset, that corner's key minus key(c), so the distances from a query
 # cell q to all cells are one take of the offsets from the table's view
-# starting at key(q). A query outside the area scans from its nearest area
-# cell q', and adds |q - q'| to every distance. The table has
+# starting at key(q). Only nearest() scans; within() probes its radius-3
+# ball. The table has
 # (2X - 1)(2Y - 1)(2Z - 1) entries of the narrowest of _TABLE_DTYPES that
 # holds X + Y + Z - 3. An area whose table would pass _TABLE_ENTRIES_MAX
 # entries (a 64^3 area is exactly at it), or whose distances no such dtype
@@ -143,12 +145,12 @@ def _shells(radix: int) -> list[list[int]]:
     return _SHELLS[radix]
 
 
-def _ball(radix: int, radius: int) -> list[tuple[int, int]]:
-    """(key, distance) of the offsets within Manhattan radius."""
-    if (radix, radius) not in _BALLS:
-        shells = _shells(radix)[: radius + 1]
-        _BALLS[radix, radius] = [(o, d) for d, shell in enumerate(shells) for o in shell]
-    return _BALLS[radix, radius]
+def _ball(radix: int) -> list[tuple[int, int]]:
+    """(key, distance) of the offsets within Manhattan REWIRE_RADIUS, built once per radix."""
+    if radix not in _BALLS:
+        shells = _shells(radix)[: REWIRE_RADIUS + 1]
+        _BALLS[radix] = [(o, d) for d, shell in enumerate(shells) for o in shell]
+    return _BALLS[radix]
 
 
 def _distance_table(dims: tuple[int, int, int]) -> np.ndarray | None:
@@ -189,63 +191,28 @@ def _probe_slots(
 
 
 class _NearestIndex:
-    """Manhattan nearest-neighbor over a growing set of distinct area cells.
+    """Manhattan nearest-neighbor queries over distinct area cells, which
+    PlannerTree.add indexes.
 
     Probe slots indexed by cell key answer queries by probing Manhattan
     shells around the query cell; one array of table offsets backs the
     linear scan for queries the probes cannot answer. Ties go to the lowest
-    index.
+    index. A query cell must lie in the area.
     """
 
-    def __init__(self, dims: tuple[int, int, int], capacity: int = 1024):
+    def __init__(self, dims: tuple[int, int, int]):
         self._dims = dims
         self._volume = dims[0] * dims[1] * dims[2]
         self._radix = max(dims) + _REACH
         self._outer_shells = _shells(self._radix)[1:]
-        # The ball of the radius within() was last asked for.
-        self._ball_radius = -1
-        self._ball: list[tuple[int, int]] = []
+        self._ball = _ball(self._radix)
         self._ry = 2 * dims[1] - 1
         self._rz = 2 * dims[2] - 1
         self._table = _distance_table(dims)
         self._corner = ((dims[0] - 1) * self._ry + dims[1] - 1) * self._rz + dims[2] - 1
-        self._offsets = np.empty(capacity, dtype=np.int64)
+        self._offsets = np.empty(1024, dtype=np.int64)
         self._n = 0
         self._slots, self._base = _probe_slots(dims, self._radix)
-
-    def add(self, cell: Cell) -> int:
-        """Index cell as the next index, and return that index.
-
-        PlannerTree.add repeats this in its own frame.
-        """
-        x, y, z = cell
-        dx, dy, dz = self._dims
-        if not (0 <= x < dx and 0 <= y < dy and 0 <= z < dz):
-            raise ValueError(f"cell {cell!r} lies outside the area {self._dims!r}")
-        r = self._radix
-        k = (x * r + y) * r + z + self._base
-        if self._slots[k] >= 0:
-            raise ValueError(f"cell {cell!r} is already indexed")
-        n = self._n
-        if n == len(self._offsets):
-            self._offsets = np.concatenate([self._offsets, np.empty_like(self._offsets)])
-        self._offsets[n] = self._corner - (x * self._ry + y) * self._rz - z
-        self._slots[k] = n
-        self._n = n + 1
-        return n
-
-    def _clamped(self, cell: Cell) -> tuple[int, int]:
-        """Scan key of the area cell nearest to cell, and its distance from cell.
-
-        For every area cell c that distance plus the one from the key's cell
-        to c is the distance from cell to c.
-        """
-        key = excess = 0
-        for v, d, radix in zip(cell, self._dims, (1, self._ry, self._rz)):
-            c = min(max(v, 0), d - 1)
-            excess += abs(v - c)
-            key = key * radix + c
-        return key, excess
 
     def _distances(self, key: int) -> np.ndarray:
         """Distance from the area cell with scan key `key` to every indexed cell."""
@@ -263,49 +230,43 @@ class _NearestIndex:
         """Lowest index among the closest cells."""
         x, y, z = cell
         dx, dy, dz = self._dims
-        if 0 <= x < dx and 0 <= y < dy and 0 <= z < dz:
-            n = self._n
-            budget = n // _PROBE_SHARE
-            if n * _SCAN_PROBES >= self._volume:
-                budget += _SCAN_PROBES
-            # A budget short of the first shell probes nothing: the scan
-            # finds a query cell already in the tree at distance 0 too.
-            if budget >= _FIRST_SHELL_PROBES:
-                r = self._radix
-                k = (x * r + y) * r + z + self._base
-                slots = self._slots
-                i = slots[k]
-                if i >= 0:
-                    return i
-                probed = 1
-                for shell in self._outer_shells:
-                    probed += len(shell)
-                    if probed > budget:
-                        break
-                    hits = [i for o in shell if (i := slots[k + o]) >= 0]
-                    if hits:
-                        return min(hits)
-            return int(self._distances((x * self._ry + y) * self._rz + z).argmin())
-        return int(self._distances(self._clamped(cell)[0]).argmin())
-
-    def within(self, cell: Cell, radius: int) -> list[tuple[int, int]]:
-        """(index, distance) of the cells within Manhattan radius, by index."""
-        x, y, z = cell
-        dx, dy, dz = self._dims
-        if 0 <= x < dx and 0 <= y < dy and 0 <= z < dz and radius <= _REACH:
+        if not (0 <= x < dx and 0 <= y < dy and 0 <= z < dz):
+            raise ValueError(f"cell {cell!r} lies outside the area {self._dims!r}")
+        n = self._n
+        budget = n // _PROBE_SHARE
+        if n * _SCAN_PROBES >= self._volume:
+            budget += _SCAN_PROBES
+        # A budget short of the first shell probes nothing: the scan finds a
+        # query cell already in the tree at distance 0 too.
+        if budget >= _FIRST_SHELL_PROBES:
             r = self._radix
             k = (x * r + y) * r + z + self._base
             slots = self._slots
-            if radius != self._ball_radius:
-                self._ball_radius = radius
-                self._ball = _ball(r, radius)
-            out = [(i, d) for o, d in self._ball if (i := slots[k + o]) >= 0]
-            out.sort(key=_first)
-            return out
-        key, excess = self._clamped(cell)
-        dist = self._distances(key)
-        found = np.flatnonzero(dist <= radius - excess)
-        return [(i, d + excess) for i, d in zip(found.tolist(), dist[found].tolist())]
+            i = slots[k]
+            if i >= 0:
+                return i
+            probed = 1
+            for shell in self._outer_shells:
+                probed += len(shell)
+                if probed > budget:
+                    break
+                hits = [i for o in shell if (i := slots[k + o]) >= 0]
+                if hits:
+                    return min(hits)
+        return int(self._distances((x * self._ry + y) * self._rz + z).argmin())
+
+    def within(self, cell: Cell) -> list[tuple[int, int]]:
+        """(index, distance) of the cells within Manhattan REWIRE_RADIUS, by index."""
+        x, y, z = cell
+        dx, dy, dz = self._dims
+        if not (0 <= x < dx and 0 <= y < dy and 0 <= z < dz):
+            raise ValueError(f"cell {cell!r} lies outside the area {self._dims!r}")
+        r = self._radix
+        k = (x * r + y) * r + z + self._base
+        slots = self._slots
+        out = [(i, d) for o, d in self._ball if (i := slots[k + o]) >= 0]
+        out.sort(key=_first)
+        return out
 
 
 class PlannerTree(_NearestIndex):
@@ -525,7 +486,7 @@ def rrt_star_plan(
             # an obstacle-free edge, ties to the lower own cost and then the
             # lower index. near is one step away, so it never beats its own
             # cost + 1.
-            neighborhood = tree.within(new, REWIRE_RADIUS)
+            neighborhood = tree.within(new)
             best_parent, best_cost, best_edge = near, cost[near] + 1, [new]
             better = [
                 (c + d, c, j) for j, d in neighborhood if (c := cost[j]) + d < best_cost

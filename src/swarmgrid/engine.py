@@ -375,7 +375,7 @@ def detect_collisions_ground_truth(
     after: dict[int, Cell],
     obstacle_cells: dict,
     tick: int,
-    parked: Optional[dict[Cell, int]] = None,
+    parked: dict[Cell, int],
 ) -> list[CollisionRecord]:
     """Independent collision scan: co-location, obstacle overlap, edge swap.
 
@@ -392,8 +392,6 @@ def detect_collisions_ground_truth(
     Records come out as co-locations by cell, obstacle hits by drone id then
     `str(obstacle id)`, and swaps by `(a, b)` with `a < b`.
     """
-    if parked is None:
-        parked = {}
     by_cell: dict[Cell, list[int]] = {}
     for drone_id, cell in after.items():
         by_cell.setdefault(cell, []).append(drone_id)

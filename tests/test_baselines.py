@@ -8,6 +8,7 @@ import pytest
 from swarmgrid import baselines
 from swarmgrid.baselines import (
     GOAL_BIAS,
+    REWIRE_RADIUS,
     PlanFailure,
     PlannerTree,
     _joined_edges,
@@ -312,7 +313,7 @@ def test_live_trees_of_the_same_dims_answer_independently(monkeypatch):
         for q in every:
             dist = [manhattan(c, q) for c in cells]
             assert tree.nearest(q) == dist.index(min(dist))
-            assert tree.within(q, 2) == [(i, d) for i, d in enumerate(dist) if d <= 2]
+            assert tree.within(q) == [(i, d) for i, d in enumerate(dist) if d <= REWIRE_RADIUS]
 
 
 # The planners' draws before they took getrandbits directly, kept verbatim:

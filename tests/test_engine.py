@@ -262,12 +262,12 @@ class TestGroundTruthScan:
     def test_clean_tick(self):
         before = {1: (0, 0, 0), 2: (5, 5, 5)}
         after = {1: (1, 0, 0), 2: (5, 5, 4)}
-        assert detect_collisions_ground_truth(before, after, {}, 3) == []
+        assert detect_collisions_ground_truth(before, after, {}, 3, {}) == []
 
     def test_colocation(self):
         before = {1: (0, 0, 0), 2: (2, 0, 0)}
         after = {1: (1, 0, 0), 2: (1, 0, 0)}
-        recs = detect_collisions_ground_truth(before, after, {}, 0)
+        recs = detect_collisions_ground_truth(before, after, {}, 0, {})
         assert len(recs) == 1
         assert recs[0].kind == "colocation" and recs[0].ids == (1, 2)
 
@@ -275,7 +275,7 @@ class TestGroundTruthScan:
         before = {1: (0, 0, 0)}
         after = {1: (1, 0, 0)}
         recs = detect_collisions_ground_truth(
-            before, after, {"s0": (1, 0, 0)}, 2
+            before, after, {"s0": (1, 0, 0)}, 2, {}
         )
         assert [r.kind for r in recs] == ["obstacle"]
         assert recs[0].ids == (1, "s0")
@@ -283,13 +283,13 @@ class TestGroundTruthScan:
     def test_edge_swap(self):
         before = {1: (0, 0, 0), 2: (1, 0, 0)}
         after = {1: (1, 0, 0), 2: (0, 0, 0)}
-        recs = detect_collisions_ground_truth(before, after, {}, 5)
+        recs = detect_collisions_ground_truth(before, after, {}, 5, {})
         assert [r.kind for r in recs] == ["swap"]
 
     def test_hovering_pair_is_not_a_swap(self):
         before = {1: (0, 0, 0), 2: (1, 0, 0)}
         after = dict(before)
-        assert detect_collisions_ground_truth(before, after, {}, 0) == []
+        assert detect_collisions_ground_truth(before, after, {}, 0, {}) == []
 
 
 def test_single_drone_reaches_dest_in_empty_area():

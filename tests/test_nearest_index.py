@@ -1,6 +1,7 @@
 """The planners' cell-indexed nearest-neighbour queries against a brute force."""
 
 import random
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from swarmgrid.baselines import (
     _PROBE_SLOTS_MAX,
     _REACH,
     _SCAN_PROBES,
+    REWIRE_RADIUS,
     PlannerTree,
     _NearestIndex,
 )
@@ -33,11 +35,11 @@ def brute_within(cells, q, radius):
     return [(i, int(d[i])) for i in np.nonzero(d <= radius)[0].tolist()]
 
 
-def build(cells, dims=(40, 40, 40), capacity=1024):
-    nn = _NearestIndex(dims, capacity)
+def build(cells, dims=(40, 40, 40)):
+    tree = PlannerTree(dims)
     for c in cells:
-        nn.add(c)
-    return nn
+        tree.add(c, -1)
+    return tree
 
 
 def distinct_cells(rng, n, side, low=0):
@@ -48,12 +50,19 @@ def distinct_cells(rng, n, side, low=0):
     return list(out)
 
 
-def agrees(nn, cells, queries, radii=(0, 1, 3)):
+def agrees(nn, cells, queries):
     for q in queries:
         assert nn.nearest(q) == brute_nearest(cells, q), q
-        for radius in radii:
-            # brute_within is ascending, so this also checks the order.
-            assert nn.within(q, radius) == brute_within(cells, q, radius), (q, radius)
+        # brute_within is ascending, so this also checks the order.
+        assert nn.within(q) == brute_within(cells, q, REWIRE_RADIUS), q
+
+
+def refuses(nn, queries):
+    """Both queries raise ValueError naming each cell, which lies outside the area."""
+    for q in queries:
+        for query in (nn.nearest, nn.within):
+            with pytest.raises(ValueError, match=rf"cell {re.escape(repr(q))} lies outside"):
+                query(q)
 
 
 @pytest.mark.parametrize("n", [1, 7, 40, 300, 1100, 2500])
@@ -61,8 +70,8 @@ def test_random_queries_match_brute_force(n):
     rng = random.Random(n)
     cells = distinct_cells(rng, n, 16)
     nn = build(cells, dims=(16, 16, 16))
-    queries = distinct_cells(rng, 150, 16) + [(-9, 30, 4), (40, 40, 40)]
-    agrees(nn, cells, queries)
+    agrees(nn, cells, distinct_cells(rng, 150, 16))
+    refuses(nn, [(-9, 30, 4), (40, 40, 40)])
 
 
 def test_equal_distance_ties_go_to_the_lowest_index():
@@ -85,10 +94,10 @@ def test_equal_distance_ties_go_to_the_lowest_index():
 def test_far_samples_take_the_fallback_scan():
     rng = random.Random(1)
     cells = distinct_cells(rng, 400, 8)
-    nn = build(cells, dims=(8, 8, 8))
-    # Far outside the cells: the first shell holding one is larger than the
-    # probe budget, so the answer comes from the scan.
-    for q in [(30, 30, 30), (-20, 4, 4), (4, 4, 50), (7, -15, 7)]:
+    nn = build(cells, dims=(40, 40, 40))
+    # Far from the cells, in a corner of the area: the first shell holding
+    # one is larger than the probe budget, so the answer comes from the scan.
+    for q in [(30, 30, 30), (39, 4, 4), (4, 4, 39), (7, 39, 7)]:
         assert nn.nearest(q) == brute_nearest(cells, q)
 
 
@@ -137,19 +146,17 @@ def test_a_budget_short_of_the_first_shell_goes_straight_to_the_scan(
 def test_growth_past_initial_capacity():
     rng = random.Random(3)
     cells = distinct_cells(rng, 3000, 20)
-    nn = _NearestIndex((20, 20, 20), 1024)
+    nn = PlannerTree((20, 20, 20))
+    assert len(nn._offsets) == 1024
     for i, c in enumerate(cells):
-        nn.add(c)
+        nn.add(c, -1)
         if i in (1023, 1024, 2047, 2048, 2999):
-            seen = cells[: i + 1]
-            for q in distinct_cells(random.Random(i), 20, 20):
-                assert nn.nearest(q) == brute_nearest(seen, q)
-                assert nn.within(q, 2) == brute_within(seen, q, 2)
+            agrees(nn, cells[: i + 1], distinct_cells(random.Random(i), 20, 20))
 
 
 def test_queries_at_and_beyond_the_area_edge():
     # Cells on the faces of the area: probes from them reach negative and
-    # past-the-end coordinates, and queries from outside take the scan.
+    # past-the-end coordinates, and queries from outside are refused.
     rng = random.Random(5)
     dims = (9, 6, 11)
     cells = list({
@@ -161,14 +168,15 @@ def test_queries_at_and_beyond_the_area_edge():
     corners = [(x, y, z) for x in (0, 8) for y in (0, 5) for z in (0, 10)]
     outside = [(-1, 0, 0), (0, -2, 5), (4, 3, -1), (9, 5, 10), (8, 6, 10), (8, 5, 11),
                (-3, -3, -3), (-100, 2, 2), (4, 10**6, 4), (-10**9, -10**9, 10**9)]
-    agrees(nn, cells, corners + outside, radii=(0, 1, 2, 3, _REACH, _REACH + 4))
+    agrees(nn, cells, corners)
+    refuses(nn, outside)
 
 
 def test_dims_at_the_radix_limit_keep_keys_distinct():
     # The largest area whose keys are all one-digit ints: radix**3 == 2**30.
     side = RADIX_LIMIT - _REACH
     dims = (side, side, side)
-    nn = _NearestIndex(dims)
+    nn = PlannerTree(dims)
     assert nn._radix ** 3 <= 2**30
     rng = random.Random(7)
     last = side - 1
@@ -177,7 +185,7 @@ def test_dims_at_the_radix_limit_keep_keys_distinct():
         for _ in range(2500)
     })
     for c in cells:
-        nn.add(c)
+        nn.add(c, -1)
     offsets = [o for shell in baselines._shells(nn._radix) for o in shell]
     # An area this large keeps its probe slots in a dict keyed by the cell keys.
     assert isinstance(nn._slots, dict) and nn._base == 0
@@ -186,8 +194,8 @@ def test_dims_at_the_radix_limit_keep_keys_distinct():
     assert len(cells) // _PROBE_SHARE >= 25  # nearest() probes out to distance 2
     queries = [(x, y, z) for x in (0, 2, last - 2, last)
                for y in (0, last) for z in (1, last - 1)]
-    queries += [(side // 2, 0, last), (-1, 0, 0), (side, last, last), (-side, side, 0)]
-    agrees(nn, cells, queries)
+    agrees(nn, cells, queries + [(side // 2, 0, last)])
+    refuses(nn, [(-1, 0, 0), (side, last, last), (-side, side, 0)])
 
 
 @pytest.mark.parametrize("side", [RADIX_LIMIT - _REACH + 1, 5000])
@@ -197,8 +205,8 @@ def test_areas_past_the_radix_limit_still_answer_exactly(side):
     cells = list({(rng.choice((0, side - 1, side // 2)), rng.randrange(3),
                    rng.choice((0, 1, side - 1))) for _ in range(60)})
     nn = build(cells, dims)
-    queries = [(0, 0, 0), (side - 1, 2, side - 1), (side // 2, 1, 1), (-5, 1, side + 5)]
-    agrees(nn, cells, queries)
+    agrees(nn, cells, [(0, 0, 0), (side - 1, 2, side - 1), (side // 2, 1, 1)])
+    refuses(nn, [(-5, 1, side + 5)])
 
 
 def test_probes_out_to_the_reach_beyond_the_area(monkeypatch):
@@ -210,30 +218,33 @@ def test_probes_out_to_the_reach_beyond_the_area(monkeypatch):
     cells = distinct_cells(rng, 40, 6, low=9)
     nn = build(cells, dims)
     queries = [(0, 0, 0), (23, 23, 23), (0, 12, 23), (23, 0, 11), (12, 12, 0)]
-    agrees(nn, cells, queries, radii=(_REACH,))
+    agrees(nn, cells, queries)
 
 
 def test_cells_outside_the_area_are_refused():
-    nn = _NearestIndex((5, 5, 5))
-    nn.add((4, 4, 4))
-    for bad in [(5, 0, 0), (0, -1, 0), (0, 0, 5)]:
+    nn = PlannerTree((5, 5, 5))
+    nn.add((4, 4, 4), -1)
+    bad = [(5, 0, 0), (0, -1, 0), (0, 0, 5)]
+    for c in bad:
         with pytest.raises(ValueError, match="outside the area"):
-            nn.add(bad)
-    assert nn.within((4, 4, 4), 3) == [(0, 0)]
+            nn.add(c, -1)
+    # Queries are refused outside the area too, even one step past the
+    # indexed cell, where its slot and the probes would reach.
+    refuses(nn, bad + [(4, 4, 5), (4, 5, 4), (5, 4, 4)])
+    assert nn.within((4, 4, 4)) == [(0, 0)]
+    assert nn.cells == [(4, 4, 4)]
 
 
-@pytest.mark.parametrize("index", [_NearestIndex, PlannerTree])
 @pytest.mark.parametrize("dims", [(5, 5, 5), (2, 2, 40000)])
-def test_a_cell_already_indexed_is_refused(index, dims):
-    nn = index(dims)
-    add = nn.add if index is _NearestIndex else lambda c: nn.add(c, -1)
-    add((1, 1, 1))
+def test_a_cell_already_indexed_is_refused(dims):
+    nn = PlannerTree(dims)
+    nn.add((1, 1, 1), -1)
     with pytest.raises(ValueError, match="already indexed"):
-        add((1, 1, 1))
+        nn.add((1, 1, 1), -1)
     # Probes and the scan both see the one cell.
-    assert nn.within((1, 1, 2), 1) == [(0, 1)]
-    assert nn.within((1, 1, -1), 2) == [(0, 2)]
-    assert nn.nearest((1, 1, 3)) == nn.nearest((-1, 1, 1)) == 0
+    assert nn.within((1, 1, 2)) == [(0, 1)]
+    assert nn.within((0, 0, 0)) == [(0, 3)]
+    assert nn.nearest((1, 1, 0)) == nn.nearest((0, 0, 1)) == 0
 
 
 def test_a_64_cube_probe_list_is_exactly_at_the_cap():
@@ -249,16 +260,16 @@ def test_the_probe_list_or_the_dict_answers_exactly(monkeypatch, dims, store):
     # Probe every shell out to _REACH before scanning, from queries on the
     # area's faces and corners, so probes reach the padding on every side.
     monkeypatch.setattr(baselines, "_SCAN_PROBES", 10**5)
-    nn = _NearestIndex(dims)
+    nn = PlannerTree(dims)
     assert type(nn._slots) is store
     rng = random.Random(sum(dims))
     ends = [(0, 1, n // 2, n - 2, n - 1) for n in dims]
     cells = list({tuple(rng.choice(e) for e in ends) for _ in range(60)})
     for c in cells:
-        nn.add(c)
+        nn.add(c, -1)
     corners = sorted({(x, y, z) for x in ends[0] for y in ends[1] for z in ends[2]})
-    outside = [(-1, 0, 0), (dims[0], 3, dims[2] - 1), (-(10**9), 10**9, 5)]
-    agrees(nn, cells, corners[::3] + outside, radii=(0, 2, _REACH))
+    agrees(nn, cells, corners[::3])
+    refuses(nn, [(-1, 0, 0), (dims[0], 3, dims[2] - 1), (-(10**9), 10**9, 5)])
 
 
 def _coordinate(n):
@@ -287,13 +298,15 @@ def small_area_case(draw):
     return dims, cells, draw(st.lists(query, min_size=1, max_size=8))
 
 
-@given(small_area_case(), st.lists(st.integers(0, _REACH + 4), min_size=1, max_size=4))
-def test_table_keys_at_the_smallest_radices(case, radii):
+@given(small_area_case())
+def test_table_keys_at_the_smallest_radices(case):
     # Axes of 2 and 3 cells give the key radices 3 and 5.
     dims, cells, queries = case
     nn = build(cells, dims)
     assert nn._table is not None and nn._table.dtype == np.int8
-    agrees(nn, cells, queries, radii)
+    inside = [q for q in queries if all(0 <= v < n for v, n in zip(q, dims))]
+    agrees(nn, cells, inside)
+    refuses(nn, [q for q in queries if q not in inside])
 
 
 def test_a_64_cube_table_is_exactly_at_the_cap():
@@ -310,7 +323,7 @@ def test_a_64_cube_table_is_exactly_at_the_cap():
     ((2, 2, 40000), None),  # farthest distance 40001
 ])
 def test_the_table_or_the_coordinate_scan_answers_exactly(dims, dtype):
-    nn = _NearestIndex(dims)
+    nn = PlannerTree(dims)
     if dtype is None:
         assert nn._table is None
     else:
@@ -319,9 +332,8 @@ def test_the_table_or_the_coordinate_scan_answers_exactly(dims, dtype):
     ends = [(0, n // 2, n - 2, n - 1) for n in dims]
     cells = sorted({(x, y, z) for x in ends[0] for y in ends[1] for z in ends[2]})
     for c in cells:
-        nn.add(c)
+        nn.add(c, -1)
     far = [tuple(n - 1 - v for v, n in zip(c, dims)) for c in cells]
-    outside = [(-1, 0, 0), (dims[0], dims[1] + 3, -5), (-(10**9), 10**9, dims[2] + 10**9)]
-    # Few cells in a large area: nearest() scans unless the query is a cell,
-    # and within() scans past _REACH.
-    agrees(nn, cells, far + outside, radii=(0, 2, _REACH + 1, sum(dims) - 3, 10**6))
+    # Few cells in a large area: nearest() scans unless the query is a cell.
+    agrees(nn, cells, far)
+    refuses(nn, [(-1, 0, 0), (dims[0], dims[1] + 3, -5), (-(10**9), 10**9, dims[2] + 10**9)])

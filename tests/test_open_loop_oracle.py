@@ -46,7 +46,7 @@ def old_execute_open_loop(routes, cfg):
             if o.alive and tick >= o.spawn_tick:
                 obstacle_cells[f"m{o.id}"] = o.cell
         collisions += detect_collisions_ground_truth(
-            before, positions, obstacle_cells, tick
+            before, positions, obstacle_cells, tick, {}
         )
     result = SimResult(
         routes={i: list(r) for i, r in routes.items()},

@@ -73,14 +73,14 @@ def ticks(draw):
 @settings(max_examples=400, deadline=None)
 @given(ticks())
 def test_scan_matches_pairwise_oracle(tick_input):
-    assert detect_collisions_ground_truth(*tick_input) == pairwise_scan(*tick_input)
+    assert detect_collisions_ground_truth(*tick_input, {}) == pairwise_scan(*tick_input)
 
 
 def test_record_order_on_a_busy_tick():
     before = {4: (0, 0, 0), 1: (1, 0, 0), 7: (2, 2, 2), 3: (2, 2, 2), 9: (0, 1, 0)}
     after = {4: (1, 0, 0), 1: (0, 0, 0), 7: (2, 2, 1), 3: (2, 2, 1), 9: (0, 1, 0)}
     obstacles = {"s2": (0, 1, 0), "m1": (2, 2, 1), "s10": (0, 1, 0)}
-    recs = detect_collisions_ground_truth(before, after, obstacles, 6)
+    recs = detect_collisions_ground_truth(before, after, obstacles, 6, {})
     assert recs == pairwise_scan(before, after, obstacles, 6)
     assert [(r.kind, r.ids) for r in recs] == [
         ("colocation", (3, 7)),
