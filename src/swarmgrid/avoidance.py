@@ -35,13 +35,13 @@ class BacktrackConfig:
 class DecisionContext:
     """Everything a single drone's avoidance decision may look at.
 
-    blocked_cells: the known static and moving obstacle cells. The
+    blocked_cells: the cells of the simulation's known obstacle map. The
     simulation keeps this set across ticks and rebuilds it only on a tick
-    where a static obstacle became known or a known moving obstacle
-    stepped, spawned, died, or entered or left detection. From a
-    `detection_radius` of 2 up it holds every static and every live moving
-    obstacle, which answers as detection would for every cell next to the
-    deciding drone.
+    where that map changed: a static obstacle became known, or a known
+    moving obstacle stepped, spawned, died, or entered or left detection.
+    From a `detection_radius` of 2 up the map is the whole obstacle field,
+    every static and every live spawned moving obstacle, which answers as
+    detection would for every cell next to the deciding drone.
     locks: every drone's current cell plus the next cells locked by drones
     earlier in this tick's decision order. Each drone holds its own cell's
     lock from the start and releases a cell only after leaving it (a parked

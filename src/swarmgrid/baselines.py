@@ -14,7 +14,7 @@ import random
 import numpy as np
 
 from .engine import CollisionRecord, SimConfig, SimResult, detect_collisions_ground_truth
-from .entities import MovingObstacle, step_moving_obstacle
+from .entities import ObstacleField, step_moving_obstacle
 from .world import Area, Cell
 
 GOAL_BIAS = 0.05
@@ -378,6 +378,19 @@ def _straight_edge(frm: Cell, to: Cell, obstacles: set[Cell]) -> list[Cell] | No
     return None
 
 
+def _checked_obstacles(
+    start: Cell, dest: Cell, static_obstacles: list[Cell], area: Area
+) -> set[Cell]:
+    """The static obstacles as a set, once start and dest are checked to be
+    distinct free cells of the area; raises ValueError otherwise."""
+    obstacles = set(static_obstacles)
+    if start == dest or start in obstacles or dest in obstacles:
+        raise ValueError("start and dest must be distinct free cells")
+    if start not in area or dest not in area:
+        raise ValueError("start and dest must lie in the area")
+    return obstacles
+
+
 def rrt_plan(
     start: Cell,
     dest: Cell,
@@ -387,11 +400,7 @@ def rrt_plan(
     max_iters: int = DEFAULT_MAX_ITERS,
 ) -> list[Cell]:
     """Single-step RRT over the grid; returns the route start..dest."""
-    obstacles = set(static_obstacles)
-    if start == dest or start in obstacles or dest in obstacles:
-        raise ValueError("start and dest must be distinct free cells")
-    if start not in area or dest not in area:
-        raise ValueError("start and dest must lie in the area")
+    obstacles = _checked_obstacles(start, dest, static_obstacles, area)
     tree = PlannerTree(area.dims)
     try:
         tree.add(start, -1)
@@ -454,11 +463,7 @@ def rrt_star_plan(
     After the goal first connects, growth continues for refine_iters more
     iterations so rewiring can shorten the incumbent path.
     """
-    obstacles = set(static_obstacles)
-    if start == dest or start in obstacles or dest in obstacles:
-        raise ValueError("start and dest must be distinct free cells")
-    if start not in area or dest not in area:
-        raise ValueError("start and dest must lie in the area")
+    obstacles = _checked_obstacles(start, dest, static_obstacles, area)
     tree = PlannerTree(area.dims)
     try:
         tree.add(start, -1)
@@ -534,32 +539,18 @@ def execute_open_loop(routes: dict[int, list[Cell]], cfg: SimConfig) -> SimResul
     Raises ConfigError for a config that fails `SimConfig.validate`.
 
     A tick pays for the drones still flying and the obstacles due to step,
-    as the engine's does. Moving obstacles step from a calendar (tick -> ids
-    due) in id order, so the draws keep their order under mixed cadences,
-    and the scan's obstacle map changes only for the obstacles that
-    stepped. A drone whose route has ended joins the scan's parked map
-    (cell -> id); if another such drone holds that cell, it stays in
-    `before` and `after`, on its cell. The records equal those of one scan
-    over every drone. The scan and `step_moving_obstacle` are looked up in
-    this module's globals at each call, where a tracer or a tick clock may
-    wrap them.
+    as the engine's does: the obstacles are an `ObstacleField`, which steps
+    the due ones in id order and keeps the scan's obstacle map. A drone
+    whose route has ended joins the scan's parked map (cell -> id); if
+    another such drone holds that cell, it stays in `before` and `after`,
+    on its cell. The records equal those of one scan over every drone. The
+    scan and `step_moving_obstacle` are looked up in this module's globals
+    at each call, where a tracer or a tick clock may wrap them.
     """
     cfg.validate()
     rng = random.Random(cfg.seed)
     area = cfg.area()
-    movings = [
-        MovingObstacle(id=i, cell=c, cadence=cad, spawn_tick=sp)
-        for i, (c, cad, sp) in enumerate(cfg.moving_obstacles)
-    ]
-    labels = [f"m{o.id}" for o in movings]
-    # The scan's obstacle map: label -> cell of every static and every live
-    # spawned moving obstacle.
-    obstacle_cells = {f"s{i}": c for i, c in enumerate(cfg.static_obstacles)}
-    # The calendar of obstacle steps: each moving obstacle is filed under its
-    # spawn tick and, while it lives, again one cadence after each step.
-    due: dict[int, list[int]] = {}
-    for o in movings:
-        due.setdefault(o.spawn_tick, []).append(o.id)
+    field = ObstacleField(cfg.static_obstacles, cfg.moving_obstacles)
     # Drones by the tick their route ends on, from which they stay put.
     ends: dict[int, list[int]] = {}
     for i, r in routes.items():
@@ -585,21 +576,12 @@ def execute_open_loop(routes: dict[int, list[Cell]], cfg: SimConfig) -> SimResul
                     del positions[i]
             flying = [(i, r) for i, r in flying if len(r) - 1 > tick]
         before = positions
-        stepping = due.pop(tick, None)
-        if stepping:
-            for j in sorted(stepping):
-                o = movings[j]
-                step_moving_obstacle(o, tick, rng, area, no_drones, avoid_drones=False)
-                if o.alive:
-                    due.setdefault(tick + o.cadence, []).append(j)
-                    obstacle_cells[labels[j]] = o.cell
-                else:
-                    obstacle_cells.pop(labels[j], None)
+        field.step(tick, step_moving_obstacle, rng, area, no_drones, False)
         positions = {i: r[tick + 1] for i, r in flying}
         if stuck:
             positions.update(stuck)
         collisions += detect_collisions_ground_truth(
-            before, positions, obstacle_cells, tick, parked
+            before, positions, field.cells, tick, parked
         )
     return SimResult(
         routes={i: list(r) for i, r in routes.items()},

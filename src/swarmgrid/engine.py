@@ -15,13 +15,15 @@ the tick. So a lock is never denied.
 
 An obstacle is known while it is live and either `detection_radius` is at
 least 2 or a drone is within Chebyshev `detection_radius` of it; a static
-obstacle stays known once detected. From radius 2 up no detection test is
-needed: every cell a decision reads (the reducing cells and sidesteps with
-their hazard margin, `avoid`'s neighbours, the backtrack cell) lies next to
-the deciding drone's start-of-tick cell, so any obstacle that can change a
-decision is within Chebyshev 2 of that cell, where the drone detects it
-this tick. Below radius 2 each obstacle not yet known probes the drone
-cells around it.
+obstacle stays known once detected. The simulation keeps the known
+obstacles as one map, scan label -> cell. From radius 2 up no detection
+test is needed and that map is the whole field: every cell a decision reads
+(the reducing cells and sidesteps with their hazard margin, `avoid`'s
+neighbours, the backtrack cell) lies next to the deciding drone's
+start-of-tick cell, so any obstacle that can change a decision is within
+Chebyshev 2 of that cell, where the drone detects it this tick. Below
+radius 2 each obstacle but a known static probes the drone cells around it
+every tick.
 
 The hazard margin, the cells within Chebyshev 1 of a known obstacle or of
 another drone, is read from one grid of counts kept across ticks over the
@@ -29,11 +31,12 @@ area padded by one cell on each side (`HazardGrid`): each known obstacle
 adds 2 and each drone, flying or parked, 1 over its 27-cell cube. The
 deciding drone adds 1 to every cell next to its own, so a candidate cell is
 in the margin exactly when its count is at least 2, one list read. The
-counts move where what they count moves. In phase 2 a static obstacle adds
-its cube once, when it becomes known, and a known moving obstacle's axis
-step moves only its cube's trailing and leading 9-cell faces, while a
-spawn, death, or entry to or exit from detection moves all 27; in phase 4
-every drone's step moves two faces, in one `HazardGrid.steps` call.
+counts move where what they count moves. In phase 2 `HazardGrid.move`
+diffs the known map of the last tick into this tick's: a known obstacle's
+axis step moves only its cube's trailing and leading 9-cell faces, while a
+static becoming known, a spawn, a death, or an entry to or exit from
+detection moves all 27. In phase 4 every drone's step moves two faces, in
+one `HazardGrid.steps` call.
 
 The counts are a plain list of ints, 8 bytes a slot: 4.4 MB at 80^3, and at
 most 128 MiB at the GRID_CELLS_MAX cells `SimConfig.validate` allows. An
@@ -45,30 +48,29 @@ VM). The decisions' blocked cells are one
 set, rebuilt only on a tick where a known obstacle changed. The scan costs
 O(flying drones + obstacles) per tick plus sorting the records it finds.
 
-A moving obstacle moves, spawns or dies only on a tick of its cadence, so
-the simulation keeps a calendar of obstacle steps, tick -> the ids of the
-moving obstacles due to step on it (after the calendar queue of Brown,
-CACM 31(10), 1988). Each obstacle is filed under its spawn tick and, while
-it lives, again one cadence after each step. Phase 1 steps only the due
-bucket, in id order so that the draws keep their order when cadences are
-mixed. On a tick with no obstacle due, phase 2 from radius 2 up keeps its
-known moving obstacles without rebuilding them (below radius 2 they depend
-on where the drones are, so it rebuilds them every tick), and the scan
-keeps its obstacle map. So on a common cadence of 5, four ticks in five pay
-nothing per moving obstacle.
+The obstacles are one `entities.ObstacleField`, which the open-loop flight
+of the planned baselines uses too. It keeps a calendar of obstacle steps,
+tick -> the ids of the moving obstacles due to step on it, and the scan's
+obstacle map, scan label -> cell, which it changes only for the obstacles
+that step. Phase 1 steps only the due obstacles, in id order so that the
+draws keep their order when cadences are mixed. On a tick with no obstacle
+due, phase 2 from radius 2 up keeps its known map without looking at it
+(below radius 2 the known moving obstacles depend on where the drones are,
+so it rebuilds the map every tick), and the scan reads the field's map as
+it stands. So on a common cadence of 5, four ticks in five pay nothing per
+obstacle.
 
 A drone that has arrived parks on its destination for good. The flying
-drones, the drone cells (as a set and in the grid), the parked drones'
-cells and the static obstacles not yet known are kept across ticks, and a
-drone's entries move only when it moves. So a parked drone costs a tick its
-draw in the shuffle of all drones (the draw order is part of the routes)
-and, with a trace on, one trace line: the tick number joined to its row,
-passed to `trace` in one call. It still detects obstacles, blocks cells
-and can be hit. The simulation keeps every drone's trace row (its line
-after the tick number, newline included) in a list by drone id. A parked
-drone's row is written once, when it parks; a tick rebuilds only the rows
-of the drones that decided on it, then emits every row with no test per
-drone.
+drones, the drone cells (as a set and in the grid) and the parked drones'
+cells are kept across ticks, and a drone's entries move only when it
+moves. So a parked drone costs a tick its draw in the shuffle of all
+drones (the draw order is part of the routes) and, with a trace on, one
+trace line: the tick number joined to its row, passed to `trace` in one
+call. It still detects obstacles, blocks cells and can be hit. The
+simulation keeps every drone's trace row (its line after the tick number,
+newline included) in a list by drone id. A parked drone's row is written
+once, when it parks; a tick rebuilds only the rows of the drones that
+decided on it, then emits every row with no test per drone.
 """
 
 from __future__ import annotations
@@ -88,13 +90,7 @@ from .avoidance import (
     cell_is_safe,
 )
 from .coordination import LockTable
-from .entities import (
-    Drone,
-    MovingObstacle,
-    StaticObstacle,
-    record_move,
-    step_moving_obstacle,
-)
+from .entities import Drone, ObstacleField, record_move, step_moving_obstacle
 from .world import (
     DIRECTIONS,
     Area,
@@ -205,9 +201,9 @@ class HazardGrid:
                 counts[p - o] -= weight
                 counts[q + o] += weight
 
-    def move(self, last: dict[int, Cell], now: dict[int, Cell], weight: int) -> None:
-        """Move the weights of the obstacles in `last` (id -> cell) to those
-        of the obstacles in `now`, one tick later.
+    def move(self, last: dict[str, Cell], now: dict[str, Cell], weight: int) -> None:
+        """Move the weights of the obstacles in `last` (scan label -> cell)
+        to those of the obstacles in `now`, one tick later.
 
         An obstacle in both is on the same cell or one axis step away, since
         an obstacle steps at most once a tick, and an obstacle that steps
@@ -438,35 +434,11 @@ class Simulation:
         self.drones = [
             Drone(id=i, start=s, dest=d) for i, (s, d) in enumerate(cfg.drones)
         ]
-        self.statics = [
-            StaticObstacle(id=i, cell=c) for i, c in enumerate(cfg.static_obstacles)
-        ]
-        self.movings = [
-            MovingObstacle(id=i, cell=c, cadence=cad, spawn_tick=sp)
-            for i, (c, cad, sp) in enumerate(cfg.moving_obstacles)
-        ]
+        self.field = ObstacleField(cfg.static_obstacles, cfg.moving_obstacles)
         self.locks = LockTable()
         for d in self.drones:
             if not self.locks.try_acquire(d.id, d.current):
                 raise EngineInvariantViolation(f"start cell {d.current} already locked")
-        self.known_static: dict[int, Cell] = {}
-        # The moving obstacles the decisions took as known last tick, and
-        # the cells of those and of the known statics as the decisions'
-        # blocked cells.
-        self._moving_in_margin: dict[int, Cell] = {}
-        self._blocked: set[Cell] = set()
-        # The calendar of obstacle steps: tick -> ids of the moving
-        # obstacles due to step on it. Each is filed under its spawn tick
-        # and, while it lives, again one cadence after each step.
-        self._due: dict[int, list[int]] = {}
-        for mo in self.movings:
-            self._due.setdefault(mo.spawn_tick, []).append(mo.id)
-        # The scan's obstacle labels, built once, and its obstacle map (label
-        # -> cell of every static and every live spawned moving obstacle),
-        # kept across ticks and rebuilt only on a tick an obstacle was due.
-        self._static_labels = {f"s{so.id}": so.cell for so in self.statics}
-        self._moving_labels = [(f"m{mo.id}", mo) for mo in self.movings]
-        self._obstacle_cells = dict(self._static_labels)
         self.collisions: list[CollisionRecord] = []
         self.tick = 0
         self.trace = trace
@@ -481,9 +453,10 @@ class Simulation:
         # every drone's cell, and the parked drones' cells as cell -> id.
         # With a trace on, every drone's trace row by id: a parked drone's
         # is written when it parks, a flying drone's each tick it decides.
-        # The static obstacles not yet known are the only ones
-        # phase 2 still tests. The hazard grid holds every drone's cube
-        # and, from phase 2 on, the known obstacles'.
+        # The hazard grid holds every drone's cube and every known
+        # obstacle's. The known obstacles are kept as label -> cell, and
+        # their cells as the decisions' blocked cells; from radius 2 up they
+        # are the whole field from the start.
         self._flying = [d for d in self.drones if not d.arrived]
         self._drone_cells: set[Cell] = {d.current for d in self.drones}
         self._grid = HazardGrid(cfg.dims)
@@ -492,7 +465,10 @@ class Simulation:
         self._parked: dict[Cell, int] = {}
         self._rows = [""] * len(self.drones)
         self._park([d for d in self.drones if d.arrived])
-        self._undetected = list(self.statics)
+        self._known: dict[str, Cell] = {}
+        self._blocked: set[Cell] = set()
+        if cfg.detection_radius >= 2:
+            self._know(dict(self.field.cells))
 
     def _park(self, drones: list[Drone]) -> None:
         """Enter newly arrived drones in the parked state. A parked drone
@@ -516,49 +492,27 @@ class Simulation:
         drone_cells = self._drone_cells
         before = {d.id: d.current for d in flying}
 
-        # Phase 1: the moving obstacles due this tick step, in id order so
-        # that the draws keep their order when cadences are mixed, and each
-        # one still alive is filed again one cadence on. No other obstacle
-        # moves, spawns or dies this tick.
-        due = self._due.pop(tick, ())
-        for i in sorted(due):
-            o = self.movings[i]
-            step_moving_obstacle(
-                o, tick, self.rng, self.area, drone_cells,
-                avoid_drones=cfg.obstacles_avoid_drones,
-            )
-            if o.alive:
-                self._due.setdefault(tick + o.cadence, []).append(i)
+        # Phase 1: the moving obstacles due this tick step, in id order. No
+        # other obstacle moves, spawns or dies this tick.
+        field = self.field
+        due = field.step(
+            tick, step_moving_obstacle, self.rng, self.area, drone_cells,
+            cfg.obstacles_avoid_drones,
+        )
 
         # Phase 2: obstacle detection, by the rule in the module docstring.
-        # From radius 2 up it tests no drone: every static becomes known on
-        # the first tick and every live moving obstacle is known, so the
-        # known moving obstacles change only on a tick one was due.
-        sees_all = cfg.detection_radius >= 2
-        grid = self._grid
-        undetected = []
-        for so in self._undetected:
-            if sees_all or self._detected(so.cell):
-                self.known_static[so.id] = so.cell
-                grid.add(so.cell, _OBSTACLE)
-            else:
-                undetected.append(so)
-        changed = len(undetected) < len(self._undetected)
-        self._undetected = undetected
-        if due or not sees_all:
-            moving = {
-                mo.id: mo.cell for mo in self.movings
-                if mo.alive and tick >= mo.spawn_tick and (sees_all or self._detected(mo.cell))
-            }
-            # Move the counts of the moving obstacles that stepped, died,
-            # spawned, or entered or left detection since the last tick.
-            if moving != self._moving_in_margin:
-                grid.move(self._moving_in_margin, moving, _OBSTACLE)
-                self._moving_in_margin = moving
-                changed = True
-        # Rebuild the blocked cells only when a known obstacle changed.
-        if changed:
-            self._blocked = {*self.known_static.values(), *self._moving_in_margin.values()}
+        # Below radius 2 a static stays known once detected and a moving
+        # obstacle is known while detected. From radius 2 up it tests no
+        # drone: the known obstacles are the whole field, which changes
+        # only on a tick an obstacle was due.
+        if cfg.detection_radius < 2:
+            known = self._known
+            self._know({
+                label: cell for label, cell in field.cells.items()
+                if label[0] == "s" and label in known or self._detected(cell)
+            })
+        elif due:
+            self._know(dict(field.cells))
 
         # Phase 3: decisions in a fresh seeded-random order.
         order = list(self.drones)
@@ -613,17 +567,11 @@ class Simulation:
         # move into a cell another drone left this tick.
         drone_cells.difference_update(vacated)
         drone_cells.update(entered)
-        grid.steps(vacated, entered, _DRONE)
+        self._grid.steps(vacated, entered, _DRONE)
 
         # Phase 5: ground-truth collision scan, independent of the decisions.
-        if due:
-            obstacle_cells = dict(self._static_labels)
-            for label, mo in self._moving_labels:
-                if mo.alive and tick >= mo.spawn_tick:
-                    obstacle_cells[label] = mo.cell
-            self._obstacle_cells = obstacle_cells
         self.collisions += detect_collisions_ground_truth(
-            before, committed, self._obstacle_cells, tick, parked
+            before, committed, field.cells, tick, parked
         )
 
         trace = self.trace
@@ -643,6 +591,15 @@ class Simulation:
             self._park(landed)
             self._flying = [d for d in flying if not d.arrived]
         self.tick += 1
+
+    def _know(self, known: dict[str, Cell]) -> None:
+        """Take `known` (label -> cell) as the known obstacles: move the
+        counts of those that stepped, died, spawned, or entered or left
+        detection, and rebuild the blocked cells, if any changed."""
+        if known != self._known:
+            self._grid.move(self._known, known, _OBSTACLE)
+            self._known = known
+            self._blocked = set(known.values())
 
     def _detected(self, cell: Cell) -> bool:
         """Is a drone within Chebyshev detection_radius of the cell?

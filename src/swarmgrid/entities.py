@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from collections.abc import Set as AbstractSet
+from collections.abc import Callable, Sequence, Set as AbstractSet
 from dataclasses import dataclass, field
 
 from .world import Area, Cell, DIRECTIONS, manhattan
@@ -44,12 +44,6 @@ class Drone:
         self.best_dist = manhattan(self.current, self.dest)
 
 
-@dataclass(frozen=True)
-class StaticObstacle:
-    id: int
-    cell: Cell
-
-
 @dataclass
 class MovingObstacle:
     """Occupies one cell and takes one axis step every `cadence` ticks.
@@ -63,6 +57,59 @@ class MovingObstacle:
     cadence: int = 5
     spawn_tick: int = 0
     alive: bool = True
+
+
+class ObstacleField:
+    """A mission's obstacles, when they move, and where the scan sees them.
+
+    `movings` holds the moving obstacles by id. `cells` is the scan's
+    obstacle map: label -> cell of every static obstacle (`s<i>`, by its
+    index in the config) and of every moving one live and spawned
+    (`m<i>`). `due` is the calendar of obstacle steps, tick -> the ids of
+    the moving obstacles due to step on it (after the calendar queue of
+    Brown, CACM 31(10), 1988): each is filed under its spawn tick and, while
+    it lives, again one cadence after each step. A moving obstacle moves,
+    spawns or dies only on a tick of its cadence, so no other tick touches
+    one.
+    """
+
+    def __init__(self, statics: list[Cell], movings: list[tuple[Cell, int, int]]):
+        self.movings = [
+            MovingObstacle(id=i, cell=c, cadence=cad, spawn_tick=sp)
+            for i, (c, cad, sp) in enumerate(movings)
+        ]
+        self.cells: dict[str, Cell] = {f"s{i}": c for i, c in enumerate(statics)}
+        self.due: dict[int, list[int]] = {}
+        for o in self.movings:
+            self.due.setdefault(o.spawn_tick, []).append(o.id)
+        self._labels = [f"m{o.id}" for o in self.movings]
+
+    def step(
+        self, tick: int, step: Callable[..., None], rng: random.Random, area: Area,
+        occupied_drone_cells: AbstractSet[Cell], avoid_drones: bool,
+    ) -> Sequence[int]:
+        """Step the moving obstacles due on `tick`, each as `step(o, tick,
+        rng, area, occupied_drone_cells, avoid_drones)`, in id order so that
+        the draws keep their order when cadences are mixed. Each one still
+        alive is filed again one cadence on, and `cells` changes only for
+        those that stepped. Returns their ids, empty on a tick with none
+        due. The caller passes `step` as its own module's
+        `step_moving_obstacle`, where a tracer may wrap it.
+        """
+        due = self.due.pop(tick, None)
+        if due is None:
+            return ()
+        due.sort()
+        cells, labels, movings, calendar = self.cells, self._labels, self.movings, self.due
+        for i in due:
+            o = movings[i]
+            step(o, tick, rng, area, occupied_drone_cells, avoid_drones)
+            if o.alive:
+                calendar.setdefault(tick + o.cadence, []).append(i)
+                cells[labels[i]] = o.cell
+            else:
+                cells.pop(labels[i], None)
+        return due
 
 
 def record_move(d: Drone, nxt: Cell) -> None:

@@ -194,11 +194,11 @@ def _mission_events(cfg):
         sim.run_tick()
         for d, cell in zip(sim.drones, cells):
             yield DroneLocEvent(d.id, cell, now_ms), now_ms
-        for so in sim.statics:
-            if so.id not in detected_static and _near(so.cell, cells, r):
-                detected_static.add(so.id)
-                yield SObsEvent(so.id, so.cell), now_ms
-        for mo in sim.movings:
+        for i, c in enumerate(cfg.static_obstacles):
+            if i not in detected_static and _near(c, cells, r):
+                detected_static.add(i)
+                yield SObsEvent(i, c), now_ms
+        for mo in sim.field.movings:
             if mo.alive and tick >= mo.spawn_tick and _near(mo.cell, cells, r):
                 yield MObsEvent(mo.id, mo.cell, now_ms), now_ms
 

@@ -81,7 +81,7 @@ def fly_with_oracle(cfg: SimConfig, monkeypatch) -> dict:
     deciding: list = []
 
     def live_moving(tick):
-        return {mo.id: mo.cell for mo in sim.movings if mo.alive and tick >= mo.spawn_tick}
+        return {mo.id: mo.cell for mo in sim.field.movings if mo.alive and tick >= mo.spawn_tick}
 
     def known_moving(drone_cells, tick):
         return {
@@ -148,14 +148,14 @@ def fly_with_oracle(cfg: SimConfig, monkeypatch) -> dict:
         tick_ref.clear()
         drone_cells = {d.current for d in sim.drones}
         seen_static.update(
-            (so.id, so.cell) for so in sim.statics
-            if so.id not in seen_static and _near_a_drone(so.cell, drone_cells, r)
+            (i, c) for i, c in enumerate(cfg.static_obstacles)
+            if i not in seen_static and _near_a_drone(c, drone_cells, r)
         )
         tick = sim.tick
         sim.run_tick()
         known = known_moving(drone_cells, tick)
         in_margin = live_moving(tick) if r >= 2 else known
-        statics = [so.cell for so in sim.statics] if r >= 2 else list(seen_static.values())
+        statics = list(cfg.static_obstacles) if r >= 2 else list(seen_static.values())
         cells = statics + list(in_margin.values())
         want = clearance_margin(set(cells))
         drones = Counter(c for d in sim.drones for c in clearance_margin({d.current}))
@@ -168,7 +168,7 @@ def fly_with_oracle(cfg: SimConfig, monkeypatch) -> dict:
         assert {c: n for c, n in obstacle_part.items() if n} == Counter(
             c for o in cells for c in clearance_margin({o})
         ), tick
-        dead = {mo.id for mo in sim.movings if not mo.alive}
+        dead = {mo.id for mo in sim.field.movings if not mo.alive}
         seen["known_died"] += len(dead & last_known.keys())
         seen["shared_cell"] += len(set(known.values())) < len(known)
         seen["undetected_in_margin"] += len(in_margin) > len(known)

@@ -1,28 +1,29 @@
 """Oracle for the per-drone state the simulation keeps across ticks.
 
 The engine keeps the flying drones, the set of drone cells, the parked
-drones' cells, the static obstacles not yet known and the hazard-count grid
-from one tick to the next, instead of rebuilding them from every drone each
-tick. These tests fly seeded missions tick by tick and check that state
+drones' cells, the known obstacles (scan label -> cell) and the hazard-count
+grid from one tick to the next, instead of rebuilding them from every drone
+each tick. These tests fly seeded missions tick by tick and check that state
 against the drones themselves before the first tick and after every tick:
 the flying list is the drones not yet arrived in id order, the parked map
 is the arrived drones' cells to their ids, the drone-cell set is every
-drone's current cell, the kept grid equals one rebuilt from scratch (so the
-counts the next tick's decisions read are right), the statics not yet known
-are those not in `known_static`, in id order, the lock table holds each
-drone's current cell and nothing else, and the kept blocked cells are the
-known statics' cells and those of the moving obstacles known last tick. From
-`detection_radius` 2 up those are every static after the first tick and
-every live moving obstacle; below 2 they are the moving obstacles within the
-radius of a drone's cell at the start of the tick, and no static still
-unknown is within it.
+drone's current cell, the kept grid equals one rebuilt from scratch from
+the drones and the known obstacles (so the counts the next tick's decisions
+read are right), the lock table holds each drone's current cell and nothing
+else, and the kept blocked cells are the known obstacles' cells. From
+`detection_radius` 2 up the known obstacles are every static and every live
+moving obstacle, before the first tick too; below 2 they are the statics a
+drone's cell at the start of some tick so far was within the radius of, and
+the moving obstacles within the radius of a drone's cell at the start of
+the last tick.
 
-The engine also keeps a calendar of obstacle steps and the scan's obstacle
-map. After every tick each live moving obstacle sits in the calendar exactly
-once, under the next tick on its cadence (the first tick from now on `t`
-with `t >= spawn_tick` and `(t - spawn_tick) % cadence == 0`), and no dead
-obstacle sits there; the kept obstacle map equals one rebuilt from every
-static and every moving obstacle live and spawned at the last tick.
+The obstacle field keeps a calendar of obstacle steps and the scan's
+obstacle map. After every tick each live moving obstacle sits in the
+calendar exactly once, under the next tick on its cadence (the first tick
+from now on `t` with `t >= spawn_tick` and `(t - spawn_tick) % cadence ==
+0`), and no dead obstacle sits there; the kept obstacle map equals one
+rebuilt from every static in the config and every moving obstacle live and
+spawned at the last tick.
 
 The drone's mode is read from its backtrack counters, so after every tick
 each drone's counters stay in the range the backtrack exit keeps them in,
@@ -47,17 +48,13 @@ DENSE = ExperimentSpec(0, (6, 6, 6), 30, 5, 5)
 def rebuilt_grid(sim: Simulation) -> list[int]:
     """The hazard grid from scratch: over the area padded by one cell on each
     side, at flat index (x+1)(Y+2)(Z+2) + (y+1)(Z+2) + (z+1), each cell
-    counts 2 per known static and per moving obstacle in the margin, and 1
-    per drone, whose cell is within Chebyshev 1 of it."""
+    counts 2 per known obstacle and 1 per drone whose cell is within
+    Chebyshev 1 of it."""
     dim_x, dim_y, dim_z = sim.cfg.dims
     sy = dim_z + 2
     sx = (dim_y + 2) * sy
     counts = [0] * ((dim_x + 2) * sx)
-    weighted = (
-        [(c, 2) for c in sim.known_static.values()]
-        + [(c, 2) for c in sim._moving_in_margin.values()]
-        + [(d.current, 1) for d in sim.drones]
-    )
+    weighted = [(c, 2) for c in sim._known.values()] + [(d.current, 1) for d in sim.drones]
     for (x, y, z), weight in weighted:
         for dx, dy, dz in product((-1, 0, 1), repeat=3):
             counts[(x + dx + 1) * sx + (y + dy + 1) * sy + z + dz + 1] += weight
@@ -76,9 +73,11 @@ def next_step_tick(mo, tick: int) -> int:
     return tick + -(tick - mo.spawn_tick) % mo.cadence
 
 
-def check_kept_state(sim: Simulation, start_cells=None) -> None:
+def check_kept_state(sim: Simulation, start_cells=None, detected=None) -> None:
     """Check the kept state after a tick whose drones started on
-    `start_cells`, or before the first tick when that is None."""
+    `start_cells`, or before the first tick when that is None. `detected`
+    holds the labels of the statics a drone has detected so far, below
+    radius 2."""
     arrived = [d for d in sim.drones if d.arrived]
     bt = sim.cfg.backtrack
     for d in sim.drones:
@@ -92,35 +91,31 @@ def check_kept_state(sim: Simulation, start_cells=None) -> None:
     # conflict test relies on it to keep drones out of each other's cells.
     assert sim.locks._holders == {d.current: d.id for d in sim.drones}
     assert list(sim._grid.counts) == rebuilt_grid(sim)
-    assert [so.id for so in sim._undetected] == [
-        so.id for so in sim.statics if so.id not in sim.known_static
-    ]
-    assert sim._blocked == {*sim.known_static.values(), *sim._moving_in_margin.values()}
-    filed = [(t, i) for t, ids in sim._due.items() for i in ids]
+    assert sim._blocked == set(sim._known.values())
+    field = sim.field
+    filed = [(t, i) for t, ids in field.due.items() for i in ids]
     assert sorted(filed) == sorted(
-        (next_step_tick(mo, sim.tick), mo.id) for mo in sim.movings if mo.alive
+        (next_step_tick(mo, sim.tick), mo.id) for mo in field.movings if mo.alive
     )
-    assert sim._obstacle_cells == {
-        **{f"s{so.id}": so.cell for so in sim.statics},
-        **{
-            f"m{mo.id}": mo.cell for mo in sim.movings
-            if mo.alive and sim.tick - 1 >= mo.spawn_tick
-        },
+    statics = {f"s{i}": c for i, c in enumerate(sim.cfg.static_obstacles)}
+    live = {
+        f"m{mo.id}": mo.cell for mo in field.movings
+        if mo.alive and sim.tick - 1 >= mo.spawn_tick
     }
-    # From radius 2 up the decisions take every static obstacle as known
-    # from the first tick on, and every live moving obstacle. The obstacles
-    # have not moved since the last tick's phase 1.
+    assert field.cells == {**statics, **live}
+    # From radius 2 up the decisions take every static obstacle and every
+    # live moving obstacle as known. The obstacles have not moved since the
+    # last tick's phase 1.
     r = sim.cfg.detection_radius
-    live = {mo.id: mo.cell for mo in sim.movings if mo.alive and sim.tick - 1 >= mo.spawn_tick}
     if r >= 2:
-        if sim.tick:
-            assert sim.known_static == {so.id: so.cell for so in sim.statics}
-        assert sim._moving_in_margin == live
-    elif start_cells is not None:
-        assert sim._moving_in_margin == {
-            i: cell for i, cell in live.items() if _near(cell, start_cells, r)
+        assert sim._known == {**statics, **live}
+    elif start_cells is None:
+        assert sim._known == {}
+    else:
+        assert sim._known == {
+            **{label: statics[label] for label in detected},
+            **{label: cell for label, cell in live.items() if _near(cell, start_cells, r)},
         }
-        assert not any(_near(so.cell, start_cells, r) for so in sim._undetected)
 
 
 def fly_with_oracle(cfg: SimConfig) -> int:
@@ -129,12 +124,18 @@ def fly_with_oracle(cfg: SimConfig) -> int:
     sim = Simulation(cfg)
     parked_ticks = 0
     check_kept_state(sim)
+    detected: set = set()
     max_ticks = cfg.effective_max_ticks()
     while not sim.all_arrived() and sim.tick < max_ticks:
         parked_ticks += bool(sim._parked)
         start_cells = [d.current for d in sim.drones]
+        if cfg.detection_radius < 2:
+            detected.update(
+                f"s{i}" for i, c in enumerate(cfg.static_obstacles)
+                if _near(c, start_cells, cfg.detection_radius)
+            )
         sim.run_tick()
-        check_kept_state(sim, start_cells)
+        check_kept_state(sim, start_cells, detected)
     assert sim.all_arrived() == all(d.arrived for d in sim.drones)
     return parked_ticks
 
