@@ -54,14 +54,19 @@ collisions and ticks; at the first difference the script prints one
 `error:` line and exits 1. It prints one JSON line: each round's total
 time ratio B/A over all plans and flights, their median, and per fleet the
 ratio B/A of each round. The open-loop flights are also timed apart from
-the planning, since they are only 2-5% of a fleet's time: each round's
-flight ratio B/A over all fleets, their median, each side's flight ms per
-tick over all rounds (each `execute_open_loop` call timed whole, set-up
-included), and per fleet the flight ratio B/A of each round. On a shared
-2-core VM its A/A round totals read 0.99-1.02 and their medians
-0.998-1.012, in both load orders; single fleets spread about 5%. The A/A
-flight medians read 1.015 and 1.049 over 4 rounds, and single flights
-spread 10-30%.
+the planning, since they are only 2-5% of a fleet's time, and tick by
+tick, as `swarmbench/run.py` times `baselines`' `tick_ms`: a tick runs
+from the flight's start, or the previous collision scan's return, to its
+own scan's return. The script wraps each side's
+`baselines.detect_collisions_ground_truth` to stamp those returns. It
+reports each round's flight ratio B/A over all fleets (the sums of their
+ticks) and their median, each side's flight-tick p50 and tail in ms over
+all rounds (the tail is the highest tick with ten beyond it, as run.py
+takes it), the median and quartiles of the per-tick ratio B/A, each tick
+against the same tick of the same fleet on the other side, and per fleet
+the flight ratio B/A of each round. On a shared 2-core VM its A/A round
+totals read 0.99-1.02 and their medians 0.998-1.012, in both load orders;
+single fleets spread about 5%.
 """
 
 from __future__ import annotations
@@ -197,10 +202,14 @@ def fly(pair: list, first: int, ratios: dict[str, list[float]]) -> tuple[int, li
 
 def plan_fleet(
     packages: list, op, cadence: int, spawn: int, rnd: int
-) -> tuple[list[float], list[float], int]:
+) -> tuple[list[float], list[list[float]]]:
     """Plan one baselines fleet on both sides drone by drone, then fly it
-    open loop on each; returns each side's seconds planning and flying,
-    and the ticks flown (no flight when the planning failed)."""
+    open loop on each; returns each side's seconds planning and the
+    seconds of each of its flight's ticks (none when the planning failed).
+    A flight tick is timed as `swarmbench/run.py`'s `TickClock` times it:
+    from the flight's start, or the previous scan's return, to its scan's
+    return, through a wrapper of that side's
+    `baselines.detect_collisions_ground_truth`."""
     s = op.scenario
     cfgs = [config(pkg.engine, s, cadence, spawn) for pkg in packages]
     areas = [cfg.area() for cfg in cfgs]
@@ -227,17 +236,37 @@ def plan_fleet(
             sys.exit(f"error: {op.kind} {s.label} drone {j}: the generator states differ")
         if isinstance(route, str):
             # Both sides failed alike: run.py counts the fleet failed and flies nothing.
-            return spent, [0.0, 0.0], 0
+            return spent, [[], []]
     flown: list = [None, None]
-    flight = [0.0, 0.0]
+    ticks: list[list[float]] = [[], []]
     for k in (rnd % 2, 1 - rnd % 2):
-        begin = clock()
-        result = packages[k].baselines.execute_open_loop(dict(enumerate(routes[k])), cfgs[k])
-        flight[k] = clock() - begin
+        bl = packages[k].baselines
+        scan = bl.detect_collisions_ground_truth
+        stamps: list[float] = []
+
+        def stamped(*args, scan=scan, stamps=stamps):
+            found = scan(*args)
+            stamps.append(clock())
+            return found
+
+        bl.detect_collisions_ground_truth = stamped
+        try:
+            begin = clock()
+            result = bl.execute_open_loop(dict(enumerate(routes[k])), cfgs[k])
+        finally:
+            bl.detect_collisions_ground_truth = scan
+        edges = [begin] + stamps
+        ticks[k] = [b - a for a, b in zip(edges, edges[1:])]
         flown[k] = (result.ticks, [(c.tick, c.kind, c.ids, c.cell) for c in result.collisions])
     if flown[0] != flown[1]:
         sys.exit(f"error: {op.kind} {s.label}: the open-loop collisions or ticks differ")
-    return spent, flight, result.ticks
+    return spent, ticks
+
+
+def tail(xs: list[float]) -> float:
+    """The highest value with at least ten values beyond it, as
+    `swarmbench/run.py` takes `tick_ms.tail`."""
+    return sorted(xs)[max(len(xs) - 11, 0)]
 
 
 def baselines_main(args, packages: list, scenarios: list) -> None:
@@ -247,28 +276,30 @@ def baselines_main(args, packages: list, scenarios: list) -> None:
     fleet_flight_ratios: dict[str, list[float]] = {name: [] for name in names}
     round_ratios = []
     round_flight_ratios = []
-    flight_totals = [0.0, 0.0]
-    ticks = 0
+    tick_ms: list[list[float]] = [[], []]
     for rnd in range(args.rounds):
         gc.freeze()
         round_total = [0.0, 0.0]
         round_flight = [0.0, 0.0]
         for name, (op, cadence, spawn) in zip(names, scenarios):
-            plan, flight, flown = plan_fleet(packages, op, cadence, spawn, rnd)
+            plan, ticks = plan_fleet(packages, op, cadence, spawn, rnd)
+            flight = [sum(ticks[0]), sum(ticks[1])]
             fleet_ratios[name].append(round((plan[1] + flight[1]) / (plan[0] + flight[0]), 4))
-            if flown:
+            if ticks[0]:
                 fleet_flight_ratios[name].append(round(flight[1] / flight[0], 4))
             for k in (0, 1):
                 round_total[k] += plan[k] + flight[k]
                 round_flight[k] += flight[k]
-            ticks += flown
+                tick_ms[k] += [t * 1000 for t in ticks[k]]
         round_ratios.append(round(round_total[1] / round_total[0], 4))
         if round_flight[0]:
             round_flight_ratios.append(round(round_flight[1] / round_flight[0], 4))
-        flight_totals[0] += round_flight[0]
-        flight_totals[1] += round_flight[1]
         gc.unfreeze()
         gc.collect()
+    ticks_of = [
+        {"n": len(ms), "p50": round(statistics.median(ms), 5), "tail": round(tail(ms), 5)}
+        if ms else {"n": 0} for ms in tick_ms
+    ]
     print(json.dumps({
         "a": args.src_a, "b": args.src_b, "workload": args.workload,
         "fleets": len(scenarios), "rounds": args.rounds,
@@ -276,8 +307,9 @@ def baselines_main(args, packages: list, scenarios: list) -> None:
         "total_ratio_median": statistics.median(round_ratios),
         "flight_ratio_b_over_a": round_flight_ratios,
         "flight_ratio_median": statistics.median(round_flight_ratios) if round_flight_ratios else None,
-        "a_flight_ms_per_tick": round(flight_totals[0] * 1000 / max(ticks, 1), 4),
-        "b_flight_ms_per_tick": round(flight_totals[1] * 1000 / max(ticks, 1), 4),
+        "a_flight_tick_ms": ticks_of[0],
+        "b_flight_tick_ms": ticks_of[1],
+        "per_tick_flight_ratio_b_over_a": quartiles([b / a for a, b in zip(*tick_ms)]),
         "per_fleet_ratio_b_over_a": fleet_ratios,
         "per_fleet_flight_ratio_b_over_a": fleet_flight_ratios,
     }))

@@ -581,7 +581,7 @@ def execute_open_loop(routes: dict[int, list[Cell]], cfg: SimConfig) -> SimResul
         if stuck:
             positions.update(stuck)
         collisions += detect_collisions_ground_truth(
-            before, positions, field.cells, tick, parked
+            before, positions, field.at, tick, parked
         )
     return SimResult(
         routes={i: list(r) for i, r in routes.items()},

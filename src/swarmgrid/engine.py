@@ -46,19 +46,21 @@ an array, so the 18 count updates of a drone's step cost about 1.3 µs on a
 list against 2.0-2.4 µs on an array (timeit, CPython 3.11.7 on a 2-core
 VM). The decisions' blocked cells are one
 set, rebuilt only on a tick where a known obstacle changed. The scan costs
-O(flying drones + obstacles) per tick plus sorting the records it finds.
+one pass over the flying drones plus set intersections with the parked
+drones' and the obstacles' cells, and builds drone lists only for cells
+holding more than one drone (see `detect_collisions_ground_truth`).
 
 The obstacles are one `entities.ObstacleField`, which the open-loop flight
 of the planned baselines uses too. It keeps a calendar of obstacle steps,
-tick -> the ids of the moving obstacles due to step on it, and the scan's
-obstacle map, scan label -> cell, which it changes only for the obstacles
-that step. Phase 1 steps only the due obstacles, in id order so that the
-draws keep their order when cadences are mixed. On a tick with no obstacle
-due, phase 2 from radius 2 up keeps its known map without looking at it
-(below radius 2 the known moving obstacles depend on where the drones are,
-so it rebuilds the map every tick), and the scan reads the field's map as
-it stands. So on a common cadence of 5, four ticks in five pay nothing per
-obstacle.
+tick -> the ids of the moving obstacles due to step on it, and the
+obstacle map both ways: scan label -> cell, and cell -> labels for the
+scan. It changes both only for the obstacles that step. Phase 1 steps only
+the due obstacles, in id order so that the draws keep their order when
+cadences are mixed. On a tick with no obstacle due, phase 2 from radius 2
+up keeps its known map without looking at it (below radius 2 the known
+moving obstacles depend on where the drones are, so it rebuilds the map
+every tick), and the scan reads the field's map as it stands. So on a
+common cadence of 5, four ticks in five pay nothing per obstacle.
 
 A drone that has arrived parks on its destination for good. The flying
 drones, the drone cells (as a set and in the grid) and the parked drones'
@@ -96,6 +98,7 @@ from .world import (
     Area,
     Cell,
     SafetyParams,
+    _choice,
     is_finite_number,
     is_int,
     neighbors,
@@ -231,19 +234,6 @@ def _in_hazard_margin(counts: list[int], i: int) -> bool:
     return counts[i] >= 2
 
 
-def _choice(rng: random.Random, xs: list):
-    """Pick an element of the non-empty list xs exactly as CPython's
-    rng.choice(xs) does: draw j below len(xs) with getrandbits of its bit
-    length until the value is below it. So the element and the generator's
-    state match rng.choice's, without its two nested method calls."""
-    n = len(xs)
-    k = n.bit_length()
-    j = rng.getrandbits(k)
-    while j >= n:
-        j = rng.getrandbits(k)
-    return xs[j]
-
-
 def _shuffle(rng: random.Random, xs: list) -> None:
     """Shuffle xs in place exactly as CPython's rng.shuffle(xs) does.
 
@@ -369,57 +359,76 @@ TraceFn = Callable[[str], None]
 def detect_collisions_ground_truth(
     before: dict[int, Cell],
     after: dict[int, Cell],
-    obstacle_cells: dict,
+    obstacles_at: dict[Cell, tuple[str, ...]],
     tick: int,
     parked: dict[Cell, int],
 ) -> list[CollisionRecord]:
     """Independent collision scan: co-location, obstacle overlap, edge swap.
 
     `before` and `after` hold the cells of the drones that may move this
-    tick; `parked` maps the cell of each drone that stays put to its id.
-    The records are those of one scan over all the drones, with every
-    parked drone in `before` and `after` at its cell.
+    tick; `parked` maps the cell of each drone that stays put to its id;
+    `obstacles_at` maps each obstacle cell to the obstacle labels on it
+    (`ObstacleField.at`). The records are those of one scan over all the
+    drones, with every parked drone in `before` and `after` at its cell.
 
     Deliberately shares no code with the decision layer's conflict model
     (`cell_is_safe` and the lock table), so the collision count measures
     the navigation layer rather than its own assumptions.
-    Every check goes through a cell-keyed map, so a tick costs
-    O(moving drones + obstacles) plus the sorting of the records found.
-    Records come out as co-locations by cell, obstacle hits by drone id then
-    `str(obstacle id)`, and swaps by `(a, b)` with `a < b`.
+
+    A tick costs one pass over the drones that may move, set intersections
+    of their cells and the parked cells with the obstacle cells, done in C
+    over the smaller side of each, and work per record found, plus sorting
+    the records. It maps each flying drone's cell to its id; a cell that
+    two flying drones share keeps the later. Only a crowded cell, one that
+    holds more than one drone, flying or parked, gets a list of its drones.
+    A swap needs a drone on the cell a moved drone left, so each moved
+    drone probes the flying drones' map once. Records come out as
+    co-locations by cell, obstacle hits by drone id then label, and swaps
+    by `(a, b)` with `a < b`.
     """
-    by_cell: dict[Cell, list[int]] = {}
-    for drone_id, cell in after.items():
-        by_cell.setdefault(cell, []).append(drone_id)
-    shared = by_cell.keys() & parked.keys()
-    for cell in shared:
-        by_cell[cell].append(parked[cell])
-    records = [] if len(by_cell) == len(after) and not shared else [
-        CollisionRecord(tick, "colocation", tuple(sorted(by_cell[cell])), cell)
-        for cell in sorted(c for c, ids in by_cell.items() if len(ids) >= 2)
+    at = {cell: i for i, cell in after.items()}
+    crowded: dict[Cell, list[int]] = {}
+    # The map is shorter than `after` only when flying drones share a cell.
+    if len(at) < len(after):
+        for i, cell in after.items():
+            last = at[cell]
+            if last != i:
+                ids = crowded.get(cell)
+                if ids is None:
+                    crowded[cell] = [i, last]
+                else:
+                    ids.append(i)
+    for cell in parked.keys() & at.keys():
+        ids = crowded.get(cell)
+        if ids is None:
+            crowded[cell] = [at[cell], parked[cell]]
+        else:
+            ids.append(parked[cell])
+    records = [
+        CollisionRecord(tick, "colocation", tuple(sorted(crowded[cell])), cell)
+        for cell in sorted(crowded)
     ]
-    # A cell outside by_cell holds at most its parked drone.
     hits = [
-        (drone_id, obs_id, cell)
-        for obs_id, cell in obstacle_cells.items()
-        if cell in by_cell or cell in parked
-        for drone_id in by_cell.get(cell) or (parked[cell],)
+        (drone_id, label, cell)
+        for cell in (obstacles_at.keys() & at.keys()) | (obstacles_at.keys() & parked.keys())
+        for drone_id in crowded.get(cell) or (at[cell] if cell in at else parked[cell],)
+        for label in obstacles_at[cell]
     ]
-    hits.sort(key=lambda hit: (hit[0], str(hit[1])))
+    # Labels are unique, so the tuples order by drone id, then label.
+    hits.sort()
     records += [
-        CollisionRecord(tick, "obstacle", (drone_id, obs_id), cell)
-        for drone_id, obs_id, cell in hits
+        CollisionRecord(tick, "obstacle", (drone_id, label), cell)
+        for drone_id, label, cell in hits
     ]
-    # Only drones that moved can swap: a's old cell is b's new one and back.
-    moved = [i for i, cell in after.items() if before[i] != cell]
-    left: dict[Cell, list[int]] = {}
-    for i in moved:
-        left.setdefault(before[i], []).append(i)
+    # a and b swap when b holds the cell a left and a holds the one b left.
+    # A b that is parked has no `before` entry; one that stayed on the cell
+    # a left has it as its `before`, not a's new cell.
     swaps = sorted(
         (a, b)
-        for b in moved
-        for a in left.get(after[b], ())
-        if a < b and after[a] == before[b]
+        for a, cell in after.items()
+        if (left := before[a]) != cell and left in at
+        for b in crowded.get(left) or (at[left],)
+        if a < b and before.get(b) == cell
     )
     records += [CollisionRecord(tick, "swap", pair, after[pair[0]]) for pair in swaps]
     return records
@@ -571,7 +580,7 @@ class Simulation:
 
         # Phase 5: ground-truth collision scan, independent of the decisions.
         self.collisions += detect_collisions_ground_truth(
-            before, committed, field.cells, tick, parked
+            before, committed, field.at, tick, parked
         )
 
         trace = self.trace

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, fields
 
 Cell = tuple[int, int, int]
@@ -115,6 +116,20 @@ def neighbors(area: Area, c: Cell) -> list[Cell]:
     if z + 1 < dim_z:
         out.append((x, y, z + 1))
     return out
+
+
+def _choice(rng: random.Random, xs):
+    """Pick an element of the non-empty sequence xs exactly as CPython's
+    rng.choice(xs) does: draw j below len(xs) with getrandbits of its bit
+    length until the value is below it. So the element and the generator's
+    state match rng.choice's, without its two nested method calls. The
+    decisions and the obstacle steps both draw through it."""
+    n = len(xs)
+    k = n.bit_length()
+    j = rng.getrandbits(k)
+    while j >= n:
+        j = rng.getrandbits(k)
+    return xs[j]
 
 
 def manhattan(a: Cell, b: Cell) -> int:

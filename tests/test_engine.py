@@ -275,7 +275,7 @@ class TestGroundTruthScan:
         before = {1: (0, 0, 0)}
         after = {1: (1, 0, 0)}
         recs = detect_collisions_ground_truth(
-            before, after, {"s0": (1, 0, 0)}, 2, {}
+            before, after, {(1, 0, 0): ("s0",)}, 2, {}
         )
         assert [r.kind for r in recs] == ["obstacle"]
         assert recs[0].ids == (1, "s0")

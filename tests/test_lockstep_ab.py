@@ -2,6 +2,8 @@
 
 One round of the `congested` workload, a tree against itself, flies each
 mission on both sides with a trace on and compares their lines every tick.
+One round of `baselines` plans each fleet on both sides, flies it open
+loop and times the flights tick by tick.
 """
 
 import json
@@ -12,15 +14,20 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_lockstep_congested_round_runs_and_reports():
+def lockstep_round(workload: str) -> dict:
+    """One round of the workload, this tree against itself; its report."""
     src = str(ROOT / "src")
     done = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "lockstep_ab.py"), src, src,
-         "--workload", "congested", "--rounds", "1"],
+         "--workload", workload, "--rounds", "1"],
         capture_output=True, text=True, timeout=120, check=False,
     )
     assert done.returncode == 0, done.stderr
-    report = json.loads(done.stdout.splitlines()[-1])
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_lockstep_congested_round_runs_and_reports():
+    report = lockstep_round("congested")
     assert {
         "a", "b", "workload", "missions", "ticks", "rounds", "a_ms_per_tick", "b_ms_per_tick",
         "total_ratio_b_over_a", "total_ratio_median", "per_mission_ratio_b_over_a",
@@ -29,3 +36,15 @@ def test_lockstep_congested_round_runs_and_reports():
     assert report["workload"] == "congested" and report["rounds"] == 1
     assert report["missions"] == 6 and report["ticks"] > 0
     assert set(report["per_tick_ratio_b_over_a"]) == {"all", "over_half", "5pct_to_half", "under_5pct"}
+
+
+def test_lockstep_baselines_round_times_flight_ticks():
+    report = lockstep_round("baselines")
+    assert report["workload"] == "baselines" and report["rounds"] == 1
+    assert report["fleets"] == 7
+    a, b = report["a_flight_tick_ms"], report["b_flight_tick_ms"]
+    # Both sides fly the same fleets, so they time the same ticks.
+    assert a["n"] == b["n"] == report["per_tick_flight_ratio_b_over_a"]["n"] > 0
+    assert 0 < a["p50"] <= a["tail"] and 0 < b["p50"] <= b["tail"]
+    assert len(report["flight_ratio_b_over_a"]) == 1
+    assert all(len(r) == 1 for r in report["per_fleet_flight_ratio_b_over_a"].values())

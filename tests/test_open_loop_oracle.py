@@ -4,7 +4,8 @@
 only the drones whose route has not ended, with the others as parked. Its
 collisions, its ticks and its generator's final state must equal those of
 the old loop, which stepped every obstacle and scanned every drone on every
-tick.
+tick. The old loop built the obstacles as label -> cell; it turns them
+around into the cell -> labels map the scan now takes.
 """
 
 import random
@@ -17,6 +18,8 @@ from swarmgrid import baselines
 from swarmgrid.baselines import execute_open_loop
 from swarmgrid.engine import CollisionRecord, SimConfig, SimResult, detect_collisions_ground_truth
 from swarmgrid.entities import MovingObstacle, step_moving_obstacle
+from test_scan_oracle import obstacles_at
+from test_tick_state_oracle import assert_labels_at_cells
 
 
 def old_execute_open_loop(routes, cfg):
@@ -46,7 +49,7 @@ def old_execute_open_loop(routes, cfg):
             if o.alive and tick >= o.spawn_tick:
                 obstacle_cells[f"m{o.id}"] = o.cell
         collisions += detect_collisions_ground_truth(
-            before, positions, obstacle_cells, tick, {}
+            before, positions, obstacles_at(obstacle_cells), tick, {}
         )
     result = SimResult(
         routes={i: list(r) for i, r in routes.items()},
@@ -61,16 +64,32 @@ def old_execute_open_loop(routes, cfg):
 
 def flown(routes, cfg):
     """execute_open_loop's result, and the generator its obstacles stepped
-    with (a fresh one of the seed when none stepped)."""
+    with (a fresh one of the seed when none stepped). Every tick's scan must
+    get the field's cell -> labels map, equal to its label -> cell map
+    turned around."""
     rngs = []
-    step = baselines.step_moving_obstacle
+    fields = []
+    step, scan = baselines.step_moving_obstacle, baselines.detect_collisions_ground_truth
 
     def stepping(o, tick, rng, *args, **kwargs):
         rngs.append(rng)
         return step(o, tick, rng, *args, **kwargs)
 
+    class Field(baselines.ObstacleField):
+        def __init__(self, *args):
+            super().__init__(*args)
+            fields.append(self)
+
+    def scanning(before, after, obstacles_at, tick, parked):
+        (field,) = fields
+        assert obstacles_at is field.at
+        assert_labels_at_cells(field)
+        return scan(before, after, obstacles_at, tick, parked)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(baselines, "step_moving_obstacle", stepping)
+        mp.setattr(baselines, "ObstacleField", Field)
+        mp.setattr(baselines, "detect_collisions_ground_truth", scanning)
         result = execute_open_loop(routes, cfg)
     return result, rngs[-1] if rngs else random.Random(cfg.seed)
 

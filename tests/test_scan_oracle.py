@@ -1,8 +1,9 @@
 """Cell-indexed scan and obstacle detection against the pairwise checks they replaced.
 
 The engine passes parked drones to the scan as a cell -> id map, outside
-`before` and `after`; its records must equal the pairwise scan over every
-drone.
+`before` and `after`, and the obstacles as a cell -> labels map; its
+records must equal the pairwise scan over every drone, which takes the
+obstacles as label -> cell.
 """
 
 from hypothesis import given, settings
@@ -16,6 +17,19 @@ from swarmgrid.engine import (
 )
 
 OBSTACLE_IDS = ("s2", "s10", "m1", "s1", "m10")
+
+
+def obstacles_at(obstacle_cells):
+    """The scan's obstacle map, cell -> labels, of a label -> cell map."""
+    at = {}
+    for label, cell in obstacle_cells.items():
+        at[cell] = at.get(cell, ()) + (label,)
+    return at
+
+
+def scan(before, after, obstacle_cells, tick, parked):
+    """The engine's scan, given the obstacles as label -> cell."""
+    return detect_collisions_ground_truth(before, after, obstacles_at(obstacle_cells), tick, parked)
 
 
 def pairwise_scan(before, after, obstacle_cells, tick):
@@ -73,14 +87,14 @@ def ticks(draw):
 @settings(max_examples=400, deadline=None)
 @given(ticks())
 def test_scan_matches_pairwise_oracle(tick_input):
-    assert detect_collisions_ground_truth(*tick_input, {}) == pairwise_scan(*tick_input)
+    assert scan(*tick_input, {}) == pairwise_scan(*tick_input)
 
 
 def test_record_order_on_a_busy_tick():
     before = {4: (0, 0, 0), 1: (1, 0, 0), 7: (2, 2, 2), 3: (2, 2, 2), 9: (0, 1, 0)}
     after = {4: (1, 0, 0), 1: (0, 0, 0), 7: (2, 2, 1), 3: (2, 2, 1), 9: (0, 1, 0)}
     obstacles = {"s2": (0, 1, 0), "m1": (2, 2, 1), "s10": (0, 1, 0)}
-    recs = detect_collisions_ground_truth(before, after, obstacles, 6, {})
+    recs = scan(before, after, obstacles, 6, {})
     assert recs == pairwise_scan(before, after, obstacles, 6)
     assert [(r.kind, r.ids) for r in recs] == [
         ("colocation", (3, 7)),
@@ -112,7 +126,7 @@ def split_ticks(draw):
 @given(split_ticks())
 def test_scan_with_parked_drones_matches_pairwise_oracle(split):
     *scan_input, whole = split
-    assert detect_collisions_ground_truth(*scan_input) == pairwise_scan(*whole)
+    assert scan(*scan_input) == pairwise_scan(*whole)
 
 
 def test_obstacle_on_a_parked_drone_alone_in_its_cell():
@@ -122,7 +136,7 @@ def test_obstacle_on_a_parked_drone_alone_in_its_cell():
     after = {1: (0, 0, 1), 3: (2, 2, 2)}
     parked = {(1, 1, 1): 5, (2, 1, 1): 0}
     obstacles = {"m4": (1, 1, 1), "s0": (0, 2, 0)}
-    recs = detect_collisions_ground_truth(before, after, obstacles, 9, parked)
+    recs = scan(before, after, obstacles, 9, parked)
     assert recs == [CollisionRecord(9, "obstacle", (5, "m4"), (1, 1, 1))]
     everyone = ({**before, 5: (1, 1, 1), 0: (2, 1, 1)}, {**after, 5: (1, 1, 1), 0: (2, 1, 1)})
     assert recs == pairwise_scan(*everyone, obstacles, 9)
@@ -133,7 +147,7 @@ def test_flying_drone_moving_onto_a_parked_drone():
     after = {2: (1, 1, 1), 7: (1, 0, 0)}
     parked = {(1, 1, 1): 5, (0, 0, 0): 1}
     obstacles = {"m0": (1, 1, 1)}
-    recs = detect_collisions_ground_truth(before, after, obstacles, 4, parked)
+    recs = scan(before, after, obstacles, 4, parked)
     assert [(r.kind, r.ids, r.cell) for r in recs] == [
         ("colocation", (2, 5), (1, 1, 1)),
         ("obstacle", (2, "m0"), (1, 1, 1)),
@@ -141,6 +155,27 @@ def test_flying_drone_moving_onto_a_parked_drone():
     ]
     everyone = ({**before, 5: (1, 1, 1), 1: (0, 0, 0)}, {**after, 5: (1, 1, 1), 1: (0, 0, 0)})
     assert recs == pairwise_scan(*everyone, obstacles, 4)
+
+
+def test_stacked_obstacles_on_a_crowded_and_a_parked_cell():
+    """A static and a moving obstacle share the cell two flying drones end
+    on, and a third obstacle sits on a parked drone's cell."""
+    before = {6: (0, 0, 1), 2: (1, 0, 0), 8: (2, 2, 2)}
+    after = {6: (0, 0, 0), 2: (0, 0, 0), 8: (2, 2, 1)}
+    parked = {(1, 1, 1): 4}
+    at = {(0, 0, 0): ("s12", "m3"), (1, 1, 1): ("s1",), (2, 0, 0): ("m0",)}
+    recs = detect_collisions_ground_truth(before, after, at, 7, parked)
+    assert [(r.kind, r.ids, r.cell) for r in recs] == [
+        ("colocation", (2, 6), (0, 0, 0)),
+        ("obstacle", (2, "m3"), (0, 0, 0)),
+        ("obstacle", (2, "s12"), (0, 0, 0)),
+        ("obstacle", (4, "s1"), (1, 1, 1)),
+        ("obstacle", (6, "m3"), (0, 0, 0)),
+        ("obstacle", (6, "s12"), (0, 0, 0)),
+    ]
+    obstacles = {label: cell for cell, labels in at.items() for label in labels}
+    everyone = ({**before, 4: (1, 1, 1)}, {**after, 4: (1, 1, 1)})
+    assert recs == pairwise_scan(*everyone, obstacles, 7)
 
 
 def chebyshev(a, b):

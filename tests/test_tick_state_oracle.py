@@ -17,13 +17,14 @@ drone's cell at the start of some tick so far was within the radius of, and
 the moving obstacles within the radius of a drone's cell at the start of
 the last tick.
 
-The obstacle field keeps a calendar of obstacle steps and the scan's
-obstacle map. After every tick each live moving obstacle sits in the
-calendar exactly once, under the next tick on its cadence (the first tick
-from now on `t` with `t >= spawn_tick` and `(t - spawn_tick) % cadence ==
-0`), and no dead obstacle sits there; the kept obstacle map equals one
-rebuilt from every static in the config and every moving obstacle live and
-spawned at the last tick.
+The obstacle field keeps a calendar of obstacle steps and the obstacle map
+both ways. After every tick each live moving obstacle sits in the calendar
+exactly once, under the next tick on its cadence (the first tick from now
+on `t` with `t >= spawn_tick` and `(t - spawn_tick) % cadence == 0`), and
+no dead obstacle sits there; the kept obstacle map equals one rebuilt from
+every static in the config and every moving obstacle live and spawned at
+the last tick, and the scan's cell -> labels map equals the one rebuilt
+from it.
 
 The drone's mode is read from its backtrack counters, so after every tick
 each drone's counters stay in the range the backtrack exit keeps them in,
@@ -73,6 +74,17 @@ def next_step_tick(mo, tick: int) -> int:
     return tick + -(tick - mo.spawn_tick) % mo.cadence
 
 
+def assert_labels_at_cells(field) -> None:
+    """The field's cell -> labels map is its label -> cell map turned
+    around, with no empty or repeated entries (the labels in any order)."""
+    rebuilt: dict = {}
+    for label, cell in field.cells.items():
+        rebuilt.setdefault(cell, []).append(label)
+    assert {cell: sorted(labels) for cell, labels in field.at.items()} == {
+        cell: sorted(labels) for cell, labels in rebuilt.items()
+    }
+
+
 def check_kept_state(sim: Simulation, start_cells=None, detected=None) -> None:
     """Check the kept state after a tick whose drones started on
     `start_cells`, or before the first tick when that is None. `detected`
@@ -103,6 +115,7 @@ def check_kept_state(sim: Simulation, start_cells=None, detected=None) -> None:
         if mo.alive and sim.tick - 1 >= mo.spawn_tick
     }
     assert field.cells == {**statics, **live}
+    assert_labels_at_cells(field)
     # From radius 2 up the decisions take every static obstacle and every
     # live moving obstacle as known. The obstacles have not moved since the
     # last tick's phase 1.
