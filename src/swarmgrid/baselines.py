@@ -64,6 +64,12 @@ def _sample(
             return c
 
 
+# The planners take areas of up to PLAN_DIM_MAX cells per axis, and a tree
+# of larger dims raises ValueError. That bounds both structures below: the
+# probe list has at most 615,696 slots (4.9 MB) and the distance table at
+# most 127^3 entries, both reached at 64^3, and the farthest distance in the
+# area is at most 189, so int16 always holds it.
+PLAN_DIM_MAX = 64
 # The index keys a cell (x, y, z) as (x * radix + y) * radix + z, with the
 # radix derived from the area: its largest dimension plus _REACH. Probing a
 # cell at an offset is then one addition of the offset's key. Two cells whose
@@ -72,20 +78,14 @@ def _sample(
 # _REACH beyond it. Queries are area cells too: the planners query samples
 # and steps toward them, and a query outside the area raises ValueError.
 # within() returns the ball of REWIRE_RADIUS (3), the only radius it answers.
-# Each cell's probe slot is its key plus a base. Where the area padded by
-# _REACH on every side spans at most _PROBE_SLOTS_MAX keys, the slots are a
-# list over that span, holding each indexed cell's index and -1 elsewhere;
-# the base makes the padded corner (-_REACH, -_REACH, -_REACH) slot 0, and a
-# probe is one list read. The list has 28,824 slots (231 KB) at 10^3 and
-# 67,984 (544 KB) at 20^3; a 64^3 area is exactly at the cap (4.9 MB).
-# Larger areas keep the slots in a dict with base 0. Every key a probe
-# makes lies in (-radix**3, radix**3), so the dict's keys stay one-digit
-# ints (below 2**30) while the radix is at most 2**10. Lists are
-# pooled per area dims: a planner gives its tree's list back, cleared, when
-# it returns or fails, and the next tree of those dims takes it instead of
-# building one.
+# Each cell's probe slot is its key plus a base, in a list over the area
+# padded by _REACH on every side, holding each indexed cell's index and -1
+# elsewhere; the base makes the padded corner (-_REACH, -_REACH, -_REACH)
+# slot 0, and a probe is one list read. The list has 28,824 slots (231 KB)
+# at 10^3 and 67,984 (544 KB) at 20^3. Lists are pooled per area dims: a
+# planner gives its tree's list back, cleared, when it returns or fails, and
+# the next tree of those dims takes it instead of building one.
 _REACH = 16
-_PROBE_SLOTS_MAX = 615_696
 # nearest() probes shells while their cells total at most n / _PROBE_SHARE
 # for n indexed cells, plus _SCAN_PROBES once the cells fill 1 / _SCAN_PROBES
 # of the area, and otherwise scans them all. Under timeit at 20^3 a table
@@ -120,14 +120,9 @@ _first = operator.itemgetter(0)
 # its offset, that corner's key minus key(c), so the distances from a query
 # cell q to all cells are one take of the offsets from the table's view
 # starting at key(q). Only nearest() scans; within() probes its radius-3
-# ball. The table has
-# (2X - 1)(2Y - 1)(2Z - 1) entries of the narrowest of _TABLE_DTYPES that
-# holds X + Y + Z - 3. An area whose table would pass _TABLE_ENTRIES_MAX
-# entries (a 64^3 area is exactly at it), or whose distances no such dtype
-# holds, scans coordinates decoded from the offsets instead.
-_TABLE_ENTRIES_MAX = 127**3
-_TABLE_DTYPES = (np.int8, np.int16)
-_TABLES: dict[tuple[int, int, int], np.ndarray | None] = {}
+# ball. The table has (2X - 1)(2Y - 1)(2Z - 1) entries, int8 while
+# X + Y + Z - 3 fits in it and int16 otherwise.
+_TABLES: dict[tuple[int, int, int], np.ndarray] = {}
 
 
 def _shells(radix: int) -> list[list[int]]:
@@ -153,41 +148,13 @@ def _ball(radix: int) -> list[tuple[int, int]]:
     return _BALLS[radix]
 
 
-def _distance_table(dims: tuple[int, int, int]) -> np.ndarray | None:
-    """The scan's distance table for an area, built once per dims; None over the cap."""
+def _distance_table(dims: tuple[int, int, int]) -> np.ndarray:
+    """The scan's distance table for an area, built once per dims."""
     if dims not in _TABLES:
-        table = None
-        farthest = sum(dims) - 3
-        dtype = next((t for t in _TABLE_DTYPES if farthest <= np.iinfo(t).max), None)
-        entries = (2 * dims[0] - 1) * (2 * dims[1] - 1) * (2 * dims[2] - 1)
-        if dtype is not None and entries <= _TABLE_ENTRIES_MAX:
-            ax, ay, az = (abs(np.arange(1 - d, d, dtype=dtype)) for d in dims)
-            table = (ax[:, None, None] + ay[:, None] + az).ravel()
-        _TABLES[dims] = table
+        dtype = np.int8 if sum(dims) - 3 <= np.iinfo(np.int8).max else np.int16
+        ax, ay, az = (abs(np.arange(1 - d, d, dtype=dtype)) for d in dims)
+        _TABLES[dims] = (ax[:, None, None] + ay[:, None] + az).ravel()
     return _TABLES[dims]
-
-
-class _SparseSlots(dict):
-    """Probe slots of an area too large for a list: an empty slot reads -1."""
-
-    def __missing__(self, key: int) -> int:
-        return -1
-
-
-def _probe_slots(
-    dims: tuple[int, int, int], radix: int
-) -> tuple[list[int] | _SparseSlots, int]:
-    """Empty probe slots for an area, and their base.
-
-    A list from the pool of these dims, or a fresh one when the pool is
-    empty; a dict for an area over _PROBE_SLOTS_MAX.
-    """
-    base = (_REACH * radix + _REACH) * radix + _REACH
-    top = ((dims[0] - 1 + _REACH) * radix + dims[1] - 1 + _REACH) * radix + dims[2] - 1 + _REACH
-    if top + base + 1 > _PROBE_SLOTS_MAX:
-        return _SparseSlots(), 0
-    pool = _SLOT_POOLS.get(dims)
-    return (pool.pop() if pool else [-1] * (top + base + 1)), base
 
 
 class _NearestIndex:
@@ -197,34 +164,37 @@ class _NearestIndex:
     Probe slots indexed by cell key answer queries by probing Manhattan
     shells around the query cell; one array of table offsets backs the
     linear scan for queries the probes cannot answer. Ties go to the lowest
-    index. A query cell must lie in the area.
+    index. The area has at most PLAN_DIM_MAX cells per axis, and a query
+    cell must lie in it.
     """
 
     def __init__(self, dims: tuple[int, int, int]):
+        if max(dims) > PLAN_DIM_MAX:
+            raise ValueError(
+                f"the planners take areas of up to {PLAN_DIM_MAX} cells a side, got dims {dims!r}"
+            )
         self._dims = dims
         self._volume = dims[0] * dims[1] * dims[2]
-        self._radix = max(dims) + _REACH
-        self._outer_shells = _shells(self._radix)[1:]
-        self._ball = _ball(self._radix)
+        self._radix = r = max(dims) + _REACH
+        self._outer_shells = _shells(r)[1:]
+        self._ball = _ball(r)
         self._ry = 2 * dims[1] - 1
         self._rz = 2 * dims[2] - 1
         self._table = _distance_table(dims)
         self._corner = ((dims[0] - 1) * self._ry + dims[1] - 1) * self._rz + dims[2] - 1
         self._offsets = np.empty(1024, dtype=np.int64)
         self._n = 0
-        self._slots, self._base = _probe_slots(dims, self._radix)
+        self._base = (_REACH * r + _REACH) * r + _REACH
+        pool = _SLOT_POOLS.get(dims)
+        if pool:
+            self._slots = pool.pop()
+        else:
+            top = ((dims[0] - 1 + _REACH) * r + dims[1] - 1 + _REACH) * r + dims[2] - 1 + _REACH
+            self._slots = [-1] * (top + self._base + 1)
 
     def _distances(self, key: int) -> np.ndarray:
         """Distance from the area cell with scan key `key` to every indexed cell."""
-        offsets = self._offsets[: self._n]
-        if self._table is not None:
-            return self._table[key:].take(offsets)
-        ry, rz = self._ry, self._rz
-        rows, zs = np.divmod(self._corner - offsets, rz)
-        xs, ys = np.divmod(rows, ry)
-        row, z = divmod(key, rz)
-        x, y = divmod(row, ry)
-        return abs(xs - x) + abs(ys - y) + abs(zs - z)
+        return self._table[key:].take(self._offsets[: self._n])
 
     def nearest(self, cell: Cell) -> int:
         """Lowest index among the closest cells."""
@@ -319,14 +289,13 @@ class PlannerTree(_NearestIndex):
         return route
 
     def release(self) -> None:
-        """Clear this tree's probe slots and, if they are a list, pool it for
-        the next tree of these dims. The tree answers no query after this.
+        """Clear this tree's probe slots and pool the list for the next tree
+        of these dims. The tree answers no query after this.
         """
         slots, self._slots = self._slots, None
-        if type(slots) is list:
-            for k in self._keys:
-                slots[k] = -1
-            _SLOT_POOLS.setdefault(self._dims, []).append(slots)
+        for k in self._keys:
+            slots[k] = -1
+        _SLOT_POOLS.setdefault(self._dims, []).append(slots)
 
 
 def _step_toward(frm: Cell, to: Cell, rng: random.Random) -> Cell:

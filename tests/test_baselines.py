@@ -289,6 +289,27 @@ def test_a_returned_plan_pools_one_cleared_list(monkeypatch, planner):
         assert set(slots) == {-1}
 
 
+@pytest.mark.parametrize("planner", [rrt_plan, rrt_star_plan])
+def test_planners_refuse_areas_past_64_cells_a_side(monkeypatch, planner):
+    monkeypatch.setattr(baselines, "_SLOT_POOLS", {})
+    for dims in [(65, 64, 64), (64, 65, 64), (64, 64, 65)]:
+        rng = random.Random(5)
+        state = rng.getstate()
+        with pytest.raises(ValueError) as refused:
+            planner((0, 0, 0), (2, 1, 0), [], Area(*dims, 10.0, 30.0, 9.0), rng)
+        assert str(refused.value) == (
+            f"the planners take areas of up to 64 cells a side, got dims {dims!r}"
+        )
+        # Refused before it draws or takes a probe list.
+        assert rng.getstate() == state
+        assert baselines._SLOT_POOLS == {}
+    cube = Area(64, 64, 64, 10.0, 30.0, 9.0)
+    route = planner((0, 0, 0), (2, 1, 0), [], cube, random.Random(5))
+    assert route[0] == (0, 0, 0) and route[-1] == (2, 1, 0)
+    assert all(manhattan(a, b) == 1 and b in cube for a, b in zip(route, route[1:]))
+    assert len(_pooled(cube.dims)) == 1
+
+
 def test_live_trees_of_the_same_dims_answer_independently(monkeypatch):
     monkeypatch.setattr(baselines, "_SLOT_POOLS", {})
     rng = random.Random(6)

@@ -11,16 +11,13 @@ from swarmgrid import baselines
 from swarmgrid.baselines import (
     _FIRST_SHELL_PROBES,
     _PROBE_SHARE,
-    _PROBE_SLOTS_MAX,
     _REACH,
     _SCAN_PROBES,
+    PLAN_DIM_MAX,
     REWIRE_RADIUS,
     PlannerTree,
     _NearestIndex,
 )
-
-# Keys are one-digit CPython ints (below 2**30) while the radix is at most this.
-RADIX_LIMIT = 1 << 10
 
 
 def brute_nearest(cells, q):
@@ -55,6 +52,13 @@ def agrees(nn, cells, queries):
         assert nn.nearest(q) == brute_nearest(cells, q), q
         # brute_within is ascending, so this also checks the order.
         assert nn.within(q) == brute_within(cells, q, REWIRE_RADIUS), q
+
+
+def refuses_dims(dims):
+    """Building a tree of these dims raises one line naming them."""
+    line = f"the planners take areas of up to {PLAN_DIM_MAX} cells a side, got dims {dims!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(line)}$"):
+        PlannerTree(dims)
 
 
 def refuses(nn, queries):
@@ -172,41 +176,15 @@ def test_queries_at_and_beyond_the_area_edge():
     refuses(nn, outside)
 
 
-def test_dims_at_the_radix_limit_keep_keys_distinct():
-    # The largest area whose keys are all one-digit ints: radix**3 == 2**30.
-    side = RADIX_LIMIT - _REACH
-    dims = (side, side, side)
-    nn = PlannerTree(dims)
-    assert nn._radix ** 3 <= 2**30
-    rng = random.Random(7)
-    last = side - 1
-    cells = list({
-        tuple(rng.choice((rng.randrange(7), last - rng.randrange(7))) for _ in range(3))
-        for _ in range(2500)
-    })
-    for c in cells:
-        nn.add(c, -1)
-    offsets = [o for shell in baselines._shells(nn._radix) for o in shell]
-    # An area this large keeps its probe slots in a dict keyed by the cell keys.
-    assert isinstance(nn._slots, dict) and nn._base == 0
-    keys = list(nn._slots)
-    assert -(2**30) < min(keys) + min(offsets) and max(keys) + max(offsets) < 2**30
-    assert len(cells) // _PROBE_SHARE >= 25  # nearest() probes out to distance 2
-    queries = [(x, y, z) for x in (0, 2, last - 2, last)
-               for y in (0, last) for z in (1, last - 1)]
-    agrees(nn, cells, queries + [(side // 2, 0, last)])
-    refuses(nn, [(-1, 0, 0), (side, last, last), (-side, side, 0)])
-
-
-@pytest.mark.parametrize("side", [RADIX_LIMIT - _REACH + 1, 5000])
-def test_areas_past_the_radix_limit_still_answer_exactly(side):
-    dims = (side, 3, side)
-    rng = random.Random(side)
-    cells = list({(rng.choice((0, side - 1, side // 2)), rng.randrange(3),
-                   rng.choice((0, 1, side - 1))) for _ in range(60)})
-    nn = build(cells, dims)
-    agrees(nn, cells, [(0, 0, 0), (side - 1, 2, side - 1), (side // 2, 1, 1)])
-    refuses(nn, [(-5, 1, side + 5)])
+@pytest.mark.parametrize("dims", [
+    (65, 64, 64), (64, 65, 64), (64, 64, 65),  # one cell past the cap on one axis
+    (1008, 1008, 1008), (1009, 3, 1009), (5000, 3, 5000),
+])
+def test_areas_past_the_cap_are_refused(monkeypatch, dims):
+    monkeypatch.setattr(baselines, "_SLOT_POOLS", {})
+    refuses_dims(dims)
+    # Refused before it takes or builds anything.
+    assert baselines._SLOT_POOLS == {} and dims not in baselines._TABLES
 
 
 def test_probes_out_to_the_reach_beyond_the_area(monkeypatch):
@@ -235,7 +213,7 @@ def test_cells_outside_the_area_are_refused():
     assert nn.cells == [(4, 4, 4)]
 
 
-@pytest.mark.parametrize("dims", [(5, 5, 5), (2, 2, 40000)])
+@pytest.mark.parametrize("dims", [(5, 5, 5), (2, 2, 64)])
 def test_a_cell_already_indexed_is_refused(dims):
     nn = PlannerTree(dims)
     nn.add((1, 1, 1), -1)
@@ -248,20 +226,17 @@ def test_a_cell_already_indexed_is_refused(dims):
 
 
 def test_a_64_cube_probe_list_is_exactly_at_the_cap():
+    assert PLAN_DIM_MAX == 64
     nn = _NearestIndex((64, 64, 64))
-    assert type(nn._slots) is list and len(nn._slots) == _PROBE_SLOTS_MAX
+    assert type(nn._slots) is list and len(nn._slots) == 615_696
 
 
-@pytest.mark.parametrize("dims, store", [
-    ((64, 64, 64), list),  # exactly _PROBE_SLOTS_MAX slots
-    ((65, 64, 64), baselines._SparseSlots),  # one cell more along x passes the cap
-])
-def test_the_probe_list_or_the_dict_answers_exactly(monkeypatch, dims, store):
+@pytest.mark.parametrize("dims", [(64, 64, 64), (2, 64, 3)])
+def test_the_probe_list_answers_exactly(monkeypatch, dims):
     # Probe every shell out to _REACH before scanning, from queries on the
     # area's faces and corners, so probes reach the padding on every side.
     monkeypatch.setattr(baselines, "_SCAN_PROBES", 10**5)
     nn = PlannerTree(dims)
-    assert type(nn._slots) is store
     rng = random.Random(sum(dims))
     ends = [(0, 1, n // 2, n - 2, n - 1) for n in dims]
     cells = list({tuple(rng.choice(e) for e in ends) for _ in range(60)})
@@ -303,32 +278,37 @@ def test_table_keys_at_the_smallest_radices(case):
     # Axes of 2 and 3 cells give the key radices 3 and 5.
     dims, cells, queries = case
     nn = build(cells, dims)
-    assert nn._table is not None and nn._table.dtype == np.int8
+    assert nn._table.dtype == np.int8
     inside = [q for q in queries if all(0 <= v < n for v, n in zip(q, dims))]
     agrees(nn, cells, inside)
     refuses(nn, [q for q in queries if q not in inside])
 
 
 def test_a_64_cube_table_is_exactly_at_the_cap():
-    assert baselines._TABLE_ENTRIES_MAX == (2 * 64 - 1) ** 3
+    table = baselines._distance_table((64, 64, 64))
+    assert table.dtype == np.int16 and table.size == (2 * 64 - 1) ** 3
+    assert table.max() == 3 * 63
 
 
+# A case whose dtype is None is an area past the cap, which is refused.
 @pytest.mark.parametrize("dims, dtype", [
-    ((64, 64, 64), np.int16),  # the table holds exactly _TABLE_ENTRIES_MAX entries
+    ((64, 64, 64), np.int16),  # the largest table, 127^3 entries
     ((65, 64, 64), None),  # one cell more along x passes the cap
-    ((2, 2, 126), np.int8),  # farthest distance 127
-    ((2, 2, 127), np.int16),  # farthest distance 128
-    ((2, 2, 32766), np.int16),  # farthest distance 32767
-    ((2, 2, 32767), None),  # farthest distance 32768
-    ((2, 2, 40000), None),  # farthest distance 40001
+    ((64, 64, 2), np.int8),  # farthest distance 127
+    ((64, 64, 3), np.int16),  # farthest distance 128
+    ((3, 64, 64), np.int16),  # farthest distance 128
+    ((2, 2, 127), None),
+    ((2, 2, 32766), None),
+    ((2, 2, 32767), None),
+    ((2, 2, 40000), None),
 ])
 def test_the_table_or_the_coordinate_scan_answers_exactly(dims, dtype):
-    nn = PlannerTree(dims)
     if dtype is None:
-        assert nn._table is None
-    else:
-        assert nn._table.dtype == dtype
-        assert nn._table.size == (2 * dims[0] - 1) * (2 * dims[1] - 1) * (2 * dims[2] - 1)
+        refuses_dims(dims)
+        return
+    nn = PlannerTree(dims)
+    assert nn._table.dtype == dtype
+    assert nn._table.size == (2 * dims[0] - 1) * (2 * dims[1] - 1) * (2 * dims[2] - 1)
     ends = [(0, n // 2, n - 2, n - 1) for n in dims]
     cells = sorted({(x, y, z) for x in ends[0] for y in ends[1] for z in ends[2]})
     for c in cells:
