@@ -66,85 +66,52 @@ def _sample(
 
 # The planners take areas of up to PLAN_DIM_MAX cells per axis, and a tree
 # of larger dims raises ValueError. That bounds both structures below: the
-# probe list has at most 615,696 slots (4.9 MB) and the distance table at
+# probe list has at most 314,434 slots (2.5 MB) and the distance table at
 # most 127^3 entries, both reached at 64^3, and the farthest distance in the
 # area is at most 189, so int16 always holds it.
 PLAN_DIM_MAX = 64
 # The index keys a cell (x, y, z) as (x * radix + y) * radix + z, with the
-# radix derived from the area: its largest dimension plus _REACH. Probing a
-# cell at an offset is then one addition of the offset's key. Two cells whose
-# y and z each differ by less than the radix never share a key, so keys stay
-# distinct while the indexed cells lie in the area and probes reach at most
-# _REACH beyond it. Queries are area cells too: the planners query samples
-# and steps toward them, and a query outside the area raises ValueError.
-# within() returns the ball of REWIRE_RADIUS (3), the only radius it answers.
-# Each cell's probe slot is its key plus a base, in a list over the area
-# padded by _REACH on every side, holding each indexed cell's index and -1
-# elsewhere; the base makes the padded corner (-_REACH, -_REACH, -_REACH)
-# slot 0, and a probe is one list read. The list has 28,824 slots (231 KB)
-# at 10^3 and 67,984 (544 KB) at 20^3. Lists are pooled per area dims: a
-# planner gives its tree's list back, cleared, when it returns or fails, and
-# the next tree of those dims takes it instead of building one.
-_REACH = 16
-# nearest() probes shells while their cells total at most n / _PROBE_SHARE
-# for n indexed cells, plus _SCAN_PROBES once the cells fill 1 / _SCAN_PROBES
-# of the area, and otherwise scans them all. Under timeit at 20^3 a table
-# scan costs about 17 probes plus one per 70 cells (1.5 us at 200 cells and
-# 5.1 us at 4000, a probe 0.07 us), so a query that finds nothing in its
-# budget costs at most about three scans. In a sparser tree the first hit
-# lies more than _SCAN_PROBES probes out on average, so the scan goes first.
-# RRT*'s queries mostly hit within two cells; plain RRT's mostly lie farther.
-# _SCAN_PROBES was 48 while a scan cost about 100 probes; at 16, in-process
-# A/Bs planned the `baselines` RRT fleets 8-18% faster and the RRT* fleets
-# 2-4% faster. At 8 or 4 the fleets took within about 1.5% of 16 in total
-# (up to 5% less on the 10^3 RRT fleets), too close to tell apart.
-_PROBE_SHARE = 32
-_SCAN_PROBES = 16
-# The probes of the query cell and its six neighbours at distance 1. A
-# budget below that goes straight to the scan: at 20^3, every query of a
-# tree below 224 nodes.
-_FIRST_SHELL_PROBES = 1 + 6
-# Per radix: the offset keys at each Manhattan distance 0.._REACH, and the
-# key and distance of every offset within REWIRE_RADIUS.
-_SHELLS: dict[int, list[list[int]]] = {}
+# radix derived from the area: its largest dimension plus REWIRE_RADIUS.
+# Probing a cell at an offset is then one addition of the offset's key. Two
+# cells whose y and z each differ by less than the radix never share a key,
+# so keys stay distinct while the indexed cells lie in the area and probes
+# reach at most REWIRE_RADIUS beyond it. Queries are area cells too: the
+# planners query samples and steps toward them, and a query outside the area
+# raises ValueError. within() returns the ball of REWIRE_RADIUS (3), the only
+# radius it answers, and is the only query that probes. Each cell's probe
+# slot is its key plus a base, in a list over the area padded by
+# REWIRE_RADIUS on every side, holding each indexed cell's index and -1
+# elsewhere; the base makes the padded corner slot 0, and a probe is one list
+# read. Each tree builds its own list: 2,746 slots (22 KB) at 10^3 and 13,826
+# (111 KB) at 20^3.
+# Per radix: the key and distance of every offset within REWIRE_RADIUS, by
+# distance.
 _BALLS: dict[int, list[tuple[int, int]]] = {}
-# Cleared probe-slot lists by area dims, waiting for the next tree.
-_SLOT_POOLS: dict[tuple[int, int, int], list[list[int]]] = {}
 # Sorting (index, distance) pairs by the index alone compares ints, not tuples.
 _first = operator.itemgetter(0)
-# The scan keys a cell (x, y, z) of an X x Y x Z area as
+# nearest() scans. It keys a cell (x, y, z) of an X x Y x Z area as
 # key = (x * (2Y - 1) + y) * (2Z - 1) + z. The difference of two area cells'
 # keys then decodes into their per-axis differences alone, so one table per
 # area dims, indexed by the key of (X - 1, Y - 1, Z - 1) plus that
 # difference, holds their Manhattan distance. The index stores each cell c as
 # its offset, that corner's key minus key(c), so the distances from a query
 # cell q to all cells are one take of the offsets from the table's view
-# starting at key(q). Only nearest() scans; within() probes its radius-3
-# ball. The table has (2X - 1)(2Y - 1)(2Z - 1) entries, int8 while
+# starting at key(q), and argmin returns the first of the closest, the
+# lowest index. The table has (2X - 1)(2Y - 1)(2Z - 1) entries, int8 while
 # X + Y + Z - 3 fits in it and int16 otherwise.
 _TABLES: dict[tuple[int, int, int], np.ndarray] = {}
-
-
-def _shells(radix: int) -> list[list[int]]:
-    """Offset keys by Manhattan distance, out to _REACH, built once per radix."""
-    if radix not in _SHELLS:
-        _SHELLS[radix] = [
-            [
-                (dx * radix + dy) * radix + sz * (d - abs(dx) - abs(dy))
-                for dx in range(-d, d + 1)
-                for dy in range(abs(dx) - d, d - abs(dx) + 1)
-                for sz in ((1, -1) if abs(dx) + abs(dy) < d else (1,))
-            ]
-            for d in range(_REACH + 1)
-        ]
-    return _SHELLS[radix]
 
 
 def _ball(radix: int) -> list[tuple[int, int]]:
     """(key, distance) of the offsets within Manhattan REWIRE_RADIUS, built once per radix."""
     if radix not in _BALLS:
-        shells = _shells(radix)[: REWIRE_RADIUS + 1]
-        _BALLS[radix] = [(o, d) for d, shell in enumerate(shells) for o in shell]
+        _BALLS[radix] = [
+            ((dx * radix + dy) * radix + sz * (d - abs(dx) - abs(dy)), d)
+            for d in range(REWIRE_RADIUS + 1)
+            for dx in range(-d, d + 1)
+            for dy in range(abs(dx) - d, d - abs(dx) + 1)
+            for sz in ((1, -1) if abs(dx) + abs(dy) < d else (1,))
+        ]
     return _BALLS[radix]
 
 
@@ -161,11 +128,9 @@ class _NearestIndex:
     """Manhattan nearest-neighbor queries over distinct area cells, which
     PlannerTree.add indexes.
 
-    Probe slots indexed by cell key answer queries by probing Manhattan
-    shells around the query cell; one array of table offsets backs the
-    linear scan for queries the probes cannot answer. Ties go to the lowest
-    index. The area has at most PLAN_DIM_MAX cells per axis, and a query
-    cell must lie in it.
+    nearest() scans one array of table offsets; within() probes slots
+    indexed by cell key over its ball. Ties go to the lowest index. The area
+    has at most PLAN_DIM_MAX cells per axis, and a query cell must lie in it.
     """
 
     def __init__(self, dims: tuple[int, int, int]):
@@ -174,9 +139,7 @@ class _NearestIndex:
                 f"the planners take areas of up to {PLAN_DIM_MAX} cells a side, got dims {dims!r}"
             )
         self._dims = dims
-        self._volume = dims[0] * dims[1] * dims[2]
-        self._radix = r = max(dims) + _REACH
-        self._outer_shells = _shells(r)[1:]
+        self._radix = r = max(dims) + REWIRE_RADIUS
         self._ball = _ball(r)
         self._ry = 2 * dims[1] - 1
         self._rz = 2 * dims[2] - 1
@@ -184,17 +147,10 @@ class _NearestIndex:
         self._corner = ((dims[0] - 1) * self._ry + dims[1] - 1) * self._rz + dims[2] - 1
         self._offsets = np.empty(1024, dtype=np.int64)
         self._n = 0
-        self._base = (_REACH * r + _REACH) * r + _REACH
-        pool = _SLOT_POOLS.get(dims)
-        if pool:
-            self._slots = pool.pop()
-        else:
-            top = ((dims[0] - 1 + _REACH) * r + dims[1] - 1 + _REACH) * r + dims[2] - 1 + _REACH
-            self._slots = [-1] * (top + self._base + 1)
-
-    def _distances(self, key: int) -> np.ndarray:
-        """Distance from the area cell with scan key `key` to every indexed cell."""
-        return self._table[key:].take(self._offsets[: self._n])
+        pad = REWIRE_RADIUS
+        self._base = (pad * r + pad) * r + pad
+        top = ((dims[0] - 1 + pad) * r + dims[1] - 1 + pad) * r + dims[2] - 1 + pad
+        self._slots = [-1] * (top + self._base + 1)
 
     def nearest(self, cell: Cell) -> int:
         """Lowest index among the closest cells."""
@@ -202,28 +158,8 @@ class _NearestIndex:
         dx, dy, dz = self._dims
         if not (0 <= x < dx and 0 <= y < dy and 0 <= z < dz):
             raise ValueError(f"cell {cell!r} lies outside the area {self._dims!r}")
-        n = self._n
-        budget = n // _PROBE_SHARE
-        if n * _SCAN_PROBES >= self._volume:
-            budget += _SCAN_PROBES
-        # A budget short of the first shell probes nothing: the scan finds a
-        # query cell already in the tree at distance 0 too.
-        if budget >= _FIRST_SHELL_PROBES:
-            r = self._radix
-            k = (x * r + y) * r + z + self._base
-            slots = self._slots
-            i = slots[k]
-            if i >= 0:
-                return i
-            probed = 1
-            for shell in self._outer_shells:
-                probed += len(shell)
-                if probed > budget:
-                    break
-                hits = [i for o in shell if (i := slots[k + o]) >= 0]
-                if hits:
-                    return min(hits)
-        return int(self._distances((x * self._ry + y) * self._rz + z).argmin())
+        key = (x * self._ry + y) * self._rz + z
+        return int(self._table[key:].take(self._offsets[: self._n]).argmin())
 
     def within(self, cell: Cell) -> list[tuple[int, int]]:
         """(index, distance) of the cells within Manhattan REWIRE_RADIUS, by index."""
@@ -244,8 +180,6 @@ class PlannerTree(_NearestIndex):
 
     The root is the first cell added. Each node keeps its cell and its
     parent's index; a planner that needs more per node keeps it itself.
-    release() hands the probe slots back once the planner is done, clearing
-    the slots whose keys add() kept.
     """
 
     def __init__(self, dims: tuple[int, int, int]):
@@ -253,7 +187,6 @@ class PlannerTree(_NearestIndex):
         self.cells: list[Cell] = []
         self.parent: list[int] = []
         self.index: dict[Cell, int] = {}
-        self._keys: list[int] = []
 
     def add(self, cell: Cell, parent: int) -> int:
         """Add cell as a child of node parent (-1 for the root), and return its index."""
@@ -272,7 +205,6 @@ class PlannerTree(_NearestIndex):
         self._offsets[n] = self._corner - (x * self._ry + y) * self._rz - z
         slots[k] = n
         self._n = n + 1
-        self._keys.append(k)
         self.cells.append(cell)
         self.parent.append(parent)
         self.index[cell] = n
@@ -287,15 +219,6 @@ class PlannerTree(_NearestIndex):
             i = parent[i]
         route.reverse()
         return route
-
-    def release(self) -> None:
-        """Clear this tree's probe slots and pool the list for the next tree
-        of these dims. The tree answers no query after this.
-        """
-        slots, self._slots = self._slots, None
-        for k in self._keys:
-            slots[k] = -1
-        _SLOT_POOLS.setdefault(self._dims, []).append(slots)
 
 
 def _step_toward(frm: Cell, to: Cell, rng: random.Random) -> Cell:
@@ -371,27 +294,24 @@ def rrt_plan(
     """Single-step RRT over the grid; returns the route start..dest."""
     obstacles = _checked_obstacles(start, dest, static_obstacles, area)
     tree = PlannerTree(area.dims)
-    try:
-        tree.add(start, -1)
-        bounds = _sample_bounds(area)
-        cells, index = tree.cells, tree.index
-        for _ in range(max_iters):
-            sample = _sample(bounds, dest, obstacles, rng)
-            # A sample on the tree is its own nearest cell: no step to take.
-            if sample in index:
-                continue
-            near = tree.nearest(sample)
-            # One step from a tree cell toward an area cell stays in the area.
-            new = _step_toward(cells[near], sample, rng)
-            if new in obstacles or new in index:
-                continue
-            i = tree.add(new, near)
-            if new == dest:
-                # Every edge is one step, so the nodes to i are the route.
-                return tree.path_to(i)
-        raise PlanFailure(f"no route to {dest} within {max_iters} iterations")
-    finally:
-        tree.release()
+    tree.add(start, -1)
+    bounds = _sample_bounds(area)
+    cells, index = tree.cells, tree.index
+    for _ in range(max_iters):
+        sample = _sample(bounds, dest, obstacles, rng)
+        # A sample on the tree is its own nearest cell: no step to take.
+        if sample in index:
+            continue
+        near = tree.nearest(sample)
+        # One step from a tree cell toward an area cell stays in the area.
+        new = _step_toward(cells[near], sample, rng)
+        if new in obstacles or new in index:
+            continue
+        i = tree.add(new, near)
+        if new == dest:
+            # Every edge is one step, so the nodes to i are the route.
+            return tree.path_to(i)
+    raise PlanFailure(f"no route to {dest} within {max_iters} iterations")
 
 
 def _propagate_cost(
@@ -434,70 +354,67 @@ def rrt_star_plan(
     """
     obstacles = _checked_obstacles(start, dest, static_obstacles, area)
     tree = PlannerTree(area.dims)
-    try:
-        tree.add(start, -1)
-        bounds = _sample_bounds(area)
-        cells, parent, index = tree.cells, tree.parent, tree.index
-        # Per node: its cost from the root, the axis-step expansion of the
-        # edge from its parent (without the parent's cell), and its children.
-        cost = [0]
-        edge = [[start]]
-        children: list[set[int]] = [set()]
-        goal_index = -1
-        budget = max_iters
-        it = 0
-        while it < budget:
-            it += 1
-            sample = _sample(bounds, dest, obstacles, rng)
-            if sample in index:
-                continue
-            near = tree.nearest(sample)
-            new = _step_toward(cells[near], sample, rng)
-            if new in obstacles or new in index:
-                continue
+    tree.add(start, -1)
+    bounds = _sample_bounds(area)
+    cells, parent, index = tree.cells, tree.parent, tree.index
+    # Per node: its cost from the root, the axis-step expansion of the
+    # edge from its parent (without the parent's cell), and its children.
+    cost = [0]
+    edge = [[start]]
+    children: list[set[int]] = [set()]
+    goal_index = -1
+    budget = max_iters
+    it = 0
+    while it < budget:
+        it += 1
+        sample = _sample(bounds, dest, obstacles, rng)
+        if sample in index:
+            continue
+        near = tree.nearest(sample)
+        new = _step_toward(cells[near], sample, rng)
+        if new in obstacles or new in index:
+            continue
 
-            # Choose-parent: the neighbour with the least cost through it and
-            # an obstacle-free edge, ties to the lower own cost and then the
-            # lower index. near is one step away, so it never beats its own
-            # cost + 1.
-            neighborhood = tree.within(new)
-            best_parent, best_cost, best_edge = near, cost[near] + 1, [new]
-            better = [
-                (c + d, c, j) for j, d in neighborhood if (c := cost[j]) + d < best_cost
-            ]
-            better.sort()
-            for through, _, j in better:
-                path = _straight_edge(cells[j], new, obstacles)
-                if path is not None:
-                    best_parent, best_cost, best_edge = j, through, path
-                    break
-            i = tree.add(new, best_parent)
-            cost.append(best_cost)
-            edge.append(best_edge)
-            children.append(set())
-            children[best_parent].add(i)
+        # Choose-parent: the neighbour with the least cost through it and
+        # an obstacle-free edge, ties to the lower own cost and then the
+        # lower index. near is one step away, so it never beats its own
+        # cost + 1.
+        neighborhood = tree.within(new)
+        best_parent, best_cost, best_edge = near, cost[near] + 1, [new]
+        better = [
+            (c + d, c, j) for j, d in neighborhood if (c := cost[j]) + d < best_cost
+        ]
+        better.sort()
+        for through, _, j in better:
+            path = _straight_edge(cells[j], new, obstacles)
+            if path is not None:
+                best_parent, best_cost, best_edge = j, through, path
+                break
+        i = tree.add(new, best_parent)
+        cost.append(best_cost)
+        edge.append(best_edge)
+        children.append(set())
+        children[best_parent].add(i)
 
-            # The root costs 0, so it is never rewired and always has a parent here.
-            for j, d in neighborhood:
-                if best_cost + d < cost[j] and j != near:
-                    path = _straight_edge(new, cells[j], obstacles)
-                    if path is None:
-                        continue
-                    children[parent[j]].discard(j)
-                    parent[j] = i
-                    children[i].add(j)
-                    edge[j] = path
-                    cost[j] = best_cost + d
-                    _propagate_cost(children, cost, edge, j)
+        # The root costs 0, so it is never rewired and always has a parent here.
+        for j, d in neighborhood:
+            if best_cost + d < cost[j] and j != near:
+                path = _straight_edge(new, cells[j], obstacles)
+                if path is None:
+                    continue
+                children[parent[j]].discard(j)
+                parent[j] = i
+                children[i].add(j)
+                edge[j] = path
+                cost[j] = best_cost + d
+                _propagate_cost(children, cost, edge, j)
 
-            if new == dest and goal_index < 0:
-                goal_index = i
-                budget = min(max_iters, it + refine_iters)
-        if goal_index < 0:
-            raise PlanFailure(f"no route to {dest} within {max_iters} iterations")
-        return _joined_edges(parent, edge, goal_index)
-    finally:
-        tree.release()
+        if new == dest and goal_index < 0:
+            goal_index = i
+            budget = min(max_iters, it + refine_iters)
+    if goal_index < 0:
+        raise PlanFailure(f"no route to {dest} within {max_iters} iterations")
+    return _joined_edges(parent, edge, goal_index)
 
 
 def execute_open_loop(routes: dict[int, list[Cell]], cfg: SimConfig) -> SimResult:

@@ -179,8 +179,9 @@ def run_batch(
 ) -> tuple[Optional[Metrics], list[RunRow]]:
     """Run one experiment n_runs times; returns mean metrics and per-run rows.
 
+    The aggregate's LLR is the mean rounded up and its NC the total.
     Timed-out or plan-failed runs become flagged rows and are excluded from
-    the means.
+    the aggregate.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
@@ -207,7 +208,9 @@ def run_batch(
     if ok:
         aggregate = Metrics(
             arl=sum(m.arl for m in ok) / len(ok),
-            llr=round(sum(m.llr for m in ok) / len(ok)),
+            # The mean's ceiling, in integers: never below the mean ARL,
+            # since each run's LLR is at least its ARL.
+            llr=-(-sum(m.llr for m in ok) // len(ok)),
             nc=sum(m.nc for m in ok),
             t_ms=sum(m.t_ms for m in ok) / len(ok),
         )

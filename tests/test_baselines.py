@@ -1,5 +1,6 @@
 """Sampling planners and open-loop route execution."""
 
+import copy
 import random
 from collections import Counter
 
@@ -185,7 +186,7 @@ def test_planner_layers_are_looked_up_by_name_when_called(monkeypatch, planner):
     # Wrapping a layer by name, as a tracer does, sees every call of it.
     layers = STAR_LAYERS if planner is rrt_star_plan else TREE_LAYERS
     counts = Counter()
-    nodes = []
+    trees = []
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -195,19 +196,19 @@ def test_planner_layers_are_looked_up_by_name_when_called(monkeypatch, planner):
 
     for owner, name in layers:
         monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
-    release = PlannerTree.release
+    init = PlannerTree.__init__
 
-    def counting_nodes(tree):
-        nodes.append(len(tree.cells))
-        release(tree)
+    def keeping_trees(tree, dims):
+        trees.append(tree)
+        init(tree, dims)
 
-    monkeypatch.setattr(PlannerTree, "release", counting_nodes)
+    monkeypatch.setattr(PlannerTree, "__init__", keeping_trees)
     obstacles = [(3, y, z) for y in range(8) for z in range(8) if y < 5]
     planner((0, 0, 0), (7, 7, 7), obstacles, AREA, random.Random(2))
     assert all(counts[name] for _, name in layers), counts
     # Every node of the planner's one tree went through add(), and samples
     # already on the tree skipped the nearest-node query.
-    assert [counts["add"]] == nodes
+    assert [counts["add"]] == [len(tree.cells) for tree in trees]
     assert counts["nearest"] < counts["_sample"]
     if planner is rrt_star_plan:
         # Every node but the root asked for its rewiring neighbourhood.
@@ -250,48 +251,51 @@ def test_open_loop_calls_are_looked_up_by_name_when_called(monkeypatch):
     assert steps[:4] == [(0, 0), (1, 0), (2, 0), (2, 1)]
 
 
-def _pooled(dims):
-    return baselines._SLOT_POOLS.get(dims, [])
-
-
 # The generator's next draw after planning the wall-gap route below with
-# random.Random(4), as the planners left it before their slots were pooled.
+# random.Random(4).
 NEXT_DRAW = {rrt_plan: 0.3651908247451906, rrt_star_plan: 0.2157181062459823}
 
 
+# This test and the next keep the names they had while the planners pooled
+# their probe lists; each tree now builds its own list, and what they check
+# outlived the pool.
 @pytest.mark.parametrize("planner", [rrt_plan, rrt_star_plan])
-def test_a_failed_plan_leaves_its_pooled_slots_clean(monkeypatch, planner):
-    monkeypatch.setattr(baselines, "_SLOT_POOLS", {})
+def test_a_failed_plan_leaves_its_pooled_slots_clean(planner):
+    # A plan after a failed plan gives the fresh plan's route and draws.
     obstacles = [(3, y, z) for y in range(8) for z in range(8) if (y, z) != (4, 4)]
     args = ((0, 4, 4), (7, 4, 4), obstacles, AREA)
-    # On a fresh list, as every plan had before the lists were pooled.
     fresh_rng = random.Random(4)
     fresh = planner(*args, fresh_rng)
     assert fresh == [(x, 4, 4) for x in range(8)]
     check = random.Random()
     check.setstate(fresh_rng.getstate())
     assert check.random() == NEXT_DRAW[planner]
-    baselines._SLOT_POOLS.clear()
     with pytest.raises(PlanFailure):
         planner(*args, random.Random(9), max_iters=40)
-    assert len(_pooled(AREA.dims)) == 1
-    pooled_rng = random.Random(4)
-    assert planner(*args, pooled_rng) == fresh
-    assert pooled_rng.getstate() == fresh_rng.getstate()
+    after_rng = random.Random(4)
+    assert planner(*args, after_rng) == fresh
+    assert after_rng.getstate() == fresh_rng.getstate()
 
 
 @pytest.mark.parametrize("planner", [rrt_plan, rrt_star_plan])
-def test_a_returned_plan_pools_one_cleared_list(monkeypatch, planner):
-    monkeypatch.setattr(baselines, "_SLOT_POOLS", {})
+def test_a_returned_plan_pools_one_cleared_list(planner):
+    # The only module globals a plan writes are the _TABLES and _BALLS
+    # caches, filled once per area dims and radix and only read after that.
+    def state():
+        return {
+            k: (v, copy.copy(v) if isinstance(v, (dict, list, set)) else None)
+            for k, v in vars(baselines).items() if not k.startswith("__")
+        }
+
+    planner((0, 0, 0), (7, 7, 7), [(3, 3, 3)], AREA, random.Random(0))
+    before = state()
     for seed in range(3):
         planner((0, 0, 0), (7, 7, 7), [(3, 3, 3)], AREA, random.Random(seed))
-        (slots,) = _pooled(AREA.dims)
-        assert set(slots) == {-1}
+    assert state() == before
 
 
 @pytest.mark.parametrize("planner", [rrt_plan, rrt_star_plan])
-def test_planners_refuse_areas_past_64_cells_a_side(monkeypatch, planner):
-    monkeypatch.setattr(baselines, "_SLOT_POOLS", {})
+def test_planners_refuse_areas_past_64_cells_a_side(planner):
     for dims in [(65, 64, 64), (64, 65, 64), (64, 64, 65)]:
         rng = random.Random(5)
         state = rng.getstate()
@@ -300,35 +304,26 @@ def test_planners_refuse_areas_past_64_cells_a_side(monkeypatch, planner):
         assert str(refused.value) == (
             f"the planners take areas of up to 64 cells a side, got dims {dims!r}"
         )
-        # Refused before it draws or takes a probe list.
+        # Refused before it draws or builds a table.
         assert rng.getstate() == state
-        assert baselines._SLOT_POOLS == {}
+        assert dims not in baselines._TABLES
     cube = Area(64, 64, 64, 10.0, 30.0, 9.0)
     route = planner((0, 0, 0), (2, 1, 0), [], cube, random.Random(5))
     assert route[0] == (0, 0, 0) and route[-1] == (2, 1, 0)
     assert all(manhattan(a, b) == 1 and b in cube for a, b in zip(route, route[1:]))
-    assert len(_pooled(cube.dims)) == 1
 
 
-def test_live_trees_of_the_same_dims_answer_independently(monkeypatch):
-    monkeypatch.setattr(baselines, "_SLOT_POOLS", {})
+def test_live_trees_of_the_same_dims_answer_independently():
     rng = random.Random(6)
     every = [(x, y, z) for x in range(8) for y in range(8) for z in range(8)]
-
-    def grown(n):
-        tree = PlannerTree(AREA.dims)
-        for i, cell in enumerate(rng.sample(every, n)):
-            tree.add(cell, i - 1)
-        return tree
-
-    # Two lists in the pool, each cleared after a tree that held cells.
-    used = [grown(60), grown(60)]
-    for tree in used:
-        tree.release()
-    assert len(_pooled(AREA.dims)) == 2
-    live = [grown(40), grown(90)]
+    live = [PlannerTree(AREA.dims), PlannerTree(AREA.dims)]
+    # Grown in turns from overlapping draws, so each adds cells the other holds.
+    for n, tree in [(40, live[0]), (60, live[1]), (50, live[0])]:
+        for cell in rng.sample(every, n):
+            if cell not in tree.index:
+                tree.add(cell, len(tree.cells) - 1)
     assert live[0]._slots is not live[1]._slots
-    assert not _pooled(AREA.dims)
+    assert live[0]._table is live[1]._table
     for tree in live:
         cells = tree.cells
         for q in every:

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from swarmgrid.baselines import PlanFailure
 from swarmgrid.cli import EXIT_CONFIG_ERROR, EXIT_OK, EXIT_TIMEOUT, main
 from swarmgrid.engine import SimConfig, run_mission
 from swarmgrid.harness import load_scenario
@@ -301,6 +302,23 @@ def test_experiment_rejects_a_run_count_below_one(runs, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "--runs" in err
+
+
+def test_experiment_exits_2_when_every_plan_fails(tmp_path, monkeypatch, capsys):
+    def failing(*args, **kwargs):
+        raise PlanFailure("stubbed")
+
+    monkeypatch.setattr("swarmgrid.harness.rrt_plan", failing)
+    out = tmp_path / "exp.csv"
+    code = main(["experiment", "--id", "1", "--algorithm", "rrt", "--runs", "2",
+                 "--out", str(out)])
+    assert code == EXIT_TIMEOUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    # Both runs are still written, flagged, with no metrics.
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [row[3:6] + row[-1:] for row in rows] == [["", "", "", "1"]] * 2
 
 
 @pytest.mark.parametrize("where", ["missing-dir/exp.csv", "."])

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from swarmgrid import harness
+from swarmgrid.baselines import PlanFailure
 from swarmgrid.engine import SimResult, run_mission
 from swarmgrid.harness import (
     CSV_COLUMNS,
@@ -132,6 +134,43 @@ def test_run_batch_times_the_navigator_by_its_mission_loop(monkeypatch):
     assert aggregate.t_ms == 42.5
     assert rows[0].as_csv()[6] == "42.500"
     assert rows[0].as_csv(deterministic_timing=True)[6] == "0.000"
+
+
+def test_run_batch_rounds_the_mean_llr_up_to_stay_above_the_mean_arl():
+    # Its runs read ARL/LLR 6/6 and 3/3: the mean LLR of 4.5 rounded to the
+    # nearest even integer, 4, fell below the mean ARL of 4.5 and the
+    # aggregate raised "inconsistent metrics".
+    aggregate, rows = run_batch(ExperimentSpec(9, (6, 6, 6), 1, 0, 0), "proposed",
+                                n_runs=2, base_seed=1)
+    assert [(r.metrics.arl, r.metrics.llr) for r in rows] == [(6.0, 6), (3.0, 3)]
+    assert aggregate.arl == 4.5 and aggregate.llr == 5
+    assert aggregate.llr >= aggregate.arl
+
+
+def test_run_batch_leaves_a_failed_plan_out_of_the_aggregate(monkeypatch):
+    plan = harness.rrt_plan
+    calls = []
+
+    def failing_on_the_second_run(*args, **kwargs):
+        calls.append(None)
+        # Two drones a run: the third call is the second run's first plan.
+        if len(calls) == 3:
+            raise PlanFailure("stubbed")
+        return plan(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "rrt_plan", failing_on_the_second_run)
+    tiny = ExperimentSpec(8, (6, 6, 6), 2, 2, 2)
+    aggregate, rows = run_batch(tiny, "rrt", n_runs=3, base_seed=3)
+    assert len(calls) == 5
+    failed = rows[1]
+    assert (failed.metrics, failed.ticks, failed.timed_out) == (None, 0, True)
+    lines = rows_to_csv(rows).strip().split("\n")
+    assert lines[2].split(",") == ["1", "rrt", "8", "", "", "", "0.000", "0", "1"]
+    ok = [rows[0].metrics, rows[2].metrics]
+    assert aggregate.arl == (ok[0].arl + ok[1].arl) / 2
+    assert aggregate.llr == -(-(ok[0].llr + ok[1].llr) // 2)
+    assert aggregate.nc == ok[0].nc + ok[1].nc
+    assert aggregate.t_ms == (ok[0].t_ms + ok[1].t_ms) / 2
 
 
 def test_run_batch_rejects_unknown_algorithm():

@@ -8,16 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from swarmgrid import baselines
-from swarmgrid.baselines import (
-    _FIRST_SHELL_PROBES,
-    _PROBE_SHARE,
-    _REACH,
-    _SCAN_PROBES,
-    PLAN_DIM_MAX,
-    REWIRE_RADIUS,
-    PlannerTree,
-    _NearestIndex,
-)
+from swarmgrid.baselines import PLAN_DIM_MAX, REWIRE_RADIUS, PlannerTree, _NearestIndex
 
 
 def brute_nearest(cells, q):
@@ -83,15 +74,13 @@ def test_equal_distance_ties_go_to_the_lowest_index():
     ring = [(12, 10, 10), (10, 8, 10), (9, 10, 11), (10, 11, 9), (11, 11, 10)]
     far = distinct_cells(random.Random(0), 1000, 12)
     filler = [(x + 25, y + 25, z + 25) for x, y, z in far]
-    # Enough cells that nearest() probes the shells out to distance 2.
-    assert len(filler) // _PROBE_SHARE >= 25
     for order in (ring, ring[::-1], ring[2:] + ring[:2]):
         cells = filler[:700] + order + filler[700:]
         nn = build(cells)
         expected = brute_nearest(cells, q)
         assert cells[expected] == order[0]
         assert nn.nearest(q) == expected
-        # Few cells: the numpy fallback breaks ties the same way.
+        # The ring alone, each cell at distance 2.
         assert build(order).nearest(q) == brute_nearest(order, q) == 0
 
 
@@ -99,52 +88,9 @@ def test_far_samples_take_the_fallback_scan():
     rng = random.Random(1)
     cells = distinct_cells(rng, 400, 8)
     nn = build(cells, dims=(40, 40, 40))
-    # Far from the cells, in a corner of the area: the first shell holding
-    # one is larger than the probe budget, so the answer comes from the scan.
+    # Far from the cells, in a corner of the area.
     for q in [(30, 30, 30), (39, 4, 4), (4, 4, 39), (7, 39, 7)]:
         assert nn.nearest(q) == brute_nearest(cells, q)
-
-
-def test_the_first_shell_budget_is_the_query_cell_and_its_neighbours():
-    assert _FIRST_SHELL_PROBES == 1 + len(baselines._shells(20 + _REACH)[1])
-
-
-# (dims, n, whether nearest() probes): at 16^3 the budget n // _PROBE_SHARE
-# first pays for the first shell at n = 7 * _PROBE_SHARE; at 8^3 and 20^3
-# n = volume / _SCAN_PROBES adds _SCAN_PROBES to it.
-FIRST_SHELL_CASES = [
-    ((16, 16, 16), _FIRST_SHELL_PROBES * _PROBE_SHARE - 1, False),
-    ((16, 16, 16), _FIRST_SHELL_PROBES * _PROBE_SHARE, True),
-    ((8, 8, 8), 8**3 // _SCAN_PROBES - 1, False),
-    ((8, 8, 8), 8**3 // _SCAN_PROBES, True),
-    ((20, 20, 20), 20**3 // _SCAN_PROBES - 1, True),
-    ((20, 20, 20), 20**3 // _SCAN_PROBES, True),
-]
-
-
-@pytest.mark.parametrize("dims, n, probes", FIRST_SHELL_CASES)
-def test_a_budget_short_of_the_first_shell_goes_straight_to_the_scan(
-    monkeypatch, dims, n, probes
-):
-    scans = []
-    distances = _NearestIndex._distances
-
-    def counting(nn, key):
-        scans.append(key)
-        return distances(nn, key)
-
-    monkeypatch.setattr(_NearestIndex, "_distances", counting)
-    rng = random.Random(n)
-    cells = distinct_cells(rng, n, dims[0])
-    nn = build(cells, dims)
-    # A query on a tree cell is answered by its slot when the budget pays
-    # for the first shell, and by the scan, at distance 0, when it does not.
-    for i, q in enumerate(cells):
-        assert nn.nearest(q) == i
-    assert len(scans) == (0 if probes else n)
-    queries = distinct_cells(rng, 300, dims[0])
-    for q in queries:
-        assert nn.nearest(q) == brute_nearest(cells, q), q
 
 
 def test_growth_past_initial_capacity():
@@ -159,8 +105,9 @@ def test_growth_past_initial_capacity():
 
 
 def test_queries_at_and_beyond_the_area_edge():
-    # Cells on the faces of the area: probes from them reach negative and
-    # past-the-end coordinates, and queries from outside are refused.
+    # Cells on the faces of the area: within() probes from them reach
+    # negative and past-the-end coordinates, and queries from outside are
+    # refused.
     rng = random.Random(5)
     dims = (9, 6, 11)
     cells = list({
@@ -180,17 +127,15 @@ def test_queries_at_and_beyond_the_area_edge():
     (65, 64, 64), (64, 65, 64), (64, 64, 65),  # one cell past the cap on one axis
     (1008, 1008, 1008), (1009, 3, 1009), (5000, 3, 5000),
 ])
-def test_areas_past_the_cap_are_refused(monkeypatch, dims):
-    monkeypatch.setattr(baselines, "_SLOT_POOLS", {})
+def test_areas_past_the_cap_are_refused(dims):
     refuses_dims(dims)
-    # Refused before it takes or builds anything.
-    assert baselines._SLOT_POOLS == {} and dims not in baselines._TABLES
+    # Refused before it builds anything.
+    assert dims not in baselines._TABLES
 
 
-def test_probes_out_to_the_reach_beyond_the_area(monkeypatch):
-    # Probe every shell out to _REACH before scanning, from queries on the
-    # area's faces, so probed cells lie up to _REACH outside the area.
-    monkeypatch.setattr(baselines, "_SCAN_PROBES", 10**5)
+def test_probes_out_to_the_reach_beyond_the_area():
+    # within() from queries on the area's faces probes cells up to
+    # REWIRE_RADIUS outside the area, in the probe list's padding.
     dims = (24, 24, 24)
     rng = random.Random(11)
     cells = distinct_cells(rng, 40, 6, low=9)
@@ -219,7 +164,7 @@ def test_a_cell_already_indexed_is_refused(dims):
     nn.add((1, 1, 1), -1)
     with pytest.raises(ValueError, match="already indexed"):
         nn.add((1, 1, 1), -1)
-    # Probes and the scan both see the one cell.
+    # within()'s probes and nearest()'s scan both see the one cell.
     assert nn.within((1, 1, 2)) == [(0, 1)]
     assert nn.within((0, 0, 0)) == [(0, 3)]
     assert nn.nearest((1, 1, 0)) == nn.nearest((0, 0, 1)) == 0
@@ -228,14 +173,13 @@ def test_a_cell_already_indexed_is_refused(dims):
 def test_a_64_cube_probe_list_is_exactly_at_the_cap():
     assert PLAN_DIM_MAX == 64
     nn = _NearestIndex((64, 64, 64))
-    assert type(nn._slots) is list and len(nn._slots) == 615_696
+    assert type(nn._slots) is list and len(nn._slots) == 314_434
 
 
 @pytest.mark.parametrize("dims", [(64, 64, 64), (2, 64, 3)])
-def test_the_probe_list_answers_exactly(monkeypatch, dims):
-    # Probe every shell out to _REACH before scanning, from queries on the
-    # area's faces and corners, so probes reach the padding on every side.
-    monkeypatch.setattr(baselines, "_SCAN_PROBES", 10**5)
+def test_the_probe_list_answers_exactly(dims):
+    # Queries on the area's faces and corners, so within()'s probes reach
+    # the padding on every side.
     nn = PlannerTree(dims)
     rng = random.Random(sum(dims))
     ends = [(0, 1, n // 2, n - 2, n - 1) for n in dims]
@@ -314,6 +258,6 @@ def test_the_table_or_the_coordinate_scan_answers_exactly(dims, dtype):
     for c in cells:
         nn.add(c, -1)
     far = [tuple(n - 1 - v for v, n in zip(c, dims)) for c in cells]
-    # Few cells in a large area: nearest() scans unless the query is a cell.
+    # Few cells in a large area, queried from the far side.
     agrees(nn, cells, far)
     refuses(nn, [(-1, 0, 0), (dims[0], dims[1] + 3, -5), (-(10**9), 10**9, dims[2] + 10**9)])
