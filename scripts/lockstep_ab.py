@@ -60,11 +60,18 @@ from the flight's start, or the previous collision scan's return, to its
 own scan's return. The script wraps each side's
 `baselines.detect_collisions_ground_truth` to stamp those returns. It
 reports each round's flight ratio B/A over all fleets (the sums of their
-ticks) and their median, each side's flight-tick p50 and tail in ms over
-all rounds (the tail is the highest tick with ten beyond it, as run.py
-takes it), the median and quartiles of the per-tick ratio B/A, each tick
-against the same tick of the same fleet on the other side, and per fleet
-the flight ratio B/A of each round. On a shared 2-core VM its A/A round
+ticks); the median of the rounds where A flies first (even rounds), that
+of the rounds where B flies first (odd rounds), and the geometric mean of
+the two; each side's flight-tick p50 and tail in ms over all rounds (the
+tail is the highest tick with ten beyond it, as run.py takes it), the
+median and quartiles of the per-tick ratio B/A, each tick against the same
+tick of the same fleet on the other side, and per fleet the flight ratio
+B/A of each round. The flight ratio swings with which side flies first:
+on unchanged flight code it reads about 0.85-0.93 one way and 1.05-1.18
+the other, so a median pooled over both orders falls anywhere between
+them, while the geometric mean of the two orders' medians cancels the
+swing to first order (a 4-round A/A read 0.913 and 1.193 by order and
+1.044 for their geometric mean). On a shared 2-core VM its A/A round
 totals read 0.99-1.02 and their medians 0.998-1.012, in both load orders;
 single fleets spread about 5%.
 """
@@ -276,6 +283,8 @@ def baselines_main(args, packages: list, scenarios: list) -> None:
     fleet_flight_ratios: dict[str, list[float]] = {name: [] for name in names}
     round_ratios = []
     round_flight_ratios = []
+    # The rounds' flight ratios by which side flies first: A in even rounds.
+    flight_by_order: tuple[list[float], list[float]] = ([], [])
     tick_ms: list[list[float]] = [[], []]
     for rnd in range(args.rounds):
         gc.freeze()
@@ -294,8 +303,11 @@ def baselines_main(args, packages: list, scenarios: list) -> None:
         round_ratios.append(round(round_total[1] / round_total[0], 4))
         if round_flight[0]:
             round_flight_ratios.append(round(round_flight[1] / round_flight[0], 4))
+            flight_by_order[rnd % 2].append(round_flight_ratios[-1])
         gc.unfreeze()
         gc.collect()
+    order_medians = [statistics.median(xs) if xs else None for xs in flight_by_order]
+    both = [m for m in order_medians if m is not None]
     ticks_of = [
         {"n": len(ms), "p50": round(statistics.median(ms), 5), "tail": round(tail(ms), 5)}
         if ms else {"n": 0} for ms in tick_ms
@@ -306,7 +318,9 @@ def baselines_main(args, packages: list, scenarios: list) -> None:
         "total_ratio_b_over_a": round_ratios,
         "total_ratio_median": statistics.median(round_ratios),
         "flight_ratio_b_over_a": round_flight_ratios,
-        "flight_ratio_median": statistics.median(round_flight_ratios) if round_flight_ratios else None,
+        "flight_ratio_median_a_first": order_medians[0],
+        "flight_ratio_median_b_first": order_medians[1],
+        "flight_ratio_geomean": round(statistics.geometric_mean(both), 4) if both else None,
         "a_flight_tick_ms": ticks_of[0],
         "b_flight_tick_ms": ticks_of[1],
         "per_tick_flight_ratio_b_over_a": quartiles([b / a for a, b in zip(*tick_ms)]),

@@ -1,9 +1,12 @@
 """Tick-synchronous simulation engine.
 
-Each tick runs a fixed phase pipeline: obstacle motion, obstacle detection,
-per-drone decisions in a seeded-random order (greedy step or backtrack,
-conflict check, avoidance, locking), move commit, and an independent
-ground-truth collision scan. Everything is deterministic given the seed.
+Each tick, `Simulation.run_tick`, runs a fixed phase pipeline: obstacle
+motion (`ObstacleField.step`), obstacle detection (`_detect`), per-drone
+decisions in a seeded-random order (`_decide`: greedy step or backtrack,
+conflict check, avoidance, locking), move commit (`_commit`), an
+independent ground-truth collision scan (`detect_collisions_ground_truth`)
+and the trace rows (`_write_rows`). Everything is deterministic given the
+seed.
 The tick does not feed the CEP (`swarmgrid.cep`): no decision needs its
 matches.
 
@@ -31,11 +34,11 @@ area padded by one cell on each side (`HazardGrid`): each known obstacle
 adds 2 and each drone, flying or parked, 1 over its 27-cell cube. The
 deciding drone adds 1 to every cell next to its own, so a candidate cell is
 in the margin exactly when its count is at least 2, one list read. The
-counts move where what they count moves. In phase 2 `HazardGrid.move`
+counts move where what they count moves. In `_detect` `HazardGrid.move`
 diffs the known map of the last tick into this tick's: a known obstacle's
 axis step moves only its cube's trailing and leading 9-cell faces, while a
 static becoming known, a spawn, a death, or an entry to or exit from
-detection moves all 27. In phase 4 every drone's step moves two faces, in
+detection moves all 27. In `_commit` every drone's step moves two faces, in
 one `HazardGrid.steps` call.
 
 The counts are a plain list of ints, 8 bytes a slot: 4.4 MB at 80^3, and at
@@ -81,7 +84,7 @@ import random
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from .avoidance import (
     BacktrackConfig,
@@ -477,7 +480,7 @@ class Simulation:
         self._known: dict[str, Cell] = {}
         self._blocked: set[Cell] = set()
         if cfg.detection_radius >= 2:
-            self._know(dict(self.field.cells))
+            self._detect(True)
 
     def _park(self, drones: list[Drone]) -> None:
         """Enter newly arrived drones in the parked state. A parked drone
@@ -485,51 +488,57 @@ class Simulation:
         for d in drones:
             self._parked[d.current] = d.id
         if self.trace is not None:
-            rows = self._rows
-            for d in drones:
-                x, y, z = d.current
-                mode = "backtrack" if d.bt_attempts else "hover" if d.hover_streak else "normal"
-                rows[d.id] = f"\t{d.id}\t{mode}\t{x}\t{y}\t{z}\tparked\t0\n"
+            self._write_rows(drones, dict.fromkeys([d.id for d in drones], "parked"))
 
     # -- per-tick pipeline -------------------------------------------------
 
     def run_tick(self) -> None:
-        cfg = self.cfg
         tick = self.tick
         flying = self._flying
-        parked = self._parked
-        drone_cells = self._drone_cells
         before = {d.id: d.current for d in flying}
+        # Phase 1: only the moving obstacles due this tick step, in id order.
+        due = self.field.step(tick, step_moving_obstacle, self.rng, self.area,
+                              self._drone_cells, self.cfg.obstacles_avoid_drones)
+        self._detect(due)
+        committed, actions = self._decide()
+        landed = self._commit(flying, committed)
+        # Phase 5: ground-truth collision scan, independent of the decisions.
+        self.collisions += detect_collisions_ground_truth(
+            before, committed, self.field.at, tick, self._parked)
+        # Phase 6: the trace. A parked drone's row was written when it parked.
+        trace = self.trace
+        if trace is not None:
+            self._write_rows(flying, actions)
+            t = str(tick)
+            for row in self._rows:
+                trace(t + row)
+        if landed:
+            self._park(landed)
+            self._flying = [d for d in flying if not d.arrived]
+        self.tick += 1
 
-        # Phase 1: the moving obstacles due this tick step, in id order. No
-        # other obstacle moves, spawns or dies this tick.
-        field = self.field
-        due = field.step(
-            tick, step_moving_obstacle, self.rng, self.area, drone_cells,
-            cfg.obstacles_avoid_drones,
-        )
-
-        # Phase 2: obstacle detection, by the rule in the module docstring.
-        # Below radius 2 a static stays known once detected and a moving
-        # obstacle is known while detected. From radius 2 up it tests no
-        # drone: the known obstacles are the whole field, which changes
-        # only on a tick an obstacle was due.
-        if cfg.detection_radius < 2:
+    def _detect(self, due: Sequence[int] | bool) -> None:
+        """Phase 2: obstacle detection, by the rule in the module docstring.
+        From radius 2 up the known obstacles are the whole field, which
+        changes only when an obstacle is `due` (and before tick 0)."""
+        if self.cfg.detection_radius < 2:
             known = self._known
             self._know({
-                label: cell for label, cell in field.cells.items()
+                label: cell for label, cell in self.field.cells.items()
                 if label[0] == "s" and label in known or self._detected(cell)
             })
         elif due:
-            self._know(dict(field.cells))
+            self._know(dict(self.field.cells))
 
-        # Phase 3: decisions in a fresh seeded-random order.
+    def _decide(self) -> tuple[dict[int, Cell], dict[int, str]]:
+        """Phase 3: the flying drones decide in a fresh seeded-random order
+        of all drones, each locking the cell it will move to. Returns the
+        intents and the actions, by drone id."""
         order = list(self.drones)
         _shuffle(self.rng, order)
         ctx = DecisionContext(area=self.area, blocked_cells=self._blocked, locks=self.locks)
         committed: dict[int, Cell] = {}
         actions: dict[int, str] = {}
-
         for d in order:
             if d.arrived:
                 continue
@@ -543,17 +552,18 @@ class Simulation:
                 )
             committed[d.id] = intent
             actions[d.id] = action
+        return committed, actions
 
-        # Phase 4: commit moves, release old locks, update routes. No two
-        # drones, flying or parked, may end the tick on one cell.
+    def _commit(self, flying: list[Drone], committed: dict[int, Cell]) -> list[Drone]:
+        """Phase 4: commit the moves, release the old locks and update the
+        routes; returns the drones that landed. No two drones, flying or
+        parked, may end the tick on one cell."""
         targets = set(committed.values())
-        if len(targets) != len(committed) or not parked.keys().isdisjoint(targets):
+        if len(targets) != len(committed) or not self._parked.keys().isdisjoint(targets):
             cells = [d.current for d in self.drones if d.arrived] + list(committed.values())
             cell, n = Counter(cells).most_common(1)[0]
             raise EngineInvariantViolation(f"{n} drones committed {cell}")
-        vacated = []
-        entered = []
-        landed = []
+        vacated, entered, landed = [], [], []
         for d in flying:
             nxt = committed[d.id]
             prev = d.current
@@ -574,32 +584,19 @@ class Simulation:
                 d.stall_ticks += 1
         # Drop every vacated cell before adding the entered ones: a drone may
         # move into a cell another drone left this tick.
-        drone_cells.difference_update(vacated)
-        drone_cells.update(entered)
+        self._drone_cells.difference_update(vacated)
+        self._drone_cells.update(entered)
         self._grid.steps(vacated, entered, _DRONE)
+        return landed
 
-        # Phase 5: ground-truth collision scan, independent of the decisions.
-        self.collisions += detect_collisions_ground_truth(
-            before, committed, field.at, tick, parked
-        )
-
-        trace = self.trace
-        if trace is not None:
-            # Only the drones that decided this tick changed their rows; the
-            # parked drones' rows were written when they parked.
-            rows = self._rows
-            for d in flying:
-                x, y, z = d.current
-                mode = "backtrack" if d.bt_attempts else "hover" if d.hover_streak else "normal"
-                action = actions[d.id]
-                rows[d.id] = f"\t{d.id}\t{mode}\t{x}\t{y}\t{z}\t{action}\t{_NPRED.get(action, 0)}\n"
-            t = str(tick)
-            for row in rows:
-                trace(t + row)
-        if landed:
-            self._park(landed)
-            self._flying = [d for d in flying if not d.arrived]
-        self.tick += 1
+    def _write_rows(self, drones: list[Drone], actions: dict[int, str]) -> None:
+        """Write the trace rows of `drones`, each with its action by id."""
+        rows = self._rows
+        for d in drones:
+            x, y, z = d.current
+            mode = "backtrack" if d.bt_attempts else "hover" if d.hover_streak else "normal"
+            action = actions[d.id]
+            rows[d.id] = f"\t{d.id}\t{mode}\t{x}\t{y}\t{z}\t{action}\t{_NPRED.get(action, 0)}\n"
 
     def _know(self, known: dict[str, Cell]) -> None:
         """Take `known` (label -> cell) as the known obstacles: move the

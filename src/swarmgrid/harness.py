@@ -154,10 +154,11 @@ class RunRow:
     metrics: Optional[Metrics]
     ticks: int
     timed_out: bool
+    failed_ms: float = 0.0  # a failed plan's wall-clock time, in place of metrics
 
     def as_csv(self, deterministic_timing: bool = False) -> list[str]:
         m = self.metrics
-        t_ms = 0.0 if deterministic_timing else (m.t_ms if m else 0.0)
+        t_ms = 0.0 if deterministic_timing else (m.t_ms if m else self.failed_ms)
         return [
             str(self.run),
             self.algorithm,
@@ -181,7 +182,7 @@ def run_batch(
 
     The aggregate's LLR is the mean rounded up and its NC the total.
     Timed-out or plan-failed runs become flagged rows and are excluded from
-    the aggregate.
+    the aggregate. A plan-failed row keeps the time the failed attempt took.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
@@ -190,6 +191,7 @@ def run_batch(
     for run in range(n_runs):
         seed = seed_rng.randrange(2**62)
         cfg = build_experiment(spec, seed)
+        t0 = time.perf_counter()
         try:
             if algorithm == "proposed":
                 result = run_mission(cfg)
@@ -197,7 +199,8 @@ def run_batch(
             else:
                 result, wall_ms = _run_baseline(cfg, algorithm)
         except PlanFailure:
-            rows.append(RunRow(run, algorithm, spec.id, None, 0, True))
+            failed_ms = (time.perf_counter() - t0) * 1000.0
+            rows.append(RunRow(run, algorithm, spec.id, None, 0, True, failed_ms))
             continue
         metrics = compute_metrics(result, wall_ms)
         rows.append(

@@ -153,8 +153,10 @@ def test_run_batch_leaves_a_failed_plan_out_of_the_aggregate(monkeypatch):
 
     def failing_on_the_second_run(*args, **kwargs):
         calls.append(None)
-        # Two drones a run: the third call is the second run's first plan.
+        # Two drones a run: the third call is the second run's first plan,
+        # which plans in full and then fails.
         if len(calls) == 3:
+            plan(*args, **kwargs)
             raise PlanFailure("stubbed")
         return plan(*args, **kwargs)
 
@@ -164,7 +166,11 @@ def test_run_batch_leaves_a_failed_plan_out_of_the_aggregate(monkeypatch):
     assert len(calls) == 5
     failed = rows[1]
     assert (failed.metrics, failed.ticks, failed.timed_out) == (None, 0, True)
-    lines = rows_to_csv(rows).strip().split("\n")
+    # The failed attempt's time is written, except under deterministic timing.
+    timed = rows_to_csv(rows).strip().split("\n")[2].split(",")
+    assert timed[:6] == ["1", "rrt", "8", "", "", ""] and timed[7:] == ["0", "1"]
+    assert float(timed[6]) > 0 and failed.failed_ms > 0
+    lines = rows_to_csv(rows, deterministic_timing=True).strip().split("\n")
     assert lines[2].split(",") == ["1", "rrt", "8", "", "", "", "0.000", "0", "1"]
     ok = [rows[0].metrics, rows[2].metrics]
     assert aggregate.arl == (ok[0].arl + ok[1].arl) / 2
