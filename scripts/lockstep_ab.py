@@ -44,7 +44,10 @@ far from 1 the ratios read with no change. On a shared 2-core VM the A/A
 total ratios read 0.98-1.01 at every size, with one 40^3 run at 1.041;
 without `gc.freeze()` they read 0.96-1.07, depending on the load order.
 With `--workload congested --rounds 20` the A/A round ratios read
-0.975-1.039, with medians of 1.005 in both load orders.
+0.975-1.039, with medians of 1.005 in both load orders. So `--rounds 10`
+cannot resolve a 2% bound there: three 10-round runs of one pair of trees
+read 1.015-1.024 while a 10-round A/A read 0.986, and at 30 rounds the same
+pair read 1.013-1.016. A 2% gate on `congested` needs 30 rounds or more.
 
 With `--workload baselines` the two sides plan each fleet drone by drone,
 and the side that plans first alternates per drone and per round. After
@@ -53,14 +56,16 @@ every plan the two routes (or plan failures) and the generators'
 collisions and ticks; at the first difference the script prints one
 `error:` line and exits 1. It prints one JSON line: each round's total
 time ratio B/A over all plans and flights, their median, and per fleet the
-ratio B/A of each round. The open-loop flights are also timed apart from
-the planning, since they are only 2-5% of a fleet's time, and tick by
-tick, as `swarmbench/run.py` times `baselines`' `tick_ms`: a tick runs
-from the flight's start, or the previous collision scan's return, to its
-own scan's return. The script wraps each side's
-`baselines.detect_collisions_ground_truth` to stamp those returns. It
-reports each round's flight ratio B/A over all fleets (the sums of their
-ticks); the median of the rounds where A flies first (even rounds), that
+ratio B/A of each round. Per planner kind (`rrt` and `rrt-star`) it also
+reports each round's ratio B/A of the time spent planning alone, summed
+over that kind's fleets, and their median (`plan_ratio_median`). The
+open-loop flights are also timed apart from the planning, since they are
+only 2-5% of a fleet's time, and tick by tick, as `swarmbench/run.py`
+times `baselines`' `tick_ms`: a tick runs from the flight's start, or the
+previous collision scan's return, to its own scan's return. The script
+wraps each side's `baselines.detect_collisions_ground_truth` to stamp those
+returns. It reports each round's flight ratio B/A over all fleets (the
+sums of their ticks); the median of the rounds where A flies first (even rounds), that
 of the rounds where B flies first (odd rounds), and the geometric mean of
 the two; each side's flight-tick p50 and tail in ms over all rounds (the
 tail is the highest tick with ten beyond it, as run.py takes it), the
@@ -281,6 +286,9 @@ def baselines_main(args, packages: list, scenarios: list) -> None:
     names = [f"{op.kind} {op.scenario.label}" for op, _, _ in scenarios]
     fleet_ratios: dict[str, list[float]] = {name: [] for name in names}
     fleet_flight_ratios: dict[str, list[float]] = {name: [] for name in names}
+    kinds = sorted({op.kind for op, _, _ in scenarios})
+    # Per planner kind, each round's ratio B/A of the seconds spent planning.
+    plan_ratios: dict[str, list[float]] = {kind: [] for kind in kinds}
     round_ratios = []
     round_flight_ratios = []
     # The rounds' flight ratios by which side flies first: A in even rounds.
@@ -290,8 +298,11 @@ def baselines_main(args, packages: list, scenarios: list) -> None:
         gc.freeze()
         round_total = [0.0, 0.0]
         round_flight = [0.0, 0.0]
+        round_plan = {kind: [0.0, 0.0] for kind in kinds}
         for name, (op, cadence, spawn) in zip(names, scenarios):
             plan, ticks = plan_fleet(packages, op, cadence, spawn, rnd)
+            for k in (0, 1):
+                round_plan[op.kind][k] += plan[k]
             flight = [sum(ticks[0]), sum(ticks[1])]
             fleet_ratios[name].append(round((plan[1] + flight[1]) / (plan[0] + flight[0]), 4))
             if ticks[0]:
@@ -301,6 +312,8 @@ def baselines_main(args, packages: list, scenarios: list) -> None:
                 round_flight[k] += flight[k]
                 tick_ms[k] += [t * 1000 for t in ticks[k]]
         round_ratios.append(round(round_total[1] / round_total[0], 4))
+        for kind, (a, b) in round_plan.items():
+            plan_ratios[kind].append(round(b / a, 4))
         if round_flight[0]:
             round_flight_ratios.append(round(round_flight[1] / round_flight[0], 4))
             flight_by_order[rnd % 2].append(round_flight_ratios[-1])
@@ -317,6 +330,8 @@ def baselines_main(args, packages: list, scenarios: list) -> None:
         "fleets": len(scenarios), "rounds": args.rounds,
         "total_ratio_b_over_a": round_ratios,
         "total_ratio_median": statistics.median(round_ratios),
+        "plan_ratio_b_over_a": plan_ratios,
+        "plan_ratio_median": {kind: statistics.median(xs) for kind, xs in plan_ratios.items()},
         "flight_ratio_b_over_a": round_flight_ratios,
         "flight_ratio_median_a_first": order_medians[0],
         "flight_ratio_median_b_first": order_medians[1],

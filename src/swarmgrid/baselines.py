@@ -8,7 +8,6 @@ what makes them collide where the online navigator does not.
 from __future__ import annotations
 
 import itertools
-import operator
 import random
 
 import numpy as np
@@ -70,25 +69,29 @@ def _sample(
 # most 127^3 entries, both reached at 64^3, and the farthest distance in the
 # area is at most 189, so int16 always holds it.
 PLAN_DIM_MAX = 64
+# RRT* wires its nodes WIRE_BLOCK at a time, each block from one within().
+WIRE_BLOCK = 1024
 # The index keys a cell (x, y, z) as (x * radix + y) * radix + z, with the
 # radix derived from the area: its largest dimension plus REWIRE_RADIUS.
 # Probing a cell at an offset is then one addition of the offset's key. Two
 # cells whose y and z each differ by less than the radix never share a key,
 # so keys stay distinct while the indexed cells lie in the area and probes
-# reach at most REWIRE_RADIUS beyond it. Queries are area cells too: the
-# planners query samples and steps toward them, and a query outside the area
-# raises ValueError. within() returns the ball of REWIRE_RADIUS (3), the only
-# radius it answers, and is the only query that probes. Each cell's probe
-# slot is its key plus a base, in a list over the area padded by
-# REWIRE_RADIUS on every side, holding each indexed cell's index and -1
-# elsewhere; the base makes the padded corner slot 0, and a probe is one list
-# read. Each tree builds its own list: 2,746 slots (22 KB) at 10^3 and 13,826
-# (111 KB) at 20^3.
+# reach at most REWIRE_RADIUS beyond it. Each cell's probe slot is its key
+# plus a base, in a list over the area padded by REWIRE_RADIUS on every
+# side, holding each indexed cell's index and -1 elsewhere; the base makes
+# the padded corner slot 0. Each tree builds its own list: 2,746 slots
+# (22 KB) at 10^3 and 13,826 (111 KB) at 20^3.
+# RRT* grows its whole tree first and then wires it, so within() answers a
+# block of nodes lo <= i < hi at once: for each, the nodes j < i in its ball
+# of REWIRE_RADIUS (3), the only radius it answers. It copies the list into
+# an int32 array, recovers each node's slot from it, and reads the slots at
+# every node's slot plus every ball key in one numpy gather. A block of
+# WIRE_BLOCK nodes gathers 1024 x 63 int32 slots through an index of the
+# same shape, 258 KB each, plus the copy of the list (55 KB at 20^3, 1.26 MB
+# at 64^3) and the answer's lists.
 # Per radix: the key and distance of every offset within REWIRE_RADIUS, by
-# distance.
-_BALLS: dict[int, list[tuple[int, int]]] = {}
-# Sorting (index, distance) pairs by the index alone compares ints, not tuples.
-_first = operator.itemgetter(0)
+# distance, as two int32 arrays.
+_BALLS: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 # nearest() scans. It keys a cell (x, y, z) of an X x Y x Z area as
 # key = (x * (2Y - 1) + y) * (2Z - 1) + z. The difference of two area cells'
 # keys then decodes into their per-axis differences alone, so one table per
@@ -102,16 +105,17 @@ _first = operator.itemgetter(0)
 _TABLES: dict[tuple[int, int, int], np.ndarray] = {}
 
 
-def _ball(radix: int) -> list[tuple[int, int]]:
-    """(key, distance) of the offsets within Manhattan REWIRE_RADIUS, built once per radix."""
+def _ball(radix: int) -> tuple[np.ndarray, np.ndarray]:
+    """Keys and distances of the offsets within Manhattan REWIRE_RADIUS, built once per radix."""
     if radix not in _BALLS:
-        _BALLS[radix] = [
+        ball = [
             ((dx * radix + dy) * radix + sz * (d - abs(dx) - abs(dy)), d)
             for d in range(REWIRE_RADIUS + 1)
             for dx in range(-d, d + 1)
             for dy in range(abs(dx) - d, d - abs(dx) + 1)
             for sz in ((1, -1) if abs(dx) + abs(dy) < d else (1,))
         ]
+        _BALLS[radix] = tuple(np.array(ball, dtype=np.int32).T.copy())
     return _BALLS[radix]
 
 
@@ -128,9 +132,10 @@ class _NearestIndex:
     """Manhattan nearest-neighbor queries over distinct area cells, which
     PlannerTree.add indexes.
 
-    nearest() scans one array of table offsets; within() probes slots
-    indexed by cell key over its ball. Ties go to the lowest index. The area
-    has at most PLAN_DIM_MAX cells per axis, and a query cell must lie in it.
+    nearest() scans one array of table offsets, and ties go to the lowest
+    index; within() gathers the slots, indexed by cell key, over a block of
+    nodes' balls. The area has at most PLAN_DIM_MAX cells per axis, and a
+    query cell must lie in it.
     """
 
     def __init__(self, dims: tuple[int, int, int]):
@@ -161,18 +166,27 @@ class _NearestIndex:
         key = (x * self._ry + y) * self._rz + z
         return int(self._table[key:].take(self._offsets[: self._n]).argmin())
 
-    def within(self, cell: Cell) -> list[tuple[int, int]]:
-        """(index, distance) of the cells within Manhattan REWIRE_RADIUS, by index."""
-        x, y, z = cell
-        dx, dy, dz = self._dims
-        if not (0 <= x < dx and 0 <= y < dy and 0 <= z < dz):
-            raise ValueError(f"cell {cell!r} lies outside the area {self._dims!r}")
-        r = self._radix
-        k = (x * r + y) * r + z + self._base
-        slots = self._slots
-        out = [(i, d) for o, d in self._ball if (i := slots[k + o]) >= 0]
-        out.sort(key=_first)
-        return out
+    def within(self, lo: int, hi: int) -> tuple[list[int], list[int], list[int]]:
+        """For each node i with lo <= i < hi, the nodes j < i within
+        Manhattan REWIRE_RADIUS of it, and their distances.
+
+        Returns the js and the distances as two flat lists, each node's
+        entries in ball order, and each node's end in them.
+        """
+        slots = np.array(self._slots, dtype=np.int32)
+        held = np.flatnonzero(slots >= 0).astype(np.int32)
+        keys = np.empty(self._n, dtype=np.int32)
+        keys[slots[held]] = held
+        ball_keys, ball_dists = self._ball
+        hits = slots[keys[lo:hi, None] + ball_keys]
+        found = (hits >= 0) & (hits < np.arange(lo, hi)[:, None])
+        # Flat positions in hits, row by row: a boolean index would be slower.
+        at = np.flatnonzero(found)
+        return (
+            hits.ravel().take(at).tolist(),
+            ball_dists.take(at % ball_dists.size).tolist(),
+            np.count_nonzero(found, axis=1).cumsum().tolist(),
+        )
 
 
 class PlannerTree(_NearestIndex):
@@ -283,6 +297,39 @@ def _checked_obstacles(
     return obstacles
 
 
+def _grow(
+    tree: PlannerTree,
+    dest: Cell,
+    obstacles: set[Cell],
+    bounds: tuple[int, int, int, int, int, int],
+    rng: random.Random,
+    iters: int,
+) -> tuple[int, int]:
+    """Run up to iters single-step RRT iterations on tree, stopping after the
+    one that adds dest; returns dest's node (-1 if none added it) and the
+    iterations run.
+
+    Each new cell joins as the child of its nearest node. The draws, and so
+    the cells and their indexes, depend on nothing but the cells the tree
+    holds, which is what lets RRT* wire its tree afterwards.
+    """
+    cells, index = tree.cells, tree.index
+    for it in range(1, iters + 1):
+        sample = _sample(bounds, dest, obstacles, rng)
+        # A sample on the tree is its own nearest cell: no step to take.
+        if sample in index:
+            continue
+        near = tree.nearest(sample)
+        # One step from a tree cell toward an area cell stays in the area.
+        new = _step_toward(cells[near], sample, rng)
+        if new in obstacles or new in index:
+            continue
+        i = tree.add(new, near)
+        if new == dest:
+            return i, it
+    return -1, iters
+
+
 def rrt_plan(
     start: Cell,
     dest: Cell,
@@ -295,23 +342,11 @@ def rrt_plan(
     obstacles = _checked_obstacles(start, dest, static_obstacles, area)
     tree = PlannerTree(area.dims)
     tree.add(start, -1)
-    bounds = _sample_bounds(area)
-    cells, index = tree.cells, tree.index
-    for _ in range(max_iters):
-        sample = _sample(bounds, dest, obstacles, rng)
-        # A sample on the tree is its own nearest cell: no step to take.
-        if sample in index:
-            continue
-        near = tree.nearest(sample)
-        # One step from a tree cell toward an area cell stays in the area.
-        new = _step_toward(cells[near], sample, rng)
-        if new in obstacles or new in index:
-            continue
-        i = tree.add(new, near)
-        if new == dest:
-            # Every edge is one step, so the nodes to i are the route.
-            return tree.path_to(i)
-    raise PlanFailure(f"no route to {dest} within {max_iters} iterations")
+    goal, _ = _grow(tree, dest, obstacles, _sample_bounds(area), rng, max_iters)
+    if goal < 0:
+        raise PlanFailure(f"no route to {dest} within {max_iters} iterations")
+    # Every edge is one step, so the nodes to the goal are the route.
+    return tree.path_to(goal)
 
 
 def _propagate_cost(
@@ -351,70 +386,79 @@ def rrt_star_plan(
 
     After the goal first connects, growth continues for refine_iters more
     iterations so rewiring can shorten the incumbent path.
+
+    No draw depends on a cost, an edge or a parent, so the tree grows as
+    RRT grows it and is wired afterwards, node by node in index order, each
+    node against the nodes before it: the routes and draws are those of
+    choosing each node's parent and rewiring its ball as it is added.
     """
     obstacles = _checked_obstacles(start, dest, static_obstacles, area)
     tree = PlannerTree(area.dims)
     tree.add(start, -1)
     bounds = _sample_bounds(area)
-    cells, parent, index = tree.cells, tree.parent, tree.index
-    # Per node: its cost from the root, the axis-step expansion of the
-    # edge from its parent (without the parent's cell), and its children.
+    goal, it = _grow(tree, dest, obstacles, bounds, rng, max_iters)
+    if goal < 0:
+        raise PlanFailure(f"no route to {dest} within {max_iters} iterations")
+    # dest is on the tree, so this runs every iteration it is given.
+    _grow(tree, dest, obstacles, bounds, rng, min(refine_iters, max_iters - it))
+
+    cells, parent = tree.cells, tree.parent
+    n = len(cells)
+    # Per node wired so far: its cost from the root, the axis-step
+    # expansion of the edge from its parent (without the parent's cell),
+    # and its children. Each node's parent is its nearest node until it is
+    # wired.
     cost = [0]
     edge = [[start]]
     children: list[set[int]] = [set()]
-    goal_index = -1
-    budget = max_iters
-    it = 0
-    while it < budget:
-        it += 1
-        sample = _sample(bounds, dest, obstacles, rng)
-        if sample in index:
-            continue
-        near = tree.nearest(sample)
-        new = _step_toward(cells[near], sample, rng)
-        if new in obstacles or new in index:
-            continue
+    for lo in range(1, n, WIRE_BLOCK):
+        hi = min(lo + WIRE_BLOCK, n)
+        js, ds, ends = tree.within(lo, hi)
+        begin = 0
+        for i, end in zip(range(lo, hi), ends):
+            ball_js, ball_ds = js[begin:end], ds[begin:end]
+            begin = end
+            new = cells[i]
+            near = parent[i]
 
-        # Choose-parent: the neighbour with the least cost through it and
-        # an obstacle-free edge, ties to the lower own cost and then the
-        # lower index. near is one step away, so it never beats its own
-        # cost + 1.
-        neighborhood = tree.within(new)
-        best_parent, best_cost, best_edge = near, cost[near] + 1, [new]
-        better = [
-            (c + d, c, j) for j, d in neighborhood if (c := cost[j]) + d < best_cost
-        ]
-        better.sort()
-        for through, _, j in better:
-            path = _straight_edge(cells[j], new, obstacles)
-            if path is not None:
-                best_parent, best_cost, best_edge = j, through, path
-                break
-        i = tree.add(new, best_parent)
-        cost.append(best_cost)
-        edge.append(best_edge)
-        children.append(set())
-        children[best_parent].add(i)
+            # Choose-parent: the neighbour with the least cost through it
+            # and an obstacle-free edge, ties to the lower own cost and then
+            # the lower index. near is one step away, so it never beats its
+            # own cost + 1.
+            best_parent, best_cost, best_edge = near, cost[near] + 1, [new]
+            better = [
+                (c + d, c, j) for j, d in zip(ball_js, ball_ds) if (c := cost[j]) + d < best_cost
+            ]
+            better.sort()
+            for through, _, j in better:
+                path = _straight_edge(cells[j], new, obstacles)
+                if path is not None:
+                    best_parent, best_cost, best_edge = j, through, path
+                    break
+            parent[i] = best_parent
+            cost.append(best_cost)
+            edge.append(best_edge)
+            children.append(set())
+            children[best_parent].add(i)
 
-        # The root costs 0, so it is never rewired and always has a parent here.
-        for j, d in neighborhood:
-            if best_cost + d < cost[j] and j != near:
-                path = _straight_edge(new, cells[j], obstacles)
-                if path is None:
-                    continue
-                children[parent[j]].discard(j)
-                parent[j] = i
-                children[i].add(j)
-                edge[j] = path
-                cost[j] = best_cost + d
-                _propagate_cost(children, cost, edge, j)
-
-        if new == dest and goal_index < 0:
-            goal_index = i
-            budget = min(max_iters, it + refine_iters)
-    if goal_index < 0:
-        raise PlanFailure(f"no route to {dest} within {max_iters} iterations")
-    return _joined_edges(parent, edge, goal_index)
+            # Rewiring, by neighbour index. Costs only fall while node i
+            # rewires, so a neighbour that fails the test at first never
+            # passes it later. The root costs 0, so it is never rewired and
+            # always has a parent here.
+            rewire = [(j, d) for j, d in zip(ball_js, ball_ds) if best_cost + d < cost[j]]
+            rewire.sort()
+            for j, d in rewire:
+                if best_cost + d < cost[j] and j != near:
+                    path = _straight_edge(new, cells[j], obstacles)
+                    if path is None:
+                        continue
+                    children[parent[j]].discard(j)
+                    parent[j] = i
+                    children[i].add(j)
+                    edge[j] = path
+                    cost[j] = best_cost + d
+                    _propagate_cost(children, cost, edge, j)
+    return _joined_edges(parent, edge, goal)
 
 
 def execute_open_loop(routes: dict[int, list[Cell]], cfg: SimConfig) -> SimResult:

@@ -23,6 +23,7 @@ from swarmgrid.baselines import (
 )
 from swarmgrid.engine import SimConfig
 from swarmgrid.world import Area, manhattan
+from test_nearest_index import within_runs
 
 AREA = Area(8, 8, 8, 10.0, 30.0, 9.0)
 
@@ -211,8 +212,9 @@ def test_planner_layers_are_looked_up_by_name_when_called(monkeypatch, planner):
     assert [counts["add"]] == [len(tree.cells) for tree in trees]
     assert counts["nearest"] < counts["_sample"]
     if planner is rrt_star_plan:
-        # Every node but the root asked for its rewiring neighbourhood.
-        assert counts["within"] == counts["add"] - 1
+        # Every node but the root asked for its rewiring neighbourhood, in
+        # one within() per block of WIRE_BLOCK nodes.
+        assert counts["within"] == -(-(counts["add"] - 1) // baselines.WIRE_BLOCK)
 
 
 def test_open_loop_calls_are_looked_up_by_name_when_called(monkeypatch):
@@ -329,7 +331,11 @@ def test_live_trees_of_the_same_dims_answer_independently():
         for q in every:
             dist = [manhattan(c, q) for c in cells]
             assert tree.nearest(q) == dist.index(min(dist))
-            assert tree.within(q) == [(i, d) for i, d in enumerate(dist) if d <= REWIRE_RADIUS]
+        # Each node's rewiring ball holds the nodes before it within the radius.
+        assert within_runs(tree, 0, len(cells)) == [
+            [(j, d) for j, c in enumerate(cells[:i]) if (d := manhattan(c, q)) <= REWIRE_RADIUS]
+            for i, q in enumerate(cells)
+        ]
 
 
 # The planners' draws before they took getrandbits directly, kept verbatim:

@@ -4,7 +4,7 @@ One round of each navigator workload (`congested`, `missions` and
 `swarm-scale`), a tree against itself, flies each mission on both sides and
 compares their trace lines every tick (`congested` flies with a trace on).
 One round of `baselines` plans each fleet on both sides, flies it open
-loop and times the flights tick by tick.
+loop, times the planning per planner kind and the flights tick by tick.
 """
 
 import json
@@ -51,6 +51,11 @@ def test_lockstep_baselines_round_times_flight_ticks():
     report = lockstep_round("baselines")
     assert report["workload"] == "baselines" and report["rounds"] == 1
     assert report["fleets"] == 7
+    # Planning alone, per planner kind: one round's ratio, which is its median.
+    plan = report["plan_ratio_b_over_a"]
+    assert set(plan) == {"rrt", "rrt-star"}
+    assert all(len(r) == 1 and r[0] > 0 for r in plan.values())
+    assert report["plan_ratio_median"] == {kind: r[0] for kind, r in plan.items()}
     a, b = report["a_flight_tick_ms"], report["b_flight_tick_ms"]
     # Both sides fly the same fleets, so they time the same ticks.
     assert a["n"] == b["n"] == report["per_tick_flight_ratio_b_over_a"]["n"] > 0

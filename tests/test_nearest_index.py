@@ -17,10 +17,39 @@ def brute_nearest(cells, q):
     return int(d.argmin())
 
 
-def brute_within(cells, q, radius):
-    """(index, distance) of every cell within radius, by index."""
-    d = np.abs(np.array(cells) - np.array(q)).sum(axis=1)
-    return [(i, int(d[i])) for i in np.nonzero(d <= radius)[0].tolist()]
+def brute_within(cells, lo, hi):
+    """For each node i with lo <= i < hi, (index, distance) of every node
+    j < i within REWIRE_RADIUS of it, by index."""
+    a = np.array(cells)
+    out = []
+    for i in range(lo, hi):
+        d = np.abs(a[:i] - a[i]).sum(axis=1)
+        out.append([(j, int(d[j])) for j in np.flatnonzero(d <= REWIRE_RADIUS).tolist()])
+    return out
+
+
+def within_runs(nn, lo, hi):
+    """within(lo, hi) as one (index, distance) list per node, by index.
+    Checks that the answer has one end per node and that each node's
+    entries come in ball order, by distance."""
+    js, ds, ends = nn.within(lo, hi)
+    assert len(ends) == hi - lo and len(js) == len(ds) == (ends[-1] if ends else 0)
+    runs = []
+    begin = 0
+    for end in ends:
+        assert ds[begin:end] == sorted(ds[begin:end])
+        runs.append(sorted(zip(js[begin:end], ds[begin:end])))
+        begin = end
+    return runs
+
+
+def blocks_agree(nn, cells):
+    """within() over all the nodes, over the later half, and over the last
+    node alone gives each node's nodes before it within the radius."""
+    n = len(cells)
+    expect = brute_within(cells, 0, n)
+    for lo in (0, n // 2, n - 1):
+        assert within_runs(nn, lo, n) == expect[lo:], lo
 
 
 def build(cells, dims=(40, 40, 40)):
@@ -41,8 +70,12 @@ def distinct_cells(rng, n, side, low=0):
 def agrees(nn, cells, queries):
     for q in queries:
         assert nn.nearest(q) == brute_nearest(cells, q), q
-        # brute_within is ascending, so this also checks the order.
-        assert nn.within(q) == brute_within(cells, q, REWIRE_RADIUS), q
+    blocks_agree(nn, cells)
+    # Each query cell also joins a second tree as a node after the cells, so
+    # within() answers from it.
+    held = set(cells)
+    grown = cells + [q for q in dict.fromkeys(queries) if q not in held]
+    blocks_agree(build(grown, nn._dims), grown)
 
 
 def refuses_dims(dims):
@@ -53,11 +86,10 @@ def refuses_dims(dims):
 
 
 def refuses(nn, queries):
-    """Both queries raise ValueError naming each cell, which lies outside the area."""
+    """nearest() raises ValueError naming each cell, which lies outside the area."""
     for q in queries:
-        for query in (nn.nearest, nn.within):
-            with pytest.raises(ValueError, match=rf"cell {re.escape(repr(q))} lies outside"):
-                query(q)
+        with pytest.raises(ValueError, match=rf"cell {re.escape(repr(q))} lies outside"):
+            nn.nearest(q)
 
 
 @pytest.mark.parametrize("n", [1, 7, 40, 300, 1100, 2500])
@@ -154,7 +186,8 @@ def test_cells_outside_the_area_are_refused():
     # Queries are refused outside the area too, even one step past the
     # indexed cell, where its slot and the probes would reach.
     refuses(nn, bad + [(4, 4, 5), (4, 5, 4), (5, 4, 4)])
-    assert nn.within((4, 4, 4)) == [(0, 0)]
+    # The root has no node before it.
+    assert nn.within(0, 1) == ([], [], [0])
     assert nn.cells == [(4, 4, 4)]
 
 
@@ -165,9 +198,10 @@ def test_a_cell_already_indexed_is_refused(dims):
     with pytest.raises(ValueError, match="already indexed"):
         nn.add((1, 1, 1), -1)
     # within()'s probes and nearest()'s scan both see the one cell.
-    assert nn.within((1, 1, 2)) == [(0, 1)]
-    assert nn.within((0, 0, 0)) == [(0, 3)]
     assert nn.nearest((1, 1, 0)) == nn.nearest((0, 0, 1)) == 0
+    nn.add((1, 1, 2), 0)
+    nn.add((0, 0, 0), 0)
+    assert nn.within(1, 3) == ([0, 0], [1, 3], [1, 2])
 
 
 def test_a_64_cube_probe_list_is_exactly_at_the_cap():

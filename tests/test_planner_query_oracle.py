@@ -2,8 +2,9 @@
 
 The planners run on the first drones of built-in experiments with
 `nearest` and `within` wrapped: each answer the tree gives is checked
-against numpy distances from the query to every node the tree holds at
-that call, before the planner reads it.
+against numpy distances before the planner reads it. A nearest-node query
+is checked against every node the tree holds at that call, and each node of
+a `within` block against every node before it.
 """
 
 import random
@@ -50,12 +51,17 @@ class Oracle:
         return checked
 
     def within(self, query):
-        def checked(tree, cell):
-            got = query(tree, cell)
-            d = self.distances(tree, cell)
-            expect = [(i, int(d[i])) for i in np.flatnonzero(d <= REWIRE_RADIUS).tolist()]
-            assert got == expect, cell
-            self.calls["within"] += 1
+        def checked(tree, lo, hi):
+            got = query(tree, lo, hi)
+            js, ds, ends = got
+            assert len(ends) == hi - lo and len(js) == len(ds) == ends[-1]
+            begin = 0
+            for i, end in zip(range(lo, hi), ends):
+                d = self.distances(tree, tree.cells[i])[:i]
+                expect = [(j, int(d[j])) for j in np.flatnonzero(d <= REWIRE_RADIUS).tolist()]
+                assert sorted(zip(js[begin:end], ds[begin:end])) == expect, i
+                begin = end
+            self.calls["within"] += hi - lo
             return got
         return checked
 
@@ -78,7 +84,8 @@ def test_planner_queries_match_brute_force(monkeypatch, planner, exp, drones):
     monkeypatch.setattr(index, "nearest", oracle.nearest(index.nearest))
     monkeypatch.setattr(index, "within", oracle.within(index.within))
     assert plans() == unchecked
-    # About 4300 queries of each kind for RRT* and 1400-1900 nearest-node
-    # queries for RRT, over trees of up to 150-880 nodes.
+    # About 4300 nearest-node queries and as many nodes answered by within()
+    # for RRT*, and 1400-1900 nearest-node queries for RRT, over trees of up
+    # to 150-880 nodes.
     assert oracle.calls["nearest"] > 1000
     assert (oracle.calls["within"] > 1000) == (planner is rrt_star_plan)
