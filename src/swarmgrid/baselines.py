@@ -83,12 +83,16 @@ WIRE_BLOCK = 1024
 # (22 KB) at 10^3 and 13,826 (111 KB) at 20^3.
 # RRT* grows its whole tree first and then wires it, so within() answers a
 # block of nodes lo <= i < hi at once: for each, the nodes j < i in its ball
-# of REWIRE_RADIUS (3), the only radius it answers. It copies the list into
-# an int32 array, recovers each node's slot from it, and reads the slots at
-# every node's slot plus every ball key in one numpy gather. A block of
-# WIRE_BLOCK nodes gathers 1024 x 63 int32 slots through an index of the
-# same shape, 258 KB each, plus the copy of the list (55 KB at 20^3, 1.26 MB
-# at 64^3) and the answer's lists.
+# of REWIRE_RADIUS (3), the only radius it answers. It decodes the slot of
+# every node before hi from its scan offset, builds an int32 array of the
+# list's length holding those nodes at their slots, and reads the array at
+# every block node's slot plus every ball key in one numpy gather. A block
+# of WIRE_BLOCK nodes gathers 1024 x 63 int32 slots through an index of the
+# same shape, 258 KB each, plus the array (55 KB at 20^3, 1.26 MB at 64^3)
+# and the answer's lists. Wiring stops once the goal costs its distance
+# from the root (see rrt_star_plan), and the first block ends at the goal,
+# so most plans ask for one block of up to the goal's index. add() reads
+# the list for its duplicate test; within() reads only its length.
 # Per radix: the key and distance of every offset within REWIRE_RADIUS, by
 # distance, as two int32 arrays.
 _BALLS: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -173,10 +177,15 @@ class _NearestIndex:
         Returns the js and the distances as two flat lists, each node's
         entries in ball order, and each node's end in them.
         """
-        slots = np.array(self._slots, dtype=np.int32)
-        held = np.flatnonzero(slots >= 0).astype(np.int32)
-        keys = np.empty(self._n, dtype=np.int32)
-        keys[slots[held]] = held
+        # Only nodes before hi can answer. Each one's scan offset decodes
+        # into its cell and so into its probe slot's index in the array.
+        key = self._corner - self._offsets[:hi]
+        x, yz = np.divmod(key, self._ry * self._rz)
+        y, z = np.divmod(yz, self._rz)
+        r = self._radix
+        keys = (x * r + y) * r + z + self._base
+        slots = np.full(len(self._slots), -1, dtype=np.int32)
+        slots[keys] = np.arange(hi, dtype=np.int32)
         ball_keys, ball_dists = self._ball
         hits = slots[keys[lo:hi, None] + ball_keys]
         found = (hits >= 0) & (hits < np.arange(lo, hi)[:, None])
@@ -385,12 +394,16 @@ def rrt_star_plan(
     """RRT with choose-parent and rewiring in a Manhattan-radius-3 ball.
 
     After the goal first connects, growth continues for refine_iters more
-    iterations so rewiring can shorten the incumbent path.
+    iterations, so that the draws stay those of a planner that rewires as
+    it grows.
 
     No draw depends on a cost, an edge or a parent, so the tree grows as
     RRT grows it and is wired afterwards, node by node in index order, each
     node against the nodes before it: the routes and draws are those of
-    choosing each node's parent and rewiring its ball as it is added.
+    choosing each node's parent and rewiring its ball as it is added. The
+    refine phase's nodes are wired only until the goal costs its Manhattan
+    distance from the root, after which no node can change its route; a
+    goal that never does has every node wired.
     """
     obstacles = _checked_obstacles(start, dest, static_obstacles, area)
     tree = PlannerTree(area.dims)
@@ -411,8 +424,12 @@ def rrt_star_plan(
     cost = [0]
     edge = [[start]]
     children: list[set[int]] = [set()]
-    for lo in range(1, n, WIRE_BLOCK):
-        hi = min(lo + WIRE_BLOCK, n)
+    bound = abs(dest[0] - start[0]) + abs(dest[1] - start[1]) + abs(dest[2] - start[2])
+    lo = 1
+    while lo < n:
+        # Until the goal is wired, a block ends at the goal, where wiring
+        # most often stops.
+        hi = min(lo + WIRE_BLOCK, goal + 1 if lo <= goal else n)
         js, ds, ends = tree.within(lo, hi)
         begin = 0
         for i, end in zip(range(lo, hi), ends):
@@ -458,6 +475,18 @@ def rrt_star_plan(
                     edge[j] = path
                     cost[j] = best_cost + d
                     _propagate_cost(children, cost, edge, j)
+
+            # Every edge is an axis walk as long as the Manhattan distance
+            # between its ends, so every node costs at least its distance
+            # from the root, its bound, and costs only fall. A node j at
+            # its bound fails every later rewire test, since best_cost + d
+            # >= bound(i) + d >= bound(j), and its parent p is at its own,
+            # since cost[j] = cost[p] + |p - j| and bound(j) <= bound(p) +
+            # |p - j|. So once the goal is at its bound, no later node
+            # changes a parent or an edge on its route.
+            if i >= goal and cost[goal] == bound:
+                return _joined_edges(parent, edge, goal)
+        lo = hi
     return _joined_edges(parent, edge, goal)
 
 

@@ -17,7 +17,9 @@ from swarmgrid.baselines import REWIRE_RADIUS, rrt_plan, rrt_star_plan
 from swarmgrid.harness import EXPERIMENTS, build_experiment
 
 # (planner, experiment, drones planned): seed 0 of each.
-CASES = [(rrt_star_plan, 1, 5), (rrt_plan, 1, 20), (rrt_plan, 2, 10)]
+# RRT* wires its nodes only until the goal is at its bound, often at the goal
+# itself, so it plans more drones for within() to answer enough nodes.
+CASES = [(rrt_star_plan, 1, 10), (rrt_plan, 1, 20), (rrt_plan, 2, 10)]
 
 
 class Oracle:
@@ -84,7 +86,7 @@ def test_planner_queries_match_brute_force(monkeypatch, planner, exp, drones):
     monkeypatch.setattr(index, "nearest", oracle.nearest(index.nearest))
     monkeypatch.setattr(index, "within", oracle.within(index.within))
     assert plans() == unchecked
-    # About 4300 nearest-node queries and as many nodes answered by within()
+    # About 8600 nearest-node queries and 1554 nodes answered by within()
     # for RRT*, and 1400-1900 nearest-node queries for RRT, over trees of up
     # to 150-880 nodes.
     assert oracle.calls["nearest"] > 1000
